@@ -20,8 +20,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import __version__
@@ -41,23 +39,18 @@ from .scoring import (
     annotate_stanza,
     histogram,
     report_record,
-    score_stanza,
-    segment_stanza,
-    split_quatrains,
+    score_poem,
 )
 from .semloss import gradient_check
 from .syllable import LucBatError
 
 USAGE_ERROR = 1
 INTERNAL_ERROR = 2
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One invocation: a command plus its raw arguments."""
-
-    command: str
-    arguments: tuple[str, ...] = ()
+# Weights near the float limit overflow the score to -inf, which JSON cannot carry;
+# 1e6 is far beyond any useful weight.
+MAX_WEIGHT = 1e6
+# report bins the score range [0, 100]; a tiny --bins width would allocate billions of bins.
+MAX_BINS = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,14 +62,34 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_weights(text: str) -> tuple[float, float]:
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected wR,wT, got {text!r}")
-    w_rhyme, w_tone = (float(p) for p in parts)
-    if w_rhyme <= 0 or w_tone <= 0:
-        raise argparse.ArgumentTypeError("weights must be positive")
+    w_rhyme, w_tone = (_finite(p) for p in parts)
+    if not (0 < w_rhyme <= MAX_WEIGHT and 0 < w_tone <= MAX_WEIGHT):
+        raise argparse.ArgumentTypeError(f"weights must be positive and at most {MAX_WEIGHT:g}")
     return w_rhyme, w_tone
+
+
+def _parse_bin_width(text: str) -> float:
+    width = _finite(text)
+    if width <= 0 or 100.0 / width > MAX_BINS:
+        raise argparse.ArgumentTypeError(
+            f"bin width must be positive and give at most {MAX_BINS} bins over [0, 100], "
+            f"got {text!r}"
+        )
+    return width
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,11 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--format", choices=("text", "jsonl"), default="text")
     p_score.add_argument("--weights", type=_parse_weights, default=(1.0, 1.0),
                          metavar="wR,wT", help="penalty weights (default 1.0,1.0)")
-    p_score.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
     p_filter = sub.add_parser("filter", help="drop quatrains below a score threshold")
     p_filter.add_argument("input", help="quatrain file")
-    p_filter.add_argument("--min-score", type=float, required=True)
+    p_filter.add_argument("--min-score", type=_finite, required=True)
     p_filter.add_argument("--out", required=True, help="output corpus file")
     p_filter.add_argument("--stats", help="write stats JSON here (default: stdout)")
     p_filter.add_argument("--rules", help="near-rhyme table file")
@@ -107,7 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="histogram a stream of scores")
     p_report.add_argument("input", help="scores: one float per line, or jsonl "
                                         "records with a 'score' field ('-' for stdin)")
-    p_report.add_argument("--bins", type=float, default=10.0, help="bin width")
+    p_report.add_argument("--bins", type=_parse_bin_width, default=10.0,
+                          help=f"bin width (at most {MAX_BINS} bins over [0, 100])")
     p_report.add_argument("--format", choices=("text", "jsonl"), default="text")
 
     p_quat = sub.add_parser("quatrains", help="split poems into quatrains")
@@ -139,13 +152,10 @@ def _read_text(path: str) -> str:
 
 
 def _emit(record: dict) -> None:
-    print(json.dumps(record, ensure_ascii=False, sort_keys=True))
+    print(json.dumps(record, ensure_ascii=False, sort_keys=True, allow_nan=False))
 
 
 def _cmd_score(args) -> int:
-    if args.jobs < 1:
-        print("lucbat score: error: --jobs must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
     table = _load_table(args.rules)
     w_rhyme, w_tone = args.weights
     if args.input == "-":
@@ -153,39 +163,23 @@ def _cmd_score(args) -> int:
     else:
         corpus = ingest([args.input])
 
-    def score_one(poem):
-        try:
-            quatrains = split_quatrains(poem.text)
-            results = []
-            for index, quatrain in enumerate(quatrains, start=1):
-                stanza = segment_stanza(quatrain)
-                report = score_stanza(stanza, table, w_rhyme=w_rhyme, w_tone=w_tone)
-                results.append((index, stanza, report))
-            return poem, results, None
-        except LucBatError as exc:
-            return poem, [], exc
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            outcomes = list(pool.map(score_one, corpus.poems))
-    else:
-        outcomes = [score_one(poem) for poem in corpus.poems]
-
     failures = 0
-    for poem, results, error in outcomes:
-        if error is not None:
+    for poem in corpus.poems:
+        try:
+            reports, _ = score_poem(poem.text, table, w_rhyme=w_rhyme, w_tone=w_tone)
+        except LucBatError as error:
             failures += 1
             if args.format == "jsonl":
                 _emit({"poem_id": poem.id, "error": str(error)})
             else:
                 print(f"# {poem.id}: ERROR {error}")
             continue
-        for index, stanza, report in results:
+        for index, report in enumerate(reports, start=1):
             if args.format == "jsonl":
                 _emit(report_record(poem.id, index, report))
             else:
                 print(f"# {poem.id} stanza {index}")
-                print(annotate_stanza(stanza, report))
+                print(annotate_stanza(report.stanza, report))
                 print()
     return USAGE_ERROR if failures else 0
 
@@ -201,7 +195,7 @@ def _cmd_filter(args) -> int:
         "mean_score_kept": stats.mean_score_kept,
         "dropped": [{"poem_id": pid, "reason": reason} for pid, reason in stats.dropped],
     }
-    text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2)
+    text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2, allow_nan=False)
     if args.stats:
         with open(args.stats, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
@@ -264,6 +258,9 @@ def _cmd_report(args) -> int:
     if not scores:
         raise EmptyInput("no scores found in input")
     hist = histogram(scores, bin_width=args.bins)
+    total = sum(scores)
+    # finite scores can still overflow the sum; averaging term by term cannot
+    mean = total / len(scores) if math.isfinite(total) else sum(s / len(scores) for s in scores)
     if args.format == "jsonl":
         for lo, hi, count in hist.bins:
             _emit({"bin_lo": lo, "bin_hi": hi, "count": count})
@@ -272,7 +269,7 @@ def _cmd_report(args) -> int:
                 "below": hist.below,
                 "above": hist.above,
                 "n": len(scores),
-                "mean": sum(scores) / len(scores),
+                "mean": mean,
             }
         )
     else:
@@ -283,7 +280,7 @@ def _cmd_report(args) -> int:
             print(f"[{lo:6.1f}, {hi:6.1f}{closing} {count:6d} {bar}")
         if hist.below or hist.above:
             print(f"out of range: below={hist.below} above={hist.above}")
-        print(f"n={len(scores)} mean={sum(scores) / len(scores):.3f}")
+        print(f"n={len(scores)} mean={mean:.3f}")
     return 0
 
 
@@ -308,11 +305,11 @@ def _cmd_quatrains(args) -> int:
 
 
 def _cmd_losscheck(args) -> int:
-    flags = {"dmodel": "dmodel", "dhidden": "dhidden", "vocab": "vocab",
-             "max_len": "len", "stanzas": "stanzas"}
-    for name, flag in flags.items():
-        if getattr(args, name) < 1:
-            print(f"lucbat losscheck: error: --{flag} must be >= 1", file=sys.stderr)
+    flags = {"seed": ("seed", 0), "dmodel": ("dmodel", 1), "dhidden": ("dhidden", 1),
+             "vocab": ("vocab", 1), "max_len": ("len", 1), "stanzas": ("stanzas", 1)}
+    for name, (flag, least) in flags.items():
+        if getattr(args, name) < least:
+            print(f"lucbat losscheck: error: --{flag} must be >= {least}", file=sys.stderr)
             return USAGE_ERROR
     report = gradient_check(
         seed=args.seed,
@@ -343,11 +340,6 @@ _COMMANDS = {
     "quatrains": _cmd_quatrains,
     "losscheck": _cmd_losscheck,
 }
-
-
-def run(config: RunConfig) -> int:
-    """Programmatic entry: dispatch a :class:`RunConfig` through ``main``."""
-    return main([config.command, *config.arguments])
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .rules import RuleTable
-from .scoring import score_stanza, segment_stanza
+from .scoring import OddLineCount, score_stanza, segment_stanza, split_quatrains
 from .syllable import LucBatError, normalize_verse
 
 __all__ = [
@@ -145,16 +145,12 @@ def split_into_quatrains(corpus: Corpus) -> tuple[Corpus, list[tuple[str, str]]]
     quatrains: list[Poem] = []
     excluded: list[tuple[str, str]] = []
     for poem in corpus.poems:
-        lines = poem.lines()
-        if not lines or len(lines) % 4 != 0:
-            excluded.append(
-                (poem.id, f"{len(lines)} lines, not a multiple of 4")
-            )
+        try:
+            texts = split_quatrains(poem.text)
+        except OddLineCount:
+            excluded.append((poem.id, f"{len(poem.lines())} lines, not a multiple of 4"))
             continue
-        for k in range(0, len(lines), 4):
-            quatrains.append(
-                Poem(id=f"{poem.id}/q{k // 4}", text="\n".join(lines[k : k + 4]))
-            )
+        quatrains.extend(Poem(id=f"{poem.id}/q{k}", text=text) for k, text in enumerate(texts))
     return Corpus(poems=tuple(quatrains), provenance=corpus.provenance), excluded
 
 

@@ -117,6 +117,7 @@ class ScoreReport:
     score: float
     rhyme_diagnostics: tuple[RhymeDiagnostic, ...]
     tone_diagnostics: tuple[ToneDiagnostic, ...]
+    stanza: Stanza
 
 
 def segment_stanza(raw_poem: str) -> Stanza:
@@ -184,12 +185,13 @@ def score_stanza(
         score=score,
         rhyme_diagnostics=tuple(rhyme_diags),
         tone_diagnostics=tuple(tone_diags),
+        stanza=stanza,
     )
 
 
 def split_quatrains(raw_poem: str) -> list[str]:
-    """Split a poem into consecutive 4-line stanzas (blank lines ignored)."""
-    lines = [line for line in raw_poem.splitlines() if line.strip()]
+    """Split a poem into consecutive 4-line stanzas (lines stripped, blanks ignored)."""
+    lines = [line.strip() for line in raw_poem.splitlines() if line.strip()]
     if not lines or len(lines) % 4 != 0:
         raise OddLineCount(
             f"poem has {len(lines)} lines; quatrain split needs a multiple of 4"

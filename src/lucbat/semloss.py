@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .syllable import LucBatError
 
@@ -64,6 +63,11 @@ class DegenerateSequence(LucBatError):
 
 class MissingPair(LucBatError):
     """A stanza must contribute exactly two verse-pair embedding sequences."""
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function via tanh, which cannot overflow for any finite input."""
+    return 0.5 + 0.5 * np.tanh(0.5 * x)
 
 
 def _as_matrix(x, name: str) -> np.ndarray:
@@ -269,9 +273,9 @@ def lstm_forward(
         raise ShapeMismatch("h0/c0 must have shape (d_hidden,)")
     hidden, cell = [], []
     for x in X:
-        f = expit(params.U_f @ x + params.W_f @ h + params.b_f)
-        i = expit(params.U_i @ x + params.W_i @ h + params.b_i)
-        o = expit(params.U_o @ x + params.W_o @ h + params.b_o)
+        f = _sigmoid(params.U_f @ x + params.W_f @ h + params.b_f)
+        i = _sigmoid(params.U_i @ x + params.W_i @ h + params.b_i)
+        o = _sigmoid(params.U_o @ x + params.W_o @ h + params.b_o)
         g = np.tanh(params.U_c @ x + params.W_c @ h + params.b_c)
         c = f * c + i * g
         h = o * np.tanh(c)
@@ -336,9 +340,9 @@ def _forward_pair(X: np.ndarray, attn: AttentionParams, lstm: LstmParams) -> dic
     c = np.zeros(lstm.d_hidden)
     steps = []
     for y in Y:
-        f = expit(lstm.U_f @ y + lstm.W_f @ h + lstm.b_f)
-        i = expit(lstm.U_i @ y + lstm.W_i @ h + lstm.b_i)
-        o = expit(lstm.U_o @ y + lstm.W_o @ h + lstm.b_o)
+        f = _sigmoid(lstm.U_f @ y + lstm.W_f @ h + lstm.b_f)
+        i = _sigmoid(lstm.U_i @ y + lstm.W_i @ h + lstm.b_i)
+        o = _sigmoid(lstm.U_o @ y + lstm.W_o @ h + lstm.b_o)
         g = np.tanh(lstm.U_c @ y + lstm.W_c @ h + lstm.b_c)
         c_new = f * c + i * g
         h_new = o * np.tanh(c_new)
@@ -396,6 +400,19 @@ def _backward_pair(cache: dict, d_h_last: np.ndarray,
     grads["W_v"] += X.T @ dV
 
 
+def _weighted_pairs(
+    stanza_pairs: Sequence[Sequence[np.ndarray]], lstm: LstmParams, mean_pair_loss: bool
+):
+    """Yield (weight, first pair, second pair) per stanza; each needs exactly two pairs."""
+    weight = 1.0 / lstm.d_hidden if mean_pair_loss else 1.0
+    for index, pairs in enumerate(stanza_pairs):
+        if len(pairs) != 2:
+            raise MissingPair(
+                f"stanza {index}: expected exactly 2 verse pairs, got {len(pairs)}"
+            )
+        yield weight, pairs[0], pairs[1]
+
+
 def _pair_term(
     stanza_pairs: Sequence[Sequence[np.ndarray]],
     attn: AttentionParams,
@@ -404,14 +421,9 @@ def _pair_term(
 ) -> float:
     """Forward-only evaluation of the contextual-vector distance term."""
     total = 0.0
-    weight = 1.0 / lstm.d_hidden if mean_pair_loss else 1.0
-    for index, pairs in enumerate(stanza_pairs):
-        if len(pairs) != 2:
-            raise MissingPair(
-                f"stanza {index}: expected exactly 2 verse pairs, got {len(pairs)}"
-            )
-        e_prev = contextual_vector(pairs[0], attn, lstm)
-        e_next = contextual_vector(pairs[1], attn, lstm)
+    for weight, first, second in _weighted_pairs(stanza_pairs, lstm, mean_pair_loss):
+        e_prev = contextual_vector(first, attn, lstm)
+        e_next = contextual_vector(second, attn, lstm)
         diff = e_prev - e_next
         total += weight * float(diff @ diff)
     return total
@@ -445,15 +457,10 @@ def custom_loss(
         grads[f"W_{gate}"] = np.zeros_like(getattr(lstm, f"W_{gate}"))
         grads[f"b_{gate}"] = np.zeros_like(getattr(lstm, f"b_{gate}"))
     mse = 0.0
-    for index, pairs in enumerate(stanza_pairs):
-        if len(pairs) != 2:
-            raise MissingPair(
-                f"stanza {index}: expected exactly 2 verse pairs, got {len(pairs)}"
-            )
-        prev_cache = _forward_pair(_as_matrix(pairs[0], "pair"), attn, lstm)
-        next_cache = _forward_pair(_as_matrix(pairs[1], "pair"), attn, lstm)
+    for weight, first, second in _weighted_pairs(stanza_pairs, lstm, mean_pair_loss):
+        prev_cache = _forward_pair(_as_matrix(first, "pair"), attn, lstm)
+        next_cache = _forward_pair(_as_matrix(second, "pair"), attn, lstm)
         diff = prev_cache["h_last"] - next_cache["h_last"]
-        weight = 1.0 / lstm.d_hidden if mean_pair_loss else 1.0
         mse += weight * float(diff @ diff)
         _backward_pair(prev_cache, 2.0 * weight * diff, attn, lstm, grads)
         _backward_pair(next_cache, -2.0 * weight * diff, attn, lstm, grads)

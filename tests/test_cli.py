@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lucbat
 from lucbat.cli import main
 from helpers import perturb_quatrain
 from conftest import KIEU
@@ -53,18 +57,15 @@ class TestScoreCommand:
         record = json.loads(capsys.readouterr().out.strip())
         assert record["score"] == pytest.approx(100 * (1 - 0.5 / 5))
 
-    def test_bad_jobs_rejected(self, tmp_path, capsys):
-        path = write(tmp_path, "poems.txt", KIEU + "\n")
-        assert main(["score", path, "--jobs", "0"]) == 1
-
-    def test_jobs_preserve_order(self, tmp_path, capsys):
-        poems = "\n\n".join([KIEU] * 6)
-        path = write(tmp_path, "poems.txt", poems + "\n")
-        assert main(["score", path, "--format", "jsonl", "--jobs", "3"]) == 0
-        parallel = capsys.readouterr().out
-        assert main(["score", path, "--format", "jsonl"]) == 0
-        serial = capsys.readouterr().out
-        assert parallel == serial
+    def test_error_record_keeps_poem_order(self, tmp_path, capsys):
+        broken = perturb_quatrain(KIEU, rhyme_breaks=[(2, 6)])
+        path = write(tmp_path, "poems.txt", f"{KIEU}\n\nchỉ một dòng\n\n{broken}\n")
+        assert main(["score", path, "--format", "jsonl"]) == 1
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["poem_id"] for r in records] == [f"{path}:{k}" for k in range(3)]
+        assert records[0]["score"] == 100.0
+        assert "error" in records[1] and "score" not in records[1]
+        assert records[2]["R"] == 1
 
     def test_rules_override(self, tmp_path, capsys):
         # an empty table removes the {au, âu} group: "dâu" stops rhyming
@@ -170,6 +171,12 @@ class TestReportCommand:
         path = write(tmp_path, "scores.txt", "\n")
         assert main(["report", path]) == 1
 
+    def test_overflowing_sum_still_gives_a_finite_mean(self, tmp_path, capsys):
+        path = write(tmp_path, "scores.txt", "1e308\n1e308\n")
+        assert main(["report", path, "--format", "jsonl"]) == 0
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert summary["mean"] == 1e308
+
     def test_non_finite_score_rejected(self, tmp_path, capsys):
         path = write(tmp_path, "scores.txt", "95\nnan\n")
         assert main(["report", path]) == 1
@@ -241,9 +248,43 @@ class TestArgumentErrors:
         assert main(["score", str(tmp_path / "absent.txt")]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_run_config_dispatch(self, tmp_path, capsys):
-        from lucbat.cli import RunConfig, run
-
+    def test_jobs_flag_is_gone(self, tmp_path, capsys):
         path = write(tmp_path, "poems.txt", KIEU + "\n")
-        config = RunConfig(command="score", arguments=(path, "--format", "jsonl"))
-        assert run(config) == 0
+        assert main(["score", path, "--jobs", "2"]) == 1
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["score", "{poems}", "--weights", "nan,1"], "finite"),
+            (["score", "{poems}", "--weights", "1,inf"], "finite"),
+            (["score", "{poems}", "--weights", "1e308,1"], "at most 1e+06"),
+            (["filter", "{poems}", "--min-score", "nan", "--out", "{out}"], "finite"),
+            (["report", "{scores}", "--bins", "nan"], "finite"),
+            (["report", "{scores}", "--bins", "inf"], "finite"),
+            (["report", "{scores}", "--bins", "1e-9"], "at most 1000 bins"),
+            (["report", "{scores}", "--bins", "0"], "positive"),
+            (["losscheck", "--seed", "-1"], "--seed must be >= 0"),
+        ],
+        ids=["weights-nan", "weights-inf", "weights-huge", "min-score-nan", "bins-nan",
+             "bins-inf", "bins-tiny", "bins-zero", "losscheck-seed-negative"],
+    )
+    def test_bad_numeric_flag_exits_one(self, tmp_path, capsys, argv, message):
+        paths = {
+            "poems": write(tmp_path, "poems.txt", KIEU + "\n"),
+            "scores": write(tmp_path, "scores.txt", "95\n"),
+            "out": str(tmp_path / "kept.txt"),
+        }
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert not (tmp_path / "kept.txt").exists()
+
+    def test_cli_import_leaves_scipy_out(self):
+        src = Path(lucbat.__file__).resolve().parent.parent
+        probe = (f"import sys; sys.path.insert(0, {str(src)!r}); import lucbat.cli; "
+                 "print('scipy' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, check=True)
+        assert result.stdout.strip() == "False"

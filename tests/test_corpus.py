@@ -4,7 +4,9 @@ from collections import Counter
 import pytest
 
 from lucbat import (
+    Corpus,
     InvalidEncoding,
+    Poem,
     build_verse_index,
     corpus_from_text,
     filter_by_score,
@@ -86,6 +88,13 @@ class TestSplitAndShuffle:
             f"{corpus.poems[0].id}/q1",
             f"{corpus.poems[1].id}/q0",
         ]
+        assert not excluded
+
+    def test_indented_lines_are_stripped(self):
+        indented = "\n".join(f"  {line}\t" for line in KIEU.splitlines())
+        corpus = Corpus(poems=(Poem(id="p", text=indented),))
+        quatrains, excluded = split_into_quatrains(corpus)
+        assert [(p.id, p.text) for p in quatrains.poems] == [("p/q0", KIEU)]
         assert not excluded
 
     def test_same_seed_same_output(self):

@@ -21,10 +21,21 @@ from lucbat import (
     self_attention,
     unpack_parameters,
 )
+from lucbat.semloss import _sigmoid
 
 
 def sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x))
+
+
+class TestSigmoid:
+    def test_stable_exact_at_zero_and_matches_logistic(self):
+        x = np.linspace(-30.0, 30.0, 6001)
+        with np.errstate(all="raise"):
+            extremes = _sigmoid(np.array([-1e4, 1e4]))
+            assert _sigmoid(np.array([0.0]))[0] == 0.5
+            assert np.max(np.abs(_sigmoid(x) - 1.0 / (1.0 + np.exp(-x)))) <= 1e-15
+        assert extremes.tolist() == [0.0, 1.0]
 
 
 class TestSelfAttention:
