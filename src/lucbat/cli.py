@@ -26,6 +26,7 @@ from . import __version__
 from .corpus import (
     build_verse_index,
     corpus_from_text,
+    decode_utf8,
     filter_by_score,
     ingest,
     split_and_shuffle,
@@ -51,6 +52,17 @@ INTERNAL_ERROR = 2
 MAX_WEIGHT = 1e6
 # report bins the score range [0, 100]; a tiny --bins width would allocate billions of bins.
 MAX_BINS = 1000
+# losscheck flag: (argparse dest, least, most).  The check runs 2P forward passes over
+# stanzas * 2 pairs of up to len steps, and P grows with dmodel * dhidden, so the caps keep
+# the largest run under a minute; vocab only sizes the synthetic logits.
+LOSSCHECK_BOUNDS = {
+    "seed": ("seed", 0, None),
+    "dmodel": ("dmodel", 1, 16),
+    "dhidden": ("dhidden", 1, 16),
+    "vocab": ("vocab", 1, 1000),
+    "len": ("max_len", 1, 32),
+    "stanzas": ("stanzas", 1, 4),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -146,9 +158,9 @@ def _load_table(path: Optional[str]) -> RuleTable:
 
 def _read_text(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
+        return decode_utf8(sys.stdin.buffer.read(), "stdin")
+    with open(path, "rb") as handle:
+        return decode_utf8(handle.read(), path)
 
 
 def _emit(record: dict) -> None:
@@ -231,24 +243,26 @@ def _cmd_creativity(args) -> int:
 
 def _read_scores(text: str) -> list[float]:
     scores = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
-        value = None
         try:
             value = float(line)
         except ValueError:
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise LucBatError(f"unreadable score line: {line[:60]!r}") from exc
-            if isinstance(record, dict) and "score" in record:
-                value = float(record["score"])
-        if value is None:
-            continue
+            except ValueError as exc:
+                raise LucBatError(f"line {number}: unreadable score line: {line[:60]!r}") from exc
+            if not isinstance(record, dict) or "score" not in record:
+                continue
+            value = record["score"]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise LucBatError(f"line {number}: score is not a number: {line[:60]!r}")
+            # a JSON integer can exceed the float range; float() would raise
+            value = float(value) if abs(value) <= sys.float_info.max else math.inf
         if not math.isfinite(value):
-            raise LucBatError(f"non-finite score: {line[:60]!r}")
+            raise LucBatError(f"line {number}: non-finite score: {line[:60]!r}")
         scores.append(value)
     return scores
 
@@ -305,11 +319,11 @@ def _cmd_quatrains(args) -> int:
 
 
 def _cmd_losscheck(args) -> int:
-    flags = {"seed": ("seed", 0), "dmodel": ("dmodel", 1), "dhidden": ("dhidden", 1),
-             "vocab": ("vocab", 1), "max_len": ("len", 1), "stanzas": ("stanzas", 1)}
-    for name, (flag, least) in flags.items():
-        if getattr(args, name) < least:
-            print(f"lucbat losscheck: error: --{flag} must be >= {least}", file=sys.stderr)
+    for flag, (name, least, most) in LOSSCHECK_BOUNDS.items():
+        value = getattr(args, name)
+        if value < least or (most is not None and value > most):
+            bound = f">= {least}" if value < least else f"<= {most}"
+            print(f"lucbat losscheck: error: --{flag} must be {bound}", file=sys.stderr)
             return USAGE_ERROR
     report = gradient_check(
         seed=args.seed,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .rules import RuleTable
-from .scoring import OddLineCount, score_stanza, segment_stanza, split_quatrains
+from .scoring import EmptyInput, OddLineCount, score_stanza, segment_stanza, split_quatrains
 from .syllable import LucBatError, normalize_verse
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "FilterStats",
     "InvalidEncoding",
     "ingest",
+    "decode_utf8",
     "corpus_from_text",
     "write_corpus",
     "split_into_quatrains",
@@ -82,19 +83,24 @@ def corpus_from_text(text: str, source: str = "<memory>") -> Corpus:
     return Corpus(poems=poems, provenance=(source,))
 
 
+def decode_utf8(data: bytes, source: str) -> str:
+    """Decode strict UTF-8; bad bytes raise :class:`InvalidEncoding` naming ``source``."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidEncoding(f"{source}: {exc}") from exc
+
+
 def _expand(paths: Iterable[str]) -> list[str]:
     """Directories expand to their *.txt files, sorted for determinism."""
     expanded = []
     for path in paths:
         path = str(path)
         if os.path.isdir(path):
-            expanded.extend(
-                sorted(
-                    os.path.join(path, name)
-                    for name in os.listdir(path)
-                    if name.endswith(".txt")
-                )
-            )
+            names = sorted(name for name in os.listdir(path) if name.endswith(".txt"))
+            if not names:
+                raise EmptyInput(f"{path}: directory has no *.txt files")
+            expanded.extend(os.path.join(path, name) for name in names)
         else:
             expanded.append(path)
     return expanded
@@ -103,21 +109,18 @@ def _expand(paths: Iterable[str]) -> list[str]:
 def ingest(paths: Iterable[str]) -> Corpus:
     """Read UTF-8 poem files; ids are "<path>:<ordinal>".
 
-    A directory stands for its ``*.txt`` files in sorted order.  The ordinal
-    keeps counting if the same path is listed twice, so ids stay unique.
-    I/O errors propagate as OSError; bad bytes raise
-    :class:`InvalidEncoding`.
+    A directory stands for its ``*.txt`` files in sorted order; one with none
+    raises :class:`EmptyInput`.  The ordinal keeps counting if the same path
+    is listed twice, so ids stay unique.  I/O errors propagate as OSError;
+    bad bytes raise :class:`InvalidEncoding`.
     """
     poems: list[Poem] = []
     provenance: list[str] = []
     next_ordinal: dict[str, int] = {}
     for path in _expand(paths):
         provenance.append(path)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                text = handle.read()
-        except UnicodeDecodeError as exc:
-            raise InvalidEncoding(f"{path}: {exc}") from exc
+        with open(path, "rb") as handle:
+            text = decode_utf8(handle.read(), path)
         start = next_ordinal.get(path, 0)
         blocks = _split_blocks(text)
         for offset, block in enumerate(blocks):

@@ -13,6 +13,11 @@ with respect to the attention and LSTM parameters are computed analytically
 (reverse mode) and can be verified against central finite differences with
 :func:`gradient_check`.
 
+The LSTM parameters are stacked in gate order f, i, o, c: U (4h, d),
+W (4h, h) and b (4h,).  The packed parameter vector is W_q, W_k, W_v, U, W,
+b, each raveled row-major, so it reads W_q, W_k, W_v, U_f … U_c, W_f … W_c,
+b_f … b_c.
+
 Everything is float64; softmax uses max subtraction.  Token embeddings and
 language-model logits are supplied by the caller (or generated synthetically
 for checking); no trained model is involved.
@@ -123,98 +128,95 @@ class AttentionParams:
         )
 
 
-_LSTM_GATES = ("f", "i", "o", "c")
+def _stack_gates(kind: str, *gates) -> np.ndarray:
+    """Concatenate four same-shape per-gate arrays along rows, in gate order."""
+    if any(np.shape(gate) != np.shape(gates[0]) for gate in gates):
+        raise ShapeMismatch(f"{kind}_f, {kind}_i, {kind}_o and {kind}_c must share one shape")
+    return np.concatenate(gates)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LstmParams:
-    """Gate parameters: input weights U_*, recurrent weights W_*, biases b_*."""
+    """LSTM parameters stacked in gate order f, i, o, c.
 
-    U_f: np.ndarray
-    U_i: np.ndarray
-    U_o: np.ndarray
-    U_c: np.ndarray
-    W_f: np.ndarray
-    W_i: np.ndarray
-    W_o: np.ndarray
-    W_c: np.ndarray
-    b_f: np.ndarray
-    b_i: np.ndarray
-    b_o: np.ndarray
-    b_c: np.ndarray
+    ``U`` (4h, d) holds the input weights, ``W`` (4h, h) the recurrent weights
+    and ``b`` (4h,) the biases; rows k*h:(k+1)*h belong to gate k.  ``U_f`` …
+    ``b_c`` are row views of the stacks, and the keyword constructor takes
+    those twelve per-gate arrays.  :meth:`to_vector` packs ``U``, ``W``,
+    ``b`` raveled in that order, which is ``U_f … U_c, W_f … W_c, b_f … b_c``.
+    """
 
-    def __post_init__(self):
-        h, d = self.U_f.shape
-        for gate in _LSTM_GATES:
-            if getattr(self, f"U_{gate}").shape != (h, d):
-                raise ShapeMismatch(f"U_{gate} must be ({h}, {d})")
-            if getattr(self, f"W_{gate}").shape != (h, h):
-                raise ShapeMismatch(f"W_{gate} must be ({h}, {h})")
-            if getattr(self, f"b_{gate}").shape != (h,):
-                raise ShapeMismatch(f"b_{gate} must be ({h},)")
+    U: np.ndarray
+    W: np.ndarray
+    b: np.ndarray
+
+    def __init__(self, U_f, U_i, U_o, U_c, W_f, W_i, W_o, W_c, b_f, b_i, b_o, b_c):
+        self._store(
+            _stack_gates("U", U_f, U_i, U_o, U_c),
+            _stack_gates("W", W_f, W_i, W_o, W_c),
+            _stack_gates("b", b_f, b_i, b_o, b_c),
+        )
+
+    @classmethod
+    def _stacked(cls, U: np.ndarray, W: np.ndarray, b: np.ndarray) -> "LstmParams":
+        """Wrap the stacked blocks themselves (no copy)."""
+        params = cls.__new__(cls)
+        params._store(U, W, b)
+        return params
+
+    def _store(self, U, W, b) -> None:
+        h = len(U) // 4
+        if U.ndim != 2 or len(U) != 4 * h or W.shape != (4 * h, h) or b.shape != (4 * h,):
+            raise ShapeMismatch(
+                f"U, W, b must be (4h, d), (4h, h), (4h,); got {U.shape}, {W.shape}, {b.shape}"
+            )
+        vars(self).update(U=U, W=W, b=b)  # frozen: bypass __setattr__
 
     @property
     def d_hidden(self) -> int:
-        return self.U_f.shape[0]
+        return self.U.shape[0] // 4
 
     @property
     def d_in(self) -> int:
-        return self.U_f.shape[1]
+        return self.U.shape[1]
 
     @classmethod
     def random(cls, rng: np.random.Generator, d_in: int, d_hidden: int, scale: float = 0.5):
-        def mat(rows, cols):
-            return scale * rng.standard_normal((rows, cols))
-
-        return cls(
-            U_f=mat(d_hidden, d_in), U_i=mat(d_hidden, d_in),
-            U_o=mat(d_hidden, d_in), U_c=mat(d_hidden, d_in),
-            W_f=mat(d_hidden, d_hidden), W_i=mat(d_hidden, d_hidden),
-            W_o=mat(d_hidden, d_hidden), W_c=mat(d_hidden, d_hidden),
-            b_f=scale * rng.standard_normal(d_hidden),
-            b_i=scale * rng.standard_normal(d_hidden),
-            b_o=scale * rng.standard_normal(d_hidden),
-            b_c=scale * rng.standard_normal(d_hidden),
+        # one (4h, ...) draw is the four per-gate draws in gate order
+        return cls._stacked(
+            scale * rng.standard_normal((4 * d_hidden, d_in)),
+            scale * rng.standard_normal((4 * d_hidden, d_hidden)),
+            scale * rng.standard_normal(4 * d_hidden),
         )
 
     @classmethod
     def zeros(cls, d_in: int, d_hidden: int):
-        return cls(
-            U_f=np.zeros((d_hidden, d_in)), U_i=np.zeros((d_hidden, d_in)),
-            U_o=np.zeros((d_hidden, d_in)), U_c=np.zeros((d_hidden, d_in)),
-            W_f=np.zeros((d_hidden, d_hidden)), W_i=np.zeros((d_hidden, d_hidden)),
-            W_o=np.zeros((d_hidden, d_hidden)), W_c=np.zeros((d_hidden, d_hidden)),
-            b_f=np.zeros(d_hidden), b_i=np.zeros(d_hidden),
-            b_o=np.zeros(d_hidden), b_c=np.zeros(d_hidden),
-        )
+        return cls.from_vector(np.zeros(4 * d_hidden * (d_in + d_hidden + 1)), d_in, d_hidden)
 
     def to_vector(self) -> np.ndarray:
-        parts = [getattr(self, f"U_{g}").ravel() for g in _LSTM_GATES]
-        parts += [getattr(self, f"W_{g}").ravel() for g in _LSTM_GATES]
-        parts += [getattr(self, f"b_{g}").ravel() for g in _LSTM_GATES]
-        return np.concatenate(parts)
+        return np.concatenate([self.U.ravel(), self.W.ravel(), self.b])
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, d_in: int, d_hidden: int):
-        sizes = (
-            [(f"U_{g}", (d_hidden, d_in)) for g in _LSTM_GATES]
-            + [(f"W_{g}", (d_hidden, d_hidden)) for g in _LSTM_GATES]
-            + [(f"b_{g}", (d_hidden,)) for g in _LSTM_GATES]
-        )
-        total = sum(int(np.prod(shape)) for _, shape in sizes)
-        if vec.size != total:
-            raise ShapeMismatch(f"expected {total} values, got {vec.size}")
-        fields = {}
-        offset = 0
-        for name, shape in sizes:
-            size = int(np.prod(shape))
-            fields[name] = vec[offset : offset + size].reshape(shape).copy()
-            offset += size
-        return cls(**fields)
+        n_u, n_w = 4 * d_hidden * d_in, 4 * d_hidden * d_hidden
+        if vec.size != n_u + n_w + 4 * d_hidden:
+            raise ShapeMismatch(f"expected {n_u + n_w + 4 * d_hidden} values, got {vec.size}")
+        U, W, b = np.split(vec.copy(), [n_u, n_u + n_w])
+        return cls._stacked(U.reshape(4 * d_hidden, d_in), W.reshape(4 * d_hidden, d_hidden), b)
+
+
+def _gate_rows(kind: str, k: int) -> property:
+    """Row view of gate ``k`` in the ``kind`` stack."""
+    return property(lambda self: getattr(self, kind)[k * self.d_hidden : (k + 1) * self.d_hidden])
+
+
+for _k, _gate in enumerate("fioc"):
+    for _kind in "UWb":
+        setattr(LstmParams, f"{_kind}_{_gate}", _gate_rows(_kind, _k))
 
 
 def pack_parameters(attn: AttentionParams, lstm: LstmParams) -> np.ndarray:
-    """Flatten both parameter sets into one vector (attention first)."""
+    """Flatten both parameter sets into one vector: W_q, W_k, W_v, U, W, b."""
     return np.concatenate([attn.to_vector(), lstm.to_vector()])
 
 
@@ -233,23 +235,50 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def attention_weights(X, params: AttentionParams) -> np.ndarray:
-    """Row-stochastic attention matrix softmax(Q K^T / sqrt(d_model))."""
-    X = _as_matrix(X, "X")
+def _attention(X, params: AttentionParams, name: str = "X") -> tuple:
+    """Attention forward: (X, Q, K, V, A, Y) with A = softmax(Q K^T / sqrt(d)), Y = A V."""
+    X = _as_matrix(X, name)
     if X.shape[1] != params.d_model:
-        raise ShapeMismatch(
-            f"input width {X.shape[1]} != d_model {params.d_model}"
-        )
+        raise ShapeMismatch(f"{name} width {X.shape[1]} != d_model {params.d_model}")
     Q = X @ params.W_q
     K = X @ params.W_k
-    return _softmax_rows(Q @ K.T / np.sqrt(params.d_model))
+    V = X @ params.W_v
+    A = _softmax_rows(Q @ K.T / np.sqrt(params.d_model))
+    return X, Q, K, V, A, A @ V
+
+
+def attention_weights(X, params: AttentionParams) -> np.ndarray:
+    """Row-stochastic attention matrix softmax(Q K^T / sqrt(d_model))."""
+    return _attention(X, params)[4]
 
 
 def self_attention(X, params: AttentionParams) -> np.ndarray:
     """Unmasked single-head scaled dot-product attention over the sequence."""
-    X = _as_matrix(X, "X")
-    A = attention_weights(X, params)
-    return A @ (X @ params.W_v)
+    return _attention(X, params)[5]
+
+
+def _recurrence(Y: np.ndarray, params: LstmParams, h: np.ndarray, c: np.ndarray):
+    """The gate recursion of :func:`lstm_forward` over the rows of ``Y`` from (h, c).
+
+    The input projection Y U^T + b is computed once, then one W h_prev per
+    step.  Returns the activated gates (T, 4h), sigmoid on the f, i, o rows
+    and tanh on the candidate rows, and the hidden and cell states (T, h).
+    """
+    if Y.shape[1] != params.d_in:
+        raise ShapeMismatch(f"input width {Y.shape[1]} != d_in {params.d_in}")
+    n = params.d_hidden
+    gates = Y @ params.U.T + params.b
+    hidden = np.empty((len(Y), n))
+    cell = np.empty((len(Y), n))
+    for t, a in enumerate(gates):
+        a += params.W @ h
+        a[: 3 * n] = _sigmoid(a[: 3 * n])
+        a[3 * n :] = np.tanh(a[3 * n :])
+        f, i, o, g = a.reshape(4, n)
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        hidden[t], cell[t] = h, c
+    return gates, hidden, cell
 
 
 def lstm_forward(
@@ -265,32 +294,27 @@ def lstm_forward(
     and cell states, each of shape (T, d_hidden).
     """
     X = _as_matrix(X, "X")
-    if X.shape[1] != params.d_in:
-        raise ShapeMismatch(f"input width {X.shape[1]} != d_in {params.d_in}")
     h = np.zeros(params.d_hidden) if h0 is None else np.asarray(h0, dtype=np.float64)
     c = np.zeros(params.d_hidden) if c0 is None else np.asarray(c0, dtype=np.float64)
     if h.shape != (params.d_hidden,) or c.shape != (params.d_hidden,):
         raise ShapeMismatch("h0/c0 must have shape (d_hidden,)")
-    hidden, cell = [], []
-    for x in X:
-        f = _sigmoid(params.U_f @ x + params.W_f @ h + params.b_f)
-        i = _sigmoid(params.U_i @ x + params.W_i @ h + params.b_i)
-        o = _sigmoid(params.U_o @ x + params.W_o @ h + params.b_o)
-        g = np.tanh(params.U_c @ x + params.W_c @ h + params.b_c)
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        hidden.append(h)
-        cell.append(c)
-    return np.stack(hidden), np.stack(cell)
+    _, hidden, cell = _recurrence(X, params, h, c)
+    return hidden, cell
+
+
+def _forward_pair(X, attn: AttentionParams, lstm: LstmParams, name: str = "X") -> tuple:
+    """One verse pair from a zero state: (contextual vector, values the backward pass needs)."""
+    attended = _attention(X, attn, name)
+    zero = np.zeros(lstm.d_hidden)
+    states = _recurrence(attended[-1], lstm, zero, zero)
+    return states[1][-1], (attended, states)
 
 
 def contextual_vector(
     token_embeddings, attn: AttentionParams, lstm: LstmParams
 ) -> np.ndarray:
     """Contextual vector of one verse pair: attention, LSTM, last hidden state."""
-    attended = self_attention(token_embeddings, attn)
-    hidden, _ = lstm_forward(attended, lstm)
-    return hidden[-1]
+    return _forward_pair(token_embeddings, attn, lstm)[0]
 
 
 def ce_loss(logits, next_token_ids: Sequence[int]) -> float:
@@ -327,106 +351,52 @@ class LossBreakdown:
     gradients: np.ndarray
 
 
-def _forward_pair(X: np.ndarray, attn: AttentionParams, lstm: LstmParams) -> dict:
-    """Forward pass for one verse pair, keeping what the backward pass needs."""
-    if X.shape[1] != attn.d_model:
-        raise ShapeMismatch(f"pair width {X.shape[1]} != d_model {attn.d_model}")
-    Q = X @ attn.W_q
-    K = X @ attn.W_k
-    V = X @ attn.W_v
-    A = _softmax_rows(Q @ K.T / np.sqrt(attn.d_model))
-    Y = A @ V
-    h = np.zeros(lstm.d_hidden)
-    c = np.zeros(lstm.d_hidden)
-    steps = []
-    for y in Y:
-        f = _sigmoid(lstm.U_f @ y + lstm.W_f @ h + lstm.b_f)
-        i = _sigmoid(lstm.U_i @ y + lstm.W_i @ h + lstm.b_i)
-        o = _sigmoid(lstm.U_o @ y + lstm.W_o @ h + lstm.b_o)
-        g = np.tanh(lstm.U_c @ y + lstm.W_c @ h + lstm.b_c)
-        c_new = f * c + i * g
-        h_new = o * np.tanh(c_new)
-        steps.append({"y": y, "h_prev": h, "c_prev": c, "f": f, "i": i, "o": o,
-                      "g": g, "c": c_new})
-        h, c = h_new, c_new
-    return {"X": X, "Q": Q, "K": K, "V": V, "A": A, "steps": steps, "h_last": h}
-
-
-def _backward_pair(cache: dict, d_h_last: np.ndarray,
-                   attn: AttentionParams, lstm: LstmParams,
-                   grads: dict) -> None:
-    """Accumulate parameter gradients for one pair given d(loss)/d(h_last)."""
-    steps = cache["steps"]
-    d = attn.d_model
-    dY = np.zeros((len(steps), lstm.d_in))
-    dh = d_h_last.copy()
-    dc = np.zeros(lstm.d_hidden)
-    for t in range(len(steps) - 1, -1, -1):
-        s = steps[t]
-        tanh_c = np.tanh(s["c"])
-        do = dh * tanh_c
-        dc = dc + dh * s["o"] * (1.0 - tanh_c ** 2)
-        df = dc * s["c_prev"]
-        di = dc * s["g"]
-        dg = dc * s["i"]
-        dc_prev = dc * s["f"]
-        da = {
-            "f": df * s["f"] * (1.0 - s["f"]),
-            "i": di * s["i"] * (1.0 - s["i"]),
-            "o": do * s["o"] * (1.0 - s["o"]),
-            "c": dg * (1.0 - s["g"] ** 2),
-        }
-        dh_prev = np.zeros(lstm.d_hidden)
-        dy = np.zeros(lstm.d_in)
-        for gate in _LSTM_GATES:
-            grads[f"U_{gate}"] += np.outer(da[gate], s["y"])
-            grads[f"W_{gate}"] += np.outer(da[gate], s["h_prev"])
-            grads[f"b_{gate}"] += da[gate]
-            dh_prev += getattr(lstm, f"W_{gate}").T @ da[gate]
-            dy += getattr(lstm, f"U_{gate}").T @ da[gate]
-        dY[t] = dy
-        dh = dh_prev
-        dc = dc_prev
+def _backward_pair(cache: tuple, d_h_last: np.ndarray,
+                   attn: AttentionParams, lstm: LstmParams) -> np.ndarray:
+    """Packed parameter gradient of one pair given d(loss)/d(h_last)."""
+    (X, Q, K, V, A, Y), (gates, hidden, cell) = cache
+    n = lstm.d_hidden
+    zero = np.zeros((1, n))
+    h_prev = np.concatenate([zero, hidden[:-1]])
+    c_prev = np.concatenate([zero, cell[:-1]])
+    tanh_c = np.tanh(cell)
+    # derivative of each activation with respect to its pre-activation
+    slope = gates * (1.0 - gates)
+    slope[:, 3 * n :] = 1.0 - gates[:, 3 * n :] ** 2
+    d_pre = np.empty_like(gates)
+    dh = d_h_last
+    dc = np.zeros(n)
+    for t in range(len(gates) - 1, -1, -1):
+        f, i, o, g = gates[t].reshape(4, n)
+        dc = dc + dh * o * (1.0 - tanh_c[t] ** 2)
+        d_pre[t] = np.concatenate([dc * c_prev[t], dc * g, dh * tanh_c[t], dc * i]) * slope[t]
+        dh = lstm.W.T @ d_pre[t]
+        dc = dc * f
     # attention backward
-    X, Q, K, V, A = cache["X"], cache["Q"], cache["K"], cache["V"], cache["A"]
+    dY = d_pre @ lstm.U
     dA = dY @ V.T
-    dV = A.T @ dY
     dS = A * (dA - (dA * A).sum(axis=1, keepdims=True))
-    scale = 1.0 / np.sqrt(d)
-    dQ = dS @ K * scale
-    dK = dS.T @ Q * scale
-    grads["W_q"] += X.T @ dQ
-    grads["W_k"] += X.T @ dK
-    grads["W_v"] += X.T @ dV
+    scale = 1.0 / np.sqrt(attn.d_model)
+    return pack_parameters(
+        AttentionParams(X.T @ (dS @ K * scale), X.T @ (dS.T @ Q * scale), X.T @ (A.T @ dY)),
+        LstmParams._stacked(d_pre.T @ Y, d_pre.T @ h_prev, d_pre.sum(axis=0)),
+    )
 
 
-def _weighted_pairs(
-    stanza_pairs: Sequence[Sequence[np.ndarray]], lstm: LstmParams, mean_pair_loss: bool
-):
-    """Yield (weight, first pair, second pair) per stanza; each needs exactly two pairs."""
+def _stanza_passes(stanza_pairs: Sequence[Sequence[np.ndarray]],
+                   attn: AttentionParams, lstm: LstmParams, mean_pair_loss: bool):
+    """Yield (weight, first-pair cache, second-pair cache, E_prev - E_next) per stanza.
+
+    Each stanza needs exactly two pairs; ``mean_pair_loss`` weights each by 1/d_hidden.
+    """
     weight = 1.0 / lstm.d_hidden if mean_pair_loss else 1.0
     for index, pairs in enumerate(stanza_pairs):
         if len(pairs) != 2:
             raise MissingPair(
                 f"stanza {index}: expected exactly 2 verse pairs, got {len(pairs)}"
             )
-        yield weight, pairs[0], pairs[1]
-
-
-def _pair_term(
-    stanza_pairs: Sequence[Sequence[np.ndarray]],
-    attn: AttentionParams,
-    lstm: LstmParams,
-    mean_pair_loss: bool,
-) -> float:
-    """Forward-only evaluation of the contextual-vector distance term."""
-    total = 0.0
-    for weight, first, second in _weighted_pairs(stanza_pairs, lstm, mean_pair_loss):
-        e_prev = contextual_vector(first, attn, lstm)
-        e_next = contextual_vector(second, attn, lstm)
-        diff = e_prev - e_next
-        total += weight * float(diff @ diff)
-    return total
+        (e_prev, prev), (e_next, nxt) = (_forward_pair(x, attn, lstm, "pair") for x in pairs)
+        yield weight, prev, nxt, e_prev - e_next
 
 
 def custom_loss(
@@ -451,26 +421,13 @@ def custom_loss(
             f"LSTM d_in {lstm.d_in} must equal attention d_model {attn.d_model}"
         )
     ce = ce_loss(logits, next_token_ids)
-    grads = {name: np.zeros_like(getattr(attn, name)) for name in ("W_q", "W_k", "W_v")}
-    for gate in _LSTM_GATES:
-        grads[f"U_{gate}"] = np.zeros_like(getattr(lstm, f"U_{gate}"))
-        grads[f"W_{gate}"] = np.zeros_like(getattr(lstm, f"W_{gate}"))
-        grads[f"b_{gate}"] = np.zeros_like(getattr(lstm, f"b_{gate}"))
     mse = 0.0
-    for weight, first, second in _weighted_pairs(stanza_pairs, lstm, mean_pair_loss):
-        prev_cache = _forward_pair(_as_matrix(first, "pair"), attn, lstm)
-        next_cache = _forward_pair(_as_matrix(second, "pair"), attn, lstm)
-        diff = prev_cache["h_last"] - next_cache["h_last"]
+    gradients = np.zeros_like(pack_parameters(attn, lstm))
+    for weight, prev, nxt, diff in _stanza_passes(stanza_pairs, attn, lstm, mean_pair_loss):
         mse += weight * float(diff @ diff)
-        _backward_pair(prev_cache, 2.0 * weight * diff, attn, lstm, grads)
-        _backward_pair(next_cache, -2.0 * weight * diff, attn, lstm, grads)
-    gradient_vector = np.concatenate(
-        [grads["W_q"].ravel(), grads["W_k"].ravel(), grads["W_v"].ravel()]
-        + [grads[f"U_{g}"].ravel() for g in _LSTM_GATES]
-        + [grads[f"W_{g}"].ravel() for g in _LSTM_GATES]
-        + [grads[f"b_{g}"].ravel() for g in _LSTM_GATES]
-    )
-    return LossBreakdown(ce=ce, mse=mse, total=ce + mse, gradients=gradient_vector)
+        gradients += _backward_pair(prev, 2.0 * weight * diff, attn, lstm)
+        gradients += _backward_pair(nxt, -2.0 * weight * diff, attn, lstm)
+    return LossBreakdown(ce=ce, mse=mse, total=ce + mse, gradients=gradients)
 
 
 def random_instance(
@@ -543,10 +500,10 @@ def gradient_check(
     theta = pack_parameters(inst["attn"], inst["lstm"])
 
     def loss_at(vec: np.ndarray) -> float:
+        """ce plus the pair term, forward only."""
         attn, lstm = unpack_parameters(vec, d_model, d_hidden)
-        return breakdown.ce + _pair_term(
-            inst["stanza_pairs"], attn, lstm, mean_pair_loss
-        )
+        passes = _stanza_passes(inst["stanza_pairs"], attn, lstm, mean_pair_loss)
+        return breakdown.ce + sum(weight * float(diff @ diff) for weight, _, _, diff in passes)
 
     fd = np.zeros_like(theta)
     for k in range(theta.size):

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -78,7 +79,8 @@ class TestScoreCommand:
     def test_stdin(self, tmp_path, capsys, monkeypatch):
         import io
 
-        monkeypatch.setattr("sys.stdin", io.StringIO(KIEU + "\n"))
+        stdin = io.TextIOWrapper(io.BytesIO((KIEU + "\n").encode("utf-8")), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
         assert main(["score", "-", "--format", "jsonl"]) == 0
         record = json.loads(capsys.readouterr().out.strip())
         assert record["score"] == 100.0
@@ -182,6 +184,24 @@ class TestReportCommand:
         assert main(["report", path]) == 1
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"score": "abc"}', "score is not a number"),
+            ('{"score": null}', "score is not a number"),
+            ('{"score": [1]}', "score is not a number"),
+            ('{"score": true}', "score is not a number"),
+            ('{"score": 1' + "0" * 400 + "}", "non-finite score"),
+        ],
+        ids=["string", "null", "list", "bool", "int-beyond-float"],
+    )
+    def test_score_field_must_be_a_number(self, tmp_path, capsys, record, message):
+        path = write(tmp_path, "scores.jsonl", '{"score": 95}\n' + record + "\n")
+        assert main(["report", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"line 2: {message}" in captured.err
+
 
 class TestQuatrainsCommand:
     def test_seeded_runs_byte_identical(self, tmp_path, capsys):
@@ -231,6 +251,32 @@ class TestLosscheckCommand:
         assert main(["losscheck", "--dmodel", "0"]) == 1
 
 
+def test_invalid_utf8_on_stdin_exits_one():
+    src = Path(lucbat.__file__).resolve().parent.parent
+    for argv in (["score", "-"], ["report", "-"]):
+        result = subprocess.run([sys.executable, "-m", "lucbat", *argv], input=b"ho\xff\n",
+                                capture_output=True,
+                                env={**os.environ, "PYTHONPATH": str(src)})
+        assert result.returncode == 1, result.stderr
+        assert result.stdout == b""
+        assert b"stdin: 'utf-8' codec can't decode byte 0xff" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["score", "{d}"], ["filter", "{d}", "--min-score", "0", "--out", "{d}/kept.txt"],
+     ["quatrains", "{d}", "--out", "{d}/q.txt"],
+     ["creativity", "--generated", "{d}", "--corpus", "{d}"]],
+    ids=["score", "filter", "quatrains", "creativity"],
+)
+def test_directory_without_txt_files_exits_one(tmp_path, capsys, argv):
+    (tmp_path / "notes.md").write_text("not a poem", encoding="utf-8")
+    assert main([arg.format(d=tmp_path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{tmp_path}: directory has no *.txt files" in captured.err
+
+
 class TestArgumentErrors:
     def test_unknown_flag(self, tmp_path, capsys):
         assert main(["score", "x.txt", "--bogus"]) == 1
@@ -265,9 +311,19 @@ class TestArgumentErrors:
             (["report", "{scores}", "--bins", "1e-9"], "at most 1000 bins"),
             (["report", "{scores}", "--bins", "0"], "positive"),
             (["losscheck", "--seed", "-1"], "--seed must be >= 0"),
+            (["losscheck", "--dmodel", "17"], "--dmodel must be <= 16"),
+            (["losscheck", "--dmodel", "100000"], "--dmodel must be <= 16"),
+            (["losscheck", "--dhidden", "17"], "--dhidden must be <= 16"),
+            (["losscheck", "--vocab", "1001"], "--vocab must be <= 1000"),
+            (["losscheck", "--vocab", "10000000000"], "--vocab must be <= 1000"),
+            (["losscheck", "--len", "33"], "--len must be <= 32"),
+            (["losscheck", "--stanzas", "5"], "--stanzas must be <= 4"),
         ],
         ids=["weights-nan", "weights-inf", "weights-huge", "min-score-nan", "bins-nan",
-             "bins-inf", "bins-tiny", "bins-zero", "losscheck-seed-negative"],
+             "bins-inf", "bins-tiny", "bins-zero", "losscheck-seed-negative",
+             "losscheck-dmodel-over-cap", "losscheck-dmodel-huge", "losscheck-dhidden-over-cap",
+             "losscheck-vocab-over-cap", "losscheck-vocab-huge", "losscheck-len-over-cap",
+             "losscheck-stanzas-over-cap"],
     )
     def test_bad_numeric_flag_exits_one(self, tmp_path, capsys, argv, message):
         paths = {

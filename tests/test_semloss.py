@@ -382,6 +382,25 @@ class TestGradientCheck:
         report = gradient_check(seed=17, mean_pair_loss=True)
         assert report.passed
 
+    @pytest.mark.parametrize("seed, d, h", [(0, 4, 3), (3, 2, 5), (8, 8, 8)])
+    def test_packed_layout_and_random_stream(self, seed, d, h):
+        # the stacked blocks pack as the per-gate arrays in gate order f, i, o, c,
+        # and one stacked draw equals the per-gate draws the 12-array layout made
+        lstm = LstmParams.random(np.random.default_rng(seed), d, h)
+        rng = np.random.default_rng(seed)
+        drawn = ([0.5 * rng.standard_normal((h, d)) for _ in range(4)]
+                 + [0.5 * rng.standard_normal((h, h)) for _ in range(4)]
+                 + [0.5 * rng.standard_normal(h) for _ in range(4)])
+        names = [f"{kind}_{gate}" for kind in "UWb" for gate in "fioc"]
+        for name, expected in zip(names, drawn):
+            assert np.array_equal(getattr(lstm, name), expected), name
+        attn = AttentionParams.random(rng, d)
+        expected = np.concatenate(
+            [attn.W_q.ravel(), attn.W_k.ravel(), attn.W_v.ravel()]
+            + [getattr(lstm, name).ravel() for name in names]
+        )
+        assert np.array_equal(pack_parameters(attn, lstm), expected)
+
     def test_parameter_packing_round_trip(self):
         rng = np.random.default_rng(21)
         attn = AttentionParams.random(rng, 5)
