@@ -42,7 +42,6 @@ from .scoring import (
     report_record,
     score_poem,
 )
-from .semloss import gradient_check
 from .syllable import LucBatError
 
 USAGE_ERROR = 1
@@ -325,6 +324,8 @@ def _cmd_losscheck(args) -> int:
             bound = f">= {least}" if value < least else f"<= {most}"
             print(f"lucbat losscheck: error: --{flag} must be {bound}", file=sys.stderr)
             return USAGE_ERROR
+    from .semloss import gradient_check  # numpy loads only for this command
+
     report = gradient_check(
         seed=args.seed,
         d_model=args.dmodel,

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 from .rules import RuleTable
 from .scoring import EmptyInput, OddLineCount, score_stanza, segment_stanza, split_quatrains
-from .syllable import LucBatError, normalize_verse
+from .syllable import InvalidEncoding, LucBatError, decode_utf8, normalize_verse
 
 __all__ = [
     "Poem",
@@ -32,10 +32,6 @@ __all__ = [
     "filter_by_score",
     "build_verse_index",
 ]
-
-
-class InvalidEncoding(LucBatError):
-    """File is not valid UTF-8."""
 
 
 @dataclass(frozen=True)
@@ -81,14 +77,6 @@ def corpus_from_text(text: str, source: str = "<memory>") -> Corpus:
         Poem(id=f"{source}:{i}", text=block) for i, block in enumerate(_split_blocks(text))
     )
     return Corpus(poems=poems, provenance=(source,))
-
-
-def decode_utf8(data: bytes, source: str) -> str:
-    """Decode strict UTF-8; bad bytes raise :class:`InvalidEncoding` naming ``source``."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InvalidEncoding(f"{source}: {exc}") from exc
 
 
 def _expand(paths: Iterable[str]) -> list[str]:

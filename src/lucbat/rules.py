@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Optional
 
-from .syllable import LucBatError, Syllable, ToneClass, is_valid_rime, _nfc
+from .syllable import LucBatError, Syllable, ToneClass, decode_utf8, is_valid_rime, _nfc
 
 __all__ = [
     "LineKind",
@@ -185,9 +185,9 @@ def parse_rule_table(text: str, version: str = "custom") -> RuleTable:
 
 
 def load_rule_table(path: str) -> RuleTable:
-    """Load and validate a rule-table file (UTF-8)."""
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
+    """Load and validate a rule-table file; bad UTF-8 raises ``InvalidEncoding``."""
+    with open(path, "rb") as handle:
+        text = decode_utf8(handle.read(), str(path))
     return parse_rule_table(text, version=str(path))
 
 

@@ -17,6 +17,8 @@ rebuilt by re-placing the tone mark on the main vowel of the rime.
 from __future__ import annotations
 
 import enum
+import functools
+import re
 import unicodedata
 from dataclasses import dataclass
 
@@ -26,6 +28,8 @@ __all__ = [
     "Syllable",
     "NotASyllable",
     "MultipleToneMarks",
+    "InvalidEncoding",
+    "decode_utf8",
     "parse_syllable",
     "normalize_verse",
     "is_valid_rime",
@@ -38,6 +42,18 @@ __all__ = [
 
 class LucBatError(Exception):
     """Base class for all errors raised by this package."""
+
+
+class InvalidEncoding(LucBatError):
+    """File is not valid UTF-8."""
+
+
+def decode_utf8(data: bytes, source: str) -> str:
+    """Decode strict UTF-8; bad bytes raise :class:`InvalidEncoding` naming ``source``."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidEncoding(f"{source}: {exc}") from exc
 
 
 class NotASyllable(LucBatError):
@@ -109,6 +125,14 @@ ONSETS = frozenset(
 _CODAS = frozenset(["c", "ch", "m", "n", "ng", "nh", "p", "t"])
 
 _PUNCTUATION = set(".,!?;:'\"…()-–")
+# One regex pass: str.translate looks each character up in a dict on non-ASCII text and
+# is barely faster than a per-character generator.
+_PUNCTUATION_RUN = re.compile("[" + re.escape("".join(sorted(_PUNCTUATION))) + "]+")
+
+# Bound on memoized parses.  Real text has a few thousand distinct syllables, but any
+# vowel run parses as a nucleus, so adversarial input could otherwise grow the cache
+# without limit.
+PARSE_CACHE_SIZE = 65536
 
 
 @dataclass(frozen=True)
@@ -203,12 +227,17 @@ def mark_rime(rime: str, tone: Tone) -> str:
     return _nfc(rime[: idx + 1] + mark + rime[idx + 1 :])
 
 
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_syllable(token: str) -> Syllable:
     """Parse one whitespace-free token into a :class:`Syllable`.
 
     Raises :class:`NotASyllable` for digits, missing vowels, letters outside
     the Vietnamese alphabet, or an impossible onset/coda; raises
     :class:`MultipleToneMarks` when two tone diacritics are present.
+
+    Results are memoized per token (at most ``PARSE_CACHE_SIZE`` of them) and
+    shared between callers, which is safe because :class:`Syllable` is
+    frozen.  Failures are not cached: a bad token raises afresh on each call.
     """
     if not token or any(ch.isspace() for ch in token):
         raise NotASyllable(token, "empty or contains whitespace")
@@ -261,6 +290,4 @@ def normalize_verse(line: str) -> str:
     Idempotent, and confluent over Unicode forms: composed and decomposed
     spellings of the same verse normalize identically.
     """
-    text = _nfc(line.lower())
-    text = "".join(" " if ch in _PUNCTUATION else ch for ch in text)
-    return " ".join(text.split())
+    return " ".join(_PUNCTUATION_RUN.sub(" ", _nfc(line.lower())).split())

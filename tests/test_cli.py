@@ -277,6 +277,24 @@ def test_directory_without_txt_files_exits_one(tmp_path, capsys, argv):
     assert f"{tmp_path}: directory has no *.txt files" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["score", "{poems}", "--rules", "{rules}"],
+     ["filter", "{poems}", "--min-score", "0", "--out", "{out}", "--rules", "{rules}"]],
+    ids=["score", "filter"],
+)
+def test_non_utf8_rules_file_exits_one(tmp_path, capsys, argv):
+    rules = tmp_path / "bad.txt"
+    rules.write_bytes(b"an \xff ang\n")
+    paths = {"poems": write(tmp_path, "poems.txt", KIEU + "\n"), "rules": str(rules),
+             "out": str(tmp_path / "kept.txt")}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{rules}: 'utf-8' codec can't decode byte 0xff" in captured.err
+    assert not (tmp_path / "kept.txt").exists()
+
+
 class TestArgumentErrors:
     def test_unknown_flag(self, tmp_path, capsys):
         assert main(["score", "x.txt", "--bogus"]) == 1
@@ -344,3 +362,24 @@ class TestArgumentErrors:
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                                 text=True, check=True)
         assert result.stdout.strip() == "False"
+
+    def test_text_start_up_leaves_numpy_out(self):
+        src = Path(lucbat.__file__).resolve().parent.parent
+        probe = "\n".join([
+            f"import sys; sys.path.insert(0, {str(src)!r})",
+            "import lucbat, lucbat.cli",
+            "assert lucbat.cli.main(['--version']) == 0",
+            "print('numpy' in sys.modules)",
+            "print(lucbat.gradient_check.__name__, lucbat.LstmParams.__name__,",
+            "      lucbat.semloss.__name__)",
+            "namespace = {}",
+            "exec('from lucbat import *', namespace)",
+            "print(all(name in namespace for name in lucbat.__all__))",
+            "lucbat.cli.main(['losscheck', '--seed', '0'])",
+        ])
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, check=True)
+        lines = result.stdout.splitlines()
+        assert lines[:4] == ["lucbat 0.1.0", "False",
+                             "gradient_check LstmParams lucbat.semloss", "True"]
+        assert lines[-1].endswith(": PASS")

@@ -1,7 +1,9 @@
+import itertools
 import unicodedata
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lucbat import (
     MultipleToneMarks,
@@ -11,7 +13,17 @@ from lucbat import (
     normalize_verse,
     parse_syllable,
 )
-from lucbat.syllable import ONSETS, is_valid_rime, mark_rime
+from lucbat.cli import main
+from lucbat.syllable import (
+    ONSETS,
+    PARSE_CACHE_SIZE,
+    VOWELS,
+    _PUNCTUATION,
+    _nfc,
+    is_valid_rime,
+    mark_rime,
+)
+from conftest import KIEU
 
 DATA = Path(__file__).parent / "data"
 
@@ -148,3 +160,91 @@ def test_is_valid_rime():
     assert not is_valid_rime("xa")       # not vowel-initial
     assert not is_valid_rime("")
     assert not is_valid_rime("aqu")      # bad coda
+
+
+def test_cached_parse_keeps_the_token_it_was_given():
+    token = "Người"
+    first = parse_syllable(token)
+    again = parse_syllable("".join(["Ngư", "ời"]))  # an equal string, not the same object
+    assert first.raw == token
+    assert again == first
+    assert again.raw == token
+
+
+@pytest.mark.parametrize(
+    "token,error", [("xyz123", NotASyllable), ("fở", NotASyllable), ("á̀", MultipleToneMarks)]
+)
+def test_bad_token_raises_on_every_call(token, error):
+    for _ in range(3):
+        with pytest.raises(error) as caught:
+            parse_syllable(token)
+        assert caught.value.token == token
+
+
+def test_parse_cache_stays_within_its_bound():
+    # any vowel run is a nucleus, so onset + one to three vowels + coda gives
+    # more distinct valid syllables than the cache may hold
+    runs = ["".join(run) for size in (1, 2, 3)
+            for run in itertools.product(sorted(VOWELS), repeat=size)]
+    tokens = dict.fromkeys(onset + run + coda for coda in ("", "n", "t")
+                           for onset in sorted(ONSETS) for run in runs)
+    parse_syllable.cache_clear()
+    try:
+        parsed = 0
+        for token in tokens:
+            parse_syllable(token)
+            parsed += 1
+            if parsed > PARSE_CACHE_SIZE + 100:
+                break
+        info = parse_syllable.cache_info()
+        assert parsed > PARSE_CACHE_SIZE
+        assert info.maxsize == PARSE_CACHE_SIZE
+        assert info.currsize == PARSE_CACHE_SIZE
+    finally:
+        parse_syllable.cache_clear()
+
+
+def test_scoring_a_file_twice_parses_each_distinct_token_once(tmp_path, capsys):
+    text = KIEU + "\n\n" + KIEU.upper() + "\n"
+    path = tmp_path / "poems.txt"
+    path.write_text(text, encoding="utf-8")
+    distinct = {token for line in text.splitlines() for token in normalize_verse(line).split()}
+    parse_syllable.cache_clear()
+    for _ in range(2):
+        assert main(["score", str(path), "--format", "jsonl"]) == 0
+    capsys.readouterr()
+    assert parse_syllable.cache_info().misses == len(distinct)
+
+
+def _reference_normalize_verse(line):
+    """The per-character generator that ``normalize_verse`` replaced."""
+    text = _nfc(line.lower())
+    text = "".join(" " if ch in _PUNCTUATION else ch for ch in text)
+    return " ".join(text.split())
+
+
+_TONE_MARKS = "\u0300\u0301\u0303\u0309\u0323"
+_LETTERS = sorted(
+    set("bcdđghklmnpqrstvx")
+    | VOWELS
+    | {_nfc(vowel + mark) for vowel in VOWELS for mark in _TONE_MARKS}
+)
+_VERSE_TEXT = st.text(
+    st.sampled_from(
+        _LETTERS
+        + [letter.upper() for letter in _LETTERS]
+        + list(_TONE_MARKS + "\u0302\u0306\u031b")  # bare combining marks
+        + sorted(_PUNCTUATION)
+        + list("“”‘’—«»[]{}/&*#@_~")
+        + list(" \t\n\r\u00a0\u2003\u3000")
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=400, derandomize=True, database=None)
+@given(_VERSE_TEXT)
+def test_normalize_verse_matches_reference_and_is_idempotent(line):
+    once = normalize_verse(line)
+    assert once == _reference_normalize_verse(line)
+    assert normalize_verse(once) == once
