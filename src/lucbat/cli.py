@@ -36,6 +36,7 @@ from .corpus import (
 from .creativity import creativity_score
 from .rules import RuleTable, default_rule_table, load_rule_table
 from .scoring import (
+    HISTOGRAM_HI,
     EmptyInput,
     annotate_stanza,
     histogram,
@@ -137,8 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_quat = sub.add_parser("quatrains", help="split poems into quatrains")
     p_quat.add_argument("input", help="poem file")
     p_quat.add_argument("--out", required=True, help="output quatrain file")
-    p_quat.add_argument("--shuffle", action="store_true", help="shuffle output")
-    p_quat.add_argument("--seed", type=int, help="shuffle seed (implies --shuffle)")
+    p_quat.add_argument("--seed", type=int, help="shuffle the quatrains with this seed")
 
     p_loss = sub.add_parser("losscheck", help="gradient-check the loss head")
     p_loss.add_argument("--seed", type=int, default=0)
@@ -251,9 +251,11 @@ def _read_scores(text: str) -> list[float]:
         except ValueError:
             try:
                 record = json.loads(line)
-            except ValueError as exc:
-                raise LucBatError(f"line {number}: unreadable score line: {line[:60]!r}") from exc
-            if not isinstance(record, dict) or "score" not in record:
+            except (ValueError, RecursionError):  # deep nesting exhausts the JSON decoder
+                record = None
+            if not isinstance(record, dict):
+                raise LucBatError(f"line {number}: unreadable score line: {line[:60]!r}")
+            if "score" not in record:  # e.g. a `score --format jsonl` error record
                 continue
             value = record["score"]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -288,7 +290,7 @@ def _cmd_report(args) -> int:
     else:
         peak = max(count for _, _, count in hist.bins)
         for lo, hi, count in hist.bins:
-            closing = "]" if hi >= hist.hi else ")"
+            closing = "]" if hi >= HISTOGRAM_HI else ")"
             bar = "#" * (round(40 * count / peak) if peak else 0)
             print(f"[{lo:6.1f}, {hi:6.1f}{closing} {count:6d} {bar}")
         if hist.below or hist.above:
@@ -298,9 +300,6 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_quatrains(args) -> int:
-    if args.shuffle and args.seed is None:
-        print("lucbat quatrains: error: --shuffle requires --seed", file=sys.stderr)
-        return USAGE_ERROR
     corpus = ingest([args.input])
     if args.seed is not None:
         quatrains, excluded = split_and_shuffle(corpus, args.seed)
@@ -322,8 +321,7 @@ def _cmd_losscheck(args) -> int:
         value = getattr(args, name)
         if value < least or (most is not None and value > most):
             bound = f">= {least}" if value < least else f"<= {most}"
-            print(f"lucbat losscheck: error: --{flag} must be {bound}", file=sys.stderr)
-            return USAGE_ERROR
+            raise LucBatError(f"--{flag} must be {bound}")
     from .semloss import gradient_check  # numpy loads only for this command
 
     report = gradient_check(
@@ -365,10 +363,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except LucBatError as exc:
-        print(f"lucbat {args.command}: error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OSError as exc:
+    except (LucBatError, OSError) as exc:
         print(f"lucbat {args.command}: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # pragma: no cover - defensive

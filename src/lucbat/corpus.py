@@ -46,7 +46,6 @@ class Poem:
 @dataclass(frozen=True)
 class Corpus:
     poems: tuple[Poem, ...]
-    provenance: tuple[str, ...] = ()
 
     def __len__(self) -> int:
         return len(self.poems)
@@ -76,7 +75,7 @@ def corpus_from_text(text: str, source: str = "<memory>") -> Corpus:
     poems = tuple(
         Poem(id=f"{source}:{i}", text=block) for i, block in enumerate(_split_blocks(text))
     )
-    return Corpus(poems=poems, provenance=(source,))
+    return Corpus(poems=poems)
 
 
 def _expand(paths: Iterable[str]) -> list[str]:
@@ -103,10 +102,8 @@ def ingest(paths: Iterable[str]) -> Corpus:
     bad bytes raise :class:`InvalidEncoding`.
     """
     poems: list[Poem] = []
-    provenance: list[str] = []
     next_ordinal: dict[str, int] = {}
     for path in _expand(paths):
-        provenance.append(path)
         with open(path, "rb") as handle:
             text = decode_utf8(handle.read(), path)
         start = next_ordinal.get(path, 0)
@@ -114,7 +111,7 @@ def ingest(paths: Iterable[str]) -> Corpus:
         for offset, block in enumerate(blocks):
             poems.append(Poem(id=f"{path}:{start + offset}", text=block))
         next_ordinal[path] = start + len(blocks)
-    return Corpus(poems=tuple(poems), provenance=tuple(provenance))
+    return Corpus(poems=tuple(poems))
 
 
 def write_corpus(corpus: Corpus, path: str) -> None:
@@ -142,7 +139,7 @@ def split_into_quatrains(corpus: Corpus) -> tuple[Corpus, list[tuple[str, str]]]
             excluded.append((poem.id, f"{len(poem.lines())} lines, not a multiple of 4"))
             continue
         quatrains.extend(Poem(id=f"{poem.id}/q{k}", text=text) for k, text in enumerate(texts))
-    return Corpus(poems=tuple(quatrains), provenance=corpus.provenance), excluded
+    return Corpus(poems=tuple(quatrains)), excluded
 
 
 def split_and_shuffle(
@@ -156,7 +153,7 @@ def split_and_shuffle(
     quatrains, excluded = split_into_quatrains(corpus)
     shuffled = list(quatrains.poems)
     random.Random(seed).shuffle(shuffled)
-    return Corpus(poems=tuple(shuffled), provenance=corpus.provenance), excluded
+    return Corpus(poems=tuple(shuffled)), excluded
 
 
 @dataclass(frozen=True)
@@ -196,7 +193,7 @@ def filter_by_score(
         mean_score_kept=mean_kept,
         dropped=tuple(dropped),
     )
-    return Corpus(poems=tuple(kept), provenance=corpus.provenance), stats
+    return Corpus(poems=tuple(kept)), stats
 
 
 class VerseIndex:
@@ -208,9 +205,6 @@ class VerseIndex:
 
     @property
     def size(self) -> int:
-        return len(self._verses)
-
-    def __len__(self) -> int:
         return len(self._verses)
 
     def __contains__(self, verse: str) -> bool:

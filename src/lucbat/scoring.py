@@ -56,6 +56,9 @@ __all__ = [
     "annotate_stanza",
 ]
 
+# histogram() bins scores over [0, HISTOGRAM_HI]; a flawless stanza scores 100
+HISTOGRAM_HI = 100.0
+
 
 class OddLineCount(LucBatError):
     """Line count cannot be grouped into six-eight pairs (or quatrains)."""
@@ -227,47 +230,38 @@ class Histogram:
     bins: tuple[tuple[float, float, int], ...]  # (lo, hi, count)
     below: int
     above: int
-    lo: float
-    hi: float
 
     @property
     def total_in_range(self) -> int:
         return sum(count for _, _, count in self.bins)
 
 
-def histogram(
-    scores: list[float],
-    bin_width: float = 10.0,
-    lo: float = 0.0,
-    hi: float = 100.0,
-) -> Histogram:
-    """Bin scores into right-exclusive bins; the last bin includes ``hi``.
+def histogram(scores: list[float], bin_width: float = 10.0) -> Histogram:
+    """Bin scores over the fixed range [0, 100] into right-exclusive bins; the last includes 100.
 
-    Scores outside [lo, hi] are tallied separately in ``below``/``above``.
+    Scores outside [0, 100] are tallied separately in ``below``/``above``.
     """
     if not scores:
         raise EmptyInput("no scores to bin")
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
-    if hi <= lo:
-        raise ValueError("hi must exceed lo")
-    n_bins = math.ceil((hi - lo) / bin_width)
+    n_bins = math.ceil(HISTOGRAM_HI / bin_width)
     counts = [0] * n_bins
     below = above = 0
     for score in scores:
-        if score < lo:
+        if score < 0:
             below += 1
-        elif score > hi:
+        elif score > HISTOGRAM_HI:
             above += 1
         else:
-            index = min(int((score - lo) / bin_width), n_bins - 1)
+            index = min(int(score / bin_width), n_bins - 1)
             counts[index] += 1
     bins = []
     for k in range(n_bins):
-        bin_lo = lo + k * bin_width
-        bin_hi = min(lo + (k + 1) * bin_width, hi)
+        bin_lo = k * bin_width
+        bin_hi = min((k + 1) * bin_width, HISTOGRAM_HI)
         bins.append((bin_lo, bin_hi, counts[k]))
-    return Histogram(bins=tuple(bins), below=below, above=above, lo=lo, hi=hi)
+    return Histogram(bins=tuple(bins), below=below, above=above)
 
 
 def report_record(poem_id: str, stanza_index: int, report: ScoreReport) -> dict:

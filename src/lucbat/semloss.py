@@ -13,10 +13,10 @@ with respect to the attention and LSTM parameters are computed analytically
 (reverse mode) and can be verified against central finite differences with
 :func:`gradient_check`.
 
-The LSTM parameters are stacked in gate order f, i, o, c: U (4h, d),
-W (4h, h) and b (4h,).  The packed parameter vector is W_q, W_k, W_v, U, W,
-b, each raveled row-major, so it reads W_q, W_k, W_v, U_f … U_c, W_f … W_c,
-b_f … b_c.
+The LSTM parameters are stacked in gate order f, i, o, c: U (4h, d), W (4h, h)
+and b (4h,).  The packed parameter vector, whose order and block sizes only
+:func:`pack_parameters` and :func:`unpack_parameters` know, is W_q, W_k, W_v,
+U, W, b, each raveled row-major: W_q, W_k, W_v, U_f … U_c, W_f … W_c, b_f … b_c.
 
 Everything is float64; softmax uses max subtraction.  Token embeddings and
 language-model logits are supplied by the caller (or generated synthetically
@@ -25,6 +25,7 @@ for checking); no trained model is involved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -113,20 +114,6 @@ class AttentionParams:
             W_v=scale * rng.standard_normal((d_model, d_model)),
         )
 
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.W_q.ravel(), self.W_k.ravel(), self.W_v.ravel()])
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, d_model: int):
-        n = d_model * d_model
-        if vec.size != 3 * n:
-            raise ShapeMismatch(f"expected {3 * n} values, got {vec.size}")
-        return cls(
-            W_q=vec[:n].reshape(d_model, d_model).copy(),
-            W_k=vec[n : 2 * n].reshape(d_model, d_model).copy(),
-            W_v=vec[2 * n :].reshape(d_model, d_model).copy(),
-        )
-
 
 def _stack_gates(kind: str, *gates) -> np.ndarray:
     """Concatenate four same-shape per-gate arrays along rows, in gate order."""
@@ -142,7 +129,7 @@ class LstmParams:
     ``U`` (4h, d) holds the input weights, ``W`` (4h, h) the recurrent weights
     and ``b`` (4h,) the biases; rows k*h:(k+1)*h belong to gate k.  ``U_f`` …
     ``b_c`` are row views of the stacks, and the keyword constructor takes
-    those twelve per-gate arrays.  :meth:`to_vector` packs ``U``, ``W``,
+    those twelve per-gate arrays.  :func:`pack_parameters` packs ``U``, ``W``,
     ``b`` raveled in that order, which is ``U_f … U_c, W_f … W_c, b_f … b_c``.
     """
 
@@ -191,18 +178,8 @@ class LstmParams:
 
     @classmethod
     def zeros(cls, d_in: int, d_hidden: int):
-        return cls.from_vector(np.zeros(4 * d_hidden * (d_in + d_hidden + 1)), d_in, d_hidden)
-
-    def to_vector(self) -> np.ndarray:
-        return np.concatenate([self.U.ravel(), self.W.ravel(), self.b])
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, d_in: int, d_hidden: int):
-        n_u, n_w = 4 * d_hidden * d_in, 4 * d_hidden * d_hidden
-        if vec.size != n_u + n_w + 4 * d_hidden:
-            raise ShapeMismatch(f"expected {n_u + n_w + 4 * d_hidden} values, got {vec.size}")
-        U, W, b = np.split(vec.copy(), [n_u, n_u + n_w])
-        return cls._stacked(U.reshape(4 * d_hidden, d_in), W.reshape(4 * d_hidden, d_hidden), b)
+        n = 4 * d_hidden
+        return cls._stacked(np.zeros((n, d_in)), np.zeros((n, d_hidden)), np.zeros(n))
 
 
 def _gate_rows(kind: str, k: int) -> property:
@@ -215,18 +192,33 @@ for _k, _gate in enumerate("fioc"):
         setattr(LstmParams, f"{_kind}_{_gate}", _gate_rows(_kind, _k))
 
 
+def _pack(*blocks: np.ndarray) -> np.ndarray:
+    """Ravel the blocks W_q, W_k, W_v, U, W, b (or their gradients) into one vector."""
+    return np.concatenate([block.ravel() for block in blocks])
+
+
 def pack_parameters(attn: AttentionParams, lstm: LstmParams) -> np.ndarray:
     """Flatten both parameter sets into one vector: W_q, W_k, W_v, U, W, b."""
-    return np.concatenate([attn.to_vector(), lstm.to_vector()])
+    return _pack(attn.W_q, attn.W_k, attn.W_v, lstm.U, lstm.W, lstm.b)
 
 
 def unpack_parameters(
     vec: np.ndarray, d_model: int, d_hidden: int
 ) -> tuple[AttentionParams, LstmParams]:
-    n_attn = 3 * d_model * d_model
-    attn = AttentionParams.from_vector(vec[:n_attn], d_model)
-    lstm = LstmParams.from_vector(vec[n_attn:], d_model, d_hidden)
-    return attn, lstm
+    """Inverse of :func:`pack_parameters`; the blocks are copies, not views of ``vec``."""
+    # plain int offsets: the finite-difference check unpacks 2P times
+    d, g = d_model, 4 * d_hidden
+    shapes = [(d, d)] * 3 + [(g, d), (g, d_hidden), (g,)]
+    sizes = [math.prod(shape) for shape in shapes]
+    if vec.size != sum(sizes):
+        raise ShapeMismatch(f"expected {sum(sizes)} values, got {vec.size}")
+    vec = vec.copy()
+    blocks, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        blocks.append(vec[start : start + size].reshape(shape))
+        start += size
+    W_q, W_k, W_v, U, W, b = blocks
+    return AttentionParams(W_q, W_k, W_v), LstmParams._stacked(U, W, b)
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -377,9 +369,9 @@ def _backward_pair(cache: tuple, d_h_last: np.ndarray,
     dA = dY @ V.T
     dS = A * (dA - (dA * A).sum(axis=1, keepdims=True))
     scale = 1.0 / np.sqrt(attn.d_model)
-    return pack_parameters(
-        AttentionParams(X.T @ (dS @ K * scale), X.T @ (dS.T @ Q * scale), X.T @ (A.T @ dY)),
-        LstmParams._stacked(d_pre.T @ Y, d_pre.T @ h_prev, d_pre.sum(axis=0)),
+    return _pack(
+        X.T @ (dS @ K * scale), X.T @ (dS.T @ Q * scale), X.T @ (A.T @ dY),
+        d_pre.T @ Y, d_pre.T @ h_prev, d_pre.sum(axis=0),
     )
 
 

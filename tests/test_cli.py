@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import unicodedata
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lucbat
 from lucbat.cli import main
+from lucbat.syllable import _PUNCTUATION
 from helpers import perturb_quatrain
 from conftest import KIEU
 
@@ -192,8 +198,14 @@ class TestReportCommand:
             ('{"score": [1]}', "score is not a number"),
             ('{"score": true}', "score is not a number"),
             ('{"score": 1' + "0" * 400 + "}", "non-finite score"),
+            ("[95]", "unreadable score line"),
+            ('"95"', "unreadable score line"),
+            ("null", "unreadable score line"),
+            ("true", "unreadable score line"),
+            ("[" * 100000, "unreadable score line"),
         ],
-        ids=["string", "null", "list", "bool", "int-beyond-float"],
+        ids=["string", "null", "list", "bool", "int-beyond-float",
+             "list-line", "string-line", "null-line", "bool-line", "deep-list-line"],
     )
     def test_score_field_must_be_a_number(self, tmp_path, capsys, record, message):
         path = write(tmp_path, "scores.jsonl", '{"score": 95}\n' + record + "\n")
@@ -220,10 +232,11 @@ class TestQuatrainsCommand:
         blocks = out.read_text("utf-8").strip().split("\n\n")
         assert len(blocks) == 2
 
-    def test_shuffle_without_seed_rejected(self, tmp_path, capsys):
+    def test_shuffle_flag_is_gone(self, tmp_path, capsys):
         path = write(tmp_path, "poems.txt", KIEU + "\n")
         out = tmp_path / "q.txt"
         assert main(["quatrains", path, "--shuffle", "--out", str(out)]) == 1
+        assert "unrecognized arguments: --shuffle" in capsys.readouterr().err
 
     def test_exclusions_to_stderr(self, tmp_path, capsys):
         path = write(tmp_path, "poems.txt", KIEU + "\n\nmột dòng lẻ\n")
@@ -383,3 +396,72 @@ class TestArgumentErrors:
         assert lines[:4] == ["lucbat 0.1.0", "False",
                              "gradient_check LstmParams lucbat.semloss", "True"]
         assert lines[-1].endswith(": PASS")
+
+    def test_semloss_names_match_the_lazy_table(self):
+        assert set(lucbat._SEMLOSS_NAMES) == set(lucbat.semloss.__all__)
+
+
+_VOWELS = "aăâeêioôơuưy"
+_TONE_MARKS = "\u0300\u0301\u0303\u0309\u0323"
+_LETTERS = "bcdđghklmnpqrstvx" + _VOWELS + "".join(
+    unicodedata.normalize("NFC", vowel + mark) for vowel in _VOWELS for mark in _TONE_MARKS
+)
+# a BOM, curly quotes, an em dash and a zero-width space
+_PROBE_CHARS = "\ufeff“”‘’—\u200b"
+_CHARS = st.sampled_from(
+    _LETTERS + _LETTERS.upper() + _TONE_MARKS + "".join(sorted(_PUNCTUATION))
+    + _PROBE_CHARS + "0123456789\n"
+)
+_SYLLABLE = st.sampled_from(KIEU.split())
+_LINE = st.lists(st.one_of(_SYLLABLE, st.text(_CHARS, min_size=1, max_size=6)), max_size=9)
+
+
+def _verse(length):
+    """A verse of ``length`` real syllables half the time, else any line."""
+    return st.one_of(st.lists(_SYLLABLE, min_size=length, max_size=length), _LINE).map(" ".join)
+
+
+# stanzas give scorable quatrains with all kinds of scores, Kieu the flawless 100;
+# an empty line ends a poem
+_STANZA = st.tuples(_verse(6), _verse(8), _verse(6), _verse(8)).map("\n".join)
+_FILE_TEXT = st.lists(
+    st.one_of(_STANZA, st.just(KIEU), _LINE.map(" ".join)), max_size=6
+).map("\n".join)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(poems=_FILE_TEXT, corpus=_FILE_TEXT)
+def test_no_input_makes_a_command_exit_two(poems, corpus):
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        (work / "poems.txt").write_text(poems, encoding="utf-8")
+        (work / "corpus.txt").write_text(corpus, encoding="utf-8")
+
+        def run(*argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = main([str(arg) for arg in argv])
+            assert status in (0, 1), (argv, err.getvalue())
+            return out.getvalue()
+
+        def json_lines(text):
+            for line in text.splitlines():
+                json.loads(line, parse_constant=_reject_constant)
+
+        poem_file = work / "poems.txt"
+        run("score", poem_file)
+        scores = run("score", poem_file, "--format", "jsonl")
+        json_lines(scores)
+        (work / "scores.jsonl").write_text(scores, encoding="utf-8")
+        stats = run("filter", poem_file, "--min-score", "50", "--out", work / "kept.txt")
+        if stats:
+            json.loads(stats, parse_constant=_reject_constant)
+        run("quatrains", poem_file, "--seed", "3", "--out", work / "q.txt")
+        json_lines(run("creativity", "--generated", poem_file, "--corpus", work / "corpus.txt",
+                       "--format", "jsonl"))
+        run("report", poem_file)
+        json_lines(run("report", work / "scores.jsonl", "--format", "jsonl"))

@@ -410,3 +410,18 @@ class TestGradientCheck:
         assert np.array_equal(attn.W_q, attn2.W_q)
         assert np.array_equal(lstm.W_c, lstm2.W_c)
         assert np.array_equal(vec, pack_parameters(attn2, lstm2))
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_unpack_rejects_a_wrong_length(self, delta):
+        # P = 3 d^2 + 4h (d + h + 1) = 183 at d = 5, h = 3
+        unpack_parameters(np.zeros(183), 5, 3)
+        with pytest.raises(ShapeMismatch):
+            unpack_parameters(np.zeros(183 + delta), 5, 3)
+
+    def test_unpacked_blocks_do_not_alias_the_vector(self):
+        rng = np.random.default_rng(4)
+        vec = pack_parameters(AttentionParams.random(rng, 4), LstmParams.random(rng, 4, 3))
+        attn, lstm = unpack_parameters(vec, 4, 3)
+        before = pack_parameters(attn, lstm)
+        vec[:] = 7.0
+        assert np.array_equal(pack_parameters(attn, lstm), before)
