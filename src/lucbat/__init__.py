@@ -77,11 +77,11 @@ from .creativity import (
 )
 
 _SEMLOSS_NAMES = (
-    "AttentionParams", "DegenerateSequence", "GradientCheckReport",
-    "IdOutOfRange", "LossBreakdown", "LstmParams", "MissingPair",
-    "ShapeMismatch", "attention_weights", "ce_loss", "contextual_vector",
-    "custom_loss", "gradient_check", "lstm_forward", "pack_parameters",
-    "random_instance", "self_attention", "unpack_parameters",
+    "AttentionParams", "BadCheckSetting", "DegenerateSequence",
+    "GradientCheckReport", "IdOutOfRange", "LossBreakdown", "LstmParams",
+    "MissingPair", "ShapeMismatch", "attention_weights", "ce_loss",
+    "contextual_vector", "custom_loss", "gradient_check", "lstm_forward",
+    "pack_parameters", "random_instance", "self_attention", "unpack_parameters",
 )
 
 

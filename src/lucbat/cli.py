@@ -52,9 +52,10 @@ INTERNAL_ERROR = 2
 MAX_WEIGHT = 1e6
 # report bins the score range [0, 100]; a tiny --bins width would allocate billions of bins.
 MAX_BINS = 1000
-# losscheck flag: (argparse dest, least, most).  The check runs 2P forward passes over
-# stanzas * 2 pairs of up to len steps, and P grows with dmodel * dhidden, so the caps keep
-# the largest run under a minute; vocab only sizes the synthetic logits.
+# losscheck flag: (argparse dest, least, most).  The check runs one batched forward pass
+# per chunk of semloss._FD_CHUNK parameters over stanzas * 2 pairs of up to len steps, and
+# P grows with dmodel * dhidden; at the caps (P=2880) it takes about 3 s on 2 vCPUs.
+# vocab only sizes the synthetic logits.
 LOSSCHECK_BOUNDS = {
     "seed": ("seed", 0, None),
     "dmodel": ("dmodel", 1, 16),

@@ -17,6 +17,16 @@ The LSTM parameters are stacked in gate order f, i, o, c: U (4h, d), W (4h, h)
 and b (4h,).  The packed parameter vector, whose order and block sizes only
 :func:`pack_parameters` and :func:`unpack_parameters` know, is W_q, W_k, W_v,
 U, W, b, each raveled row-major: W_q, W_k, W_v, U_f … U_c, W_f … W_c, b_f … b_c.
+A (B, P) matrix holds B packed vectors, one per row.
+
+The forward and backward passes are batch-first: the private attention,
+recurrence and backward steps take every parameter block with a leading
+batch axis of B parameter sets, (B, d, d) … (B, 4h), and return (B, T, ·)
+arrays.  The public single-set functions pass B = 1.  :func:`gradient_check`
+evaluates its central differences in chunks of a few dozen parameters: a
+chunk of k parameters unpacks as 2k perturbed vectors (k bumped up, then the
+same k bumped down) and runs one batched forward per verse pair, so the
+check costs about 2P/2k batched passes instead of 2P serial ones.
 
 Everything is float64; softmax uses max subtraction.  Token embeddings and
 language-model logits are supplied by the caller (or generated synthetically
@@ -42,6 +52,7 @@ __all__ = [
     "IdOutOfRange",
     "DegenerateSequence",
     "MissingPair",
+    "BadCheckSetting",
     "self_attention",
     "attention_weights",
     "lstm_forward",
@@ -69,6 +80,16 @@ class DegenerateSequence(LucBatError):
 
 class MissingPair(LucBatError):
     """A stanza must contribute exactly two verse-pair embedding sequences."""
+
+
+class BadCheckSetting(LucBatError):
+    """A finite-difference step or tolerance that is not a finite positive number."""
+
+
+# Parameters k per batched finite-difference pass (2k perturbed vectors).  It bounds
+# the check's extra memory: losscheck's peak RSS at P=736 rose by 0.75 MB at 16,
+# 1.2 MB at 24 and 1.6 MB at 32, while 32 was only about 8 ms faster.
+_FD_CHUNK = 16
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -193,30 +214,41 @@ for _k, _gate in enumerate("fioc"):
 
 
 def _pack(*blocks: np.ndarray) -> np.ndarray:
-    """Ravel the blocks W_q, W_k, W_v, U, W, b (or their gradients) into one vector."""
-    return np.concatenate([block.ravel() for block in blocks])
+    """Ravel batched blocks W_q, W_k, W_v, U, W, b (or their gradients) into (B, P)."""
+    return np.concatenate([block.reshape(len(block), -1) for block in blocks], axis=1)
+
+
+def _blocks(attn: AttentionParams, lstm: LstmParams) -> list[np.ndarray]:
+    """One parameter set as a batch of one: W_q, W_k, W_v, U, W, b, each (1, ·)."""
+    return [block[None] for block in (attn.W_q, attn.W_k, attn.W_v, lstm.U, lstm.W, lstm.b)]
 
 
 def pack_parameters(attn: AttentionParams, lstm: LstmParams) -> np.ndarray:
     """Flatten both parameter sets into one vector: W_q, W_k, W_v, U, W, b."""
-    return _pack(attn.W_q, attn.W_k, attn.W_v, lstm.U, lstm.W, lstm.b)
+    return _pack(*_blocks(attn, lstm))[0]
 
 
-def unpack_parameters(
-    vec: np.ndarray, d_model: int, d_hidden: int
-) -> tuple[AttentionParams, LstmParams]:
-    """Inverse of :func:`pack_parameters`; the blocks are copies, not views of ``vec``."""
-    # plain int offsets: the finite-difference check unpacks 2P times
+def unpack_parameters(vec: np.ndarray, d_model: int, d_hidden: int):
+    """Inverse of :func:`pack_parameters`; the blocks are copies, not views of ``vec``.
+
+    A vector of P values gives ``(AttentionParams, LstmParams)``.  A (B, P)
+    matrix of B packed vectors gives the six blocks W_q, W_k, W_v, U, W, b,
+    each with a leading batch axis of length B.
+    """
+    # plain int offsets: the finite-difference check unpacks once per chunk
     d, g = d_model, 4 * d_hidden
     shapes = [(d, d)] * 3 + [(g, d), (g, d_hidden), (g,)]
     sizes = [math.prod(shape) for shape in shapes]
-    if vec.size != sum(sizes):
-        raise ShapeMismatch(f"expected {sum(sizes)} values, got {vec.size}")
+    if vec.ndim not in (1, 2) or vec.shape[-1] != sum(sizes):
+        raise ShapeMismatch(f"expected {sum(sizes)} values per vector, got shape {vec.shape}")
     vec = vec.copy()
+    batch = vec.shape[:-1]
     blocks, start = [], 0
     for shape, size in zip(shapes, sizes):
-        blocks.append(vec[start : start + size].reshape(shape))
+        blocks.append(vec[..., start : start + size].reshape(batch + shape))
         start += size
+    if batch:
+        return blocks
     W_q, W_k, W_v, U, W, b = blocks
     return AttentionParams(W_q, W_k, W_v), LstmParams._stacked(U, W, b)
 
@@ -227,49 +259,56 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def _attention(X, params: AttentionParams, name: str = "X") -> tuple:
-    """Attention forward: (X, Q, K, V, A, Y) with A = softmax(Q K^T / sqrt(d)), Y = A V."""
+def _attention(X, W_q, W_k, W_v, name: str = "X") -> tuple:
+    """Attention forward of B parameter sets over one sequence: (X, Q, K, V, A, Y).
+
+    ``X`` is (T, d) and each projection (B, d, d); Q, K, V and Y = A V are
+    (B, T, d), and A = softmax(Q K^T / sqrt(d)) is (B, T, T).
+    """
     X = _as_matrix(X, name)
-    if X.shape[1] != params.d_model:
-        raise ShapeMismatch(f"{name} width {X.shape[1]} != d_model {params.d_model}")
-    Q = X @ params.W_q
-    K = X @ params.W_k
-    V = X @ params.W_v
-    A = _softmax_rows(Q @ K.T / np.sqrt(params.d_model))
+    d = W_q.shape[-1]
+    if X.shape[1] != d:
+        raise ShapeMismatch(f"{name} width {X.shape[1]} != d_model {d}")
+    Q = X @ W_q
+    K = X @ W_k
+    V = X @ W_v
+    A = _softmax_rows(Q @ K.swapaxes(1, 2) / np.sqrt(d))
     return X, Q, K, V, A, A @ V
 
 
 def attention_weights(X, params: AttentionParams) -> np.ndarray:
     """Row-stochastic attention matrix softmax(Q K^T / sqrt(d_model))."""
-    return _attention(X, params)[4]
+    return _attention(X, params.W_q[None], params.W_k[None], params.W_v[None])[4][0]
 
 
 def self_attention(X, params: AttentionParams) -> np.ndarray:
     """Unmasked single-head scaled dot-product attention over the sequence."""
-    return _attention(X, params)[5]
+    return _attention(X, params.W_q[None], params.W_k[None], params.W_v[None])[5][0]
 
 
-def _recurrence(Y: np.ndarray, params: LstmParams, h: np.ndarray, c: np.ndarray):
-    """The gate recursion of :func:`lstm_forward` over the rows of ``Y`` from (h, c).
+def _recurrence(Y: np.ndarray, U, W, b, h: np.ndarray, c: np.ndarray):
+    """The gate recursion of :func:`lstm_forward` for B parameter sets from (h, c).
 
-    The input projection Y U^T + b is computed once, then one W h_prev per
-    step.  Returns the activated gates (T, 4h), sigmoid on the f, i, o rows
-    and tanh on the candidate rows, and the hidden and cell states (T, h).
+    ``Y`` is (B, T, d), ``U``, ``W``, ``b`` are (B, 4h, d), (B, 4h, h), (B, 4h)
+    and ``h``, ``c`` are (B, h).  The input projection Y U^T + b is computed
+    once, then one batched W h_prev per step.  Returns the activated gates
+    (B, T, 4h), sigmoid on the f, i, o rows and tanh on the candidate rows,
+    and the hidden and cell states (B, T, h).
     """
-    if Y.shape[1] != params.d_in:
-        raise ShapeMismatch(f"input width {Y.shape[1]} != d_in {params.d_in}")
-    n = params.d_hidden
-    gates = Y @ params.U.T + params.b
-    hidden = np.empty((len(Y), n))
-    cell = np.empty((len(Y), n))
-    for t, a in enumerate(gates):
-        a += params.W @ h
-        a[: 3 * n] = _sigmoid(a[: 3 * n])
-        a[3 * n :] = np.tanh(a[3 * n :])
-        f, i, o, g = a.reshape(4, n)
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        hidden[t], cell[t] = h, c
+    if Y.shape[-1] != U.shape[-1]:
+        raise ShapeMismatch(f"input width {Y.shape[-1]} != d_in {U.shape[-1]}")
+    n = W.shape[-1]
+    gates = Y @ U.swapaxes(1, 2) + b[:, None]
+    hidden = np.empty(gates.shape[:2] + (n,))
+    cell = np.empty_like(hidden)
+    # one step per time-major view; f, i, o, g are views of the step's gates
+    for a, h_t, c_t in zip(*(x.swapaxes(0, 1) for x in (gates, hidden, cell))):
+        a += (W @ h[..., None])[..., 0]
+        f, i, o, g = a.reshape(len(a), 4, n).swapaxes(0, 1)
+        a[:, : 3 * n] = _sigmoid(a[:, : 3 * n])
+        np.tanh(g, out=g)
+        c = np.add(f * c, i * g, out=c_t)
+        h = np.multiply(o, np.tanh(c), out=h_t)
     return gates, hidden, cell
 
 
@@ -290,23 +329,31 @@ def lstm_forward(
     c = np.zeros(params.d_hidden) if c0 is None else np.asarray(c0, dtype=np.float64)
     if h.shape != (params.d_hidden,) or c.shape != (params.d_hidden,):
         raise ShapeMismatch("h0/c0 must have shape (d_hidden,)")
-    _, hidden, cell = _recurrence(X, params, h, c)
-    return hidden, cell
+    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(c))):
+        raise ShapeMismatch("h0/c0 contain non-finite values")
+    _, hidden, cell = _recurrence(
+        X[None], params.U[None], params.W[None], params.b[None], h[None], c[None]
+    )
+    return hidden[0], cell[0]
 
 
-def _forward_pair(X, attn: AttentionParams, lstm: LstmParams, name: str = "X") -> tuple:
-    """One verse pair from a zero state: (contextual vector, values the backward pass needs)."""
-    attended = _attention(X, attn, name)
-    zero = np.zeros(lstm.d_hidden)
-    states = _recurrence(attended[-1], lstm, zero, zero)
-    return states[1][-1], (attended, states)
+def _forward_pair(X, blocks: Sequence[np.ndarray], name: str = "X") -> tuple:
+    """One verse pair from a zero state for B parameter sets.
+
+    ``blocks`` are W_q, W_k, W_v, U, W, b with a leading batch axis.  Returns
+    the contextual vectors (B, h) and the values the backward pass needs.
+    """
+    attended = _attention(X, *blocks[:3], name)
+    zero = np.zeros((len(blocks[0]), blocks[4].shape[-1]))
+    states = _recurrence(attended[-1], *blocks[3:], zero, zero)
+    return states[1][:, -1], (attended, states)
 
 
 def contextual_vector(
     token_embeddings, attn: AttentionParams, lstm: LstmParams
 ) -> np.ndarray:
     """Contextual vector of one verse pair: attention, LSTM, last hidden state."""
-    return _forward_pair(token_embeddings, attn, lstm)[0]
+    return _forward_pair(token_embeddings, _blocks(attn, lstm))[0][0]
 
 
 def ce_loss(logits, next_token_ids: Sequence[int]) -> float:
@@ -314,7 +361,7 @@ def ce_loss(logits, next_token_ids: Sequence[int]) -> float:
 
     ``logits`` has one row per token (M rows); ``next_token_ids`` holds the
     M-1 targets, 1-based into the vocabulary.  Row i scores the prediction
-    of token i+1; the last row is unused.
+    of token i+1; the last row is unused.  A ``bool`` is not an id.
     """
     logits = _as_matrix(logits, "logits")
     m, vocab = logits.shape
@@ -325,7 +372,8 @@ def ce_loss(logits, next_token_ids: Sequence[int]) -> float:
         raise ShapeMismatch(f"expected {m - 1} target ids, got {len(ids)}")
     total = 0.0
     for i, token_id in enumerate(ids):
-        if not isinstance(token_id, (int, np.integer)) or not 1 <= token_id <= vocab:
+        if (isinstance(token_id, bool) or not isinstance(token_id, (int, np.integer))
+                or not 1 <= token_id <= vocab):
             raise IdOutOfRange(f"id {token_id!r} outside 1..{vocab}")
         row = logits[i]
         shifted = row - row.max()
@@ -344,50 +392,56 @@ class LossBreakdown:
 
 
 def _backward_pair(cache: tuple, d_h_last: np.ndarray,
-                   attn: AttentionParams, lstm: LstmParams) -> np.ndarray:
-    """Packed parameter gradient of one pair given d(loss)/d(h_last)."""
+                   blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """Packed parameter gradients (B, P) of one pair given d(loss)/d(h_last) (B, h)."""
     (X, Q, K, V, A, Y), (gates, hidden, cell) = cache
-    n = lstm.d_hidden
-    zero = np.zeros((1, n))
-    h_prev = np.concatenate([zero, hidden[:-1]])
-    c_prev = np.concatenate([zero, cell[:-1]])
+    U, W = blocks[3], blocks[4]
+    n = W.shape[-1]
+    zero = np.zeros((len(gates), 1, n))
+    h_prev = np.concatenate([zero, hidden[:, :-1]], axis=1)
+    c_prev = np.concatenate([zero, cell[:, :-1]], axis=1)
     tanh_c = np.tanh(cell)
     # derivative of each activation with respect to its pre-activation
     slope = gates * (1.0 - gates)
-    slope[:, 3 * n :] = 1.0 - gates[:, 3 * n :] ** 2
+    slope[..., 3 * n :] = 1.0 - gates[..., 3 * n :] ** 2
     d_pre = np.empty_like(gates)
     dh = d_h_last
-    dc = np.zeros(n)
-    for t in range(len(gates) - 1, -1, -1):
-        f, i, o, g = gates[t].reshape(4, n)
-        dc = dc + dh * o * (1.0 - tanh_c[t] ** 2)
-        d_pre[t] = np.concatenate([dc * c_prev[t], dc * g, dh * tanh_c[t], dc * i]) * slope[t]
-        dh = lstm.W.T @ d_pre[t]
+    dc = np.zeros_like(dh)
+    # time-major views, last step first
+    steps = (x.swapaxes(0, 1)[::-1] for x in (gates, c_prev, tanh_c, 1.0 - tanh_c**2, slope, d_pre))
+    for a, c_prev_t, tanh_c_t, d_tanh_t, slope_t, d_pre_t in zip(*steps):
+        f, i, o, g = a.reshape(len(a), 4, n).swapaxes(0, 1)
+        dc = dc + dh * o * d_tanh_t
+        terms = np.concatenate([dc * c_prev_t, dc * g, dh * tanh_c_t, dc * i], axis=1)
+        np.multiply(terms, slope_t, out=d_pre_t)
+        dh = (d_pre_t[:, None] @ W)[:, 0]
         dc = dc * f
     # attention backward
-    dY = d_pre @ lstm.U
-    dA = dY @ V.T
-    dS = A * (dA - (dA * A).sum(axis=1, keepdims=True))
-    scale = 1.0 / np.sqrt(attn.d_model)
+    dY = d_pre @ U
+    dA = dY @ V.swapaxes(1, 2)
+    dS = A * (dA - (dA * A).sum(axis=-1, keepdims=True))
+    scale = 1.0 / np.sqrt(X.shape[1])
+    d_pre_T = d_pre.swapaxes(1, 2)
     return _pack(
-        X.T @ (dS @ K * scale), X.T @ (dS.T @ Q * scale), X.T @ (A.T @ dY),
-        d_pre.T @ Y, d_pre.T @ h_prev, d_pre.sum(axis=0),
+        X.T @ (dS @ K * scale), X.T @ (dS.swapaxes(1, 2) @ Q * scale),
+        X.T @ (A.swapaxes(1, 2) @ dY), d_pre_T @ Y, d_pre_T @ h_prev, d_pre.sum(axis=1),
     )
 
 
 def _stanza_passes(stanza_pairs: Sequence[Sequence[np.ndarray]],
-                   attn: AttentionParams, lstm: LstmParams, mean_pair_loss: bool):
+                   blocks: Sequence[np.ndarray], mean_pair_loss: bool):
     """Yield (weight, first-pair cache, second-pair cache, E_prev - E_next) per stanza.
 
-    Each stanza needs exactly two pairs; ``mean_pair_loss`` weights each by 1/d_hidden.
+    ``blocks`` hold B parameter sets, so each difference is (B, h).  Each
+    stanza needs exactly two pairs; ``mean_pair_loss`` weights each by 1/d_hidden.
     """
-    weight = 1.0 / lstm.d_hidden if mean_pair_loss else 1.0
+    weight = 1.0 / blocks[4].shape[-1] if mean_pair_loss else 1.0
     for index, pairs in enumerate(stanza_pairs):
         if len(pairs) != 2:
             raise MissingPair(
                 f"stanza {index}: expected exactly 2 verse pairs, got {len(pairs)}"
             )
-        (e_prev, prev), (e_next, nxt) = (_forward_pair(x, attn, lstm, "pair") for x in pairs)
+        (e_prev, prev), (e_next, nxt) = (_forward_pair(x, blocks, "pair") for x in pairs)
         yield weight, prev, nxt, e_prev - e_next
 
 
@@ -414,11 +468,12 @@ def custom_loss(
         )
     ce = ce_loss(logits, next_token_ids)
     mse = 0.0
+    blocks = _blocks(attn, lstm)
     gradients = np.zeros_like(pack_parameters(attn, lstm))
-    for weight, prev, nxt, diff in _stanza_passes(stanza_pairs, attn, lstm, mean_pair_loss):
-        mse += weight * float(diff @ diff)
-        gradients += _backward_pair(prev, 2.0 * weight * diff, attn, lstm)
-        gradients += _backward_pair(nxt, -2.0 * weight * diff, attn, lstm)
+    for weight, prev, nxt, diff in _stanza_passes(stanza_pairs, blocks, mean_pair_loss):
+        mse += weight * float(diff[0] @ diff[0])
+        gradients += _backward_pair(prev, 2.0 * weight * diff, blocks)[0]
+        gradients += _backward_pair(nxt, -2.0 * weight * diff, blocks)[0]
     return LossBreakdown(ce=ce, mse=mse, total=ce + mse, gradients=gradients)
 
 
@@ -467,6 +522,25 @@ class GradientCheckReport:
     tolerance: float
 
 
+def _central_differences(theta: np.ndarray, loss_at, step: float) -> np.ndarray:
+    """(loss(theta + step e_k) - loss(theta - step e_k)) / 2 step for every k.
+
+    ``loss_at`` maps a (B, P) matrix of parameter vectors to their B losses.
+    Each call takes one chunk of k parameters: rows 0..k-1 bump them up and
+    rows k..2k-1 bump the same ones down.
+    """
+    fd = np.empty_like(theta)
+    for start in range(0, theta.size, _FD_CHUNK):
+        k = min(_FD_CHUNK, theta.size - start)
+        rows = np.arange(k)
+        bumped = np.tile(theta, (2 * k, 1))
+        bumped[rows, start + rows] += step
+        bumped[k + rows, start + rows] -= step
+        loss = loss_at(bumped)
+        fd[start : start + k] = (loss[:k] - loss[k:]) / (2.0 * step)
+    return fd
+
+
 def gradient_check(
     seed: int = 0,
     d_model: int = 4,
@@ -482,8 +556,11 @@ def gradient_check(
 
     The per-component relative error is |a - f| / max(|a|, |f|, 1e-4); the
     floor turns the comparison into an absolute check at 1e-8 where both
-    gradients vanish.
+    gradients vanish.  ``step`` and ``tolerance`` must be finite and positive.
     """
+    for name, value in (("step", step), ("tolerance", tolerance)):
+        if not (math.isfinite(value) and value > 0):
+            raise BadCheckSetting(f"{name} must be a finite positive number, got {value!r}")
     inst = random_instance(seed, d_model, d_hidden, vocab, max_len, n_stanzas)
     breakdown = custom_loss(
         inst["stanza_pairs"], inst["logits"], inst["next_token_ids"],
@@ -491,20 +568,15 @@ def gradient_check(
     )
     theta = pack_parameters(inst["attn"], inst["lstm"])
 
-    def loss_at(vec: np.ndarray) -> float:
-        """ce plus the pair term, forward only."""
-        attn, lstm = unpack_parameters(vec, d_model, d_hidden)
-        passes = _stanza_passes(inst["stanza_pairs"], attn, lstm, mean_pair_loss)
-        return breakdown.ce + sum(weight * float(diff @ diff) for weight, _, _, diff in passes)
+    def loss_at(vecs: np.ndarray) -> np.ndarray:
+        """ce plus the pair term for each row of ``vecs``, forward only."""
+        blocks = unpack_parameters(vecs, d_model, d_hidden)
+        passes = _stanza_passes(inst["stanza_pairs"], blocks, mean_pair_loss)
+        # (1, h) @ (h, 1) per row sums as diff @ diff does for one set
+        squares = (w * (diff[:, None] @ diff[..., None])[:, 0, 0] for w, _, _, diff in passes)
+        return breakdown.ce + sum(squares, np.zeros(len(vecs)))
 
-    fd = np.zeros_like(theta)
-    for k in range(theta.size):
-        bumped = theta.copy()
-        bumped[k] = theta[k] + step
-        up = loss_at(bumped)
-        bumped[k] = theta[k] - step
-        down = loss_at(bumped)
-        fd[k] = (up - down) / (2.0 * step)
+    fd = _central_differences(theta, loss_at, step)
     analytic = breakdown.gradients
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-4)
     max_rel = float(np.max(np.abs(analytic - fd) / denom))

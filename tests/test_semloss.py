@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from lucbat import (
     AttentionParams,
+    BadCheckSetting,
     DegenerateSequence,
     IdOutOfRange,
     LstmParams,
@@ -21,7 +24,12 @@ from lucbat import (
     self_attention,
     unpack_parameters,
 )
+from lucbat import semloss
+from lucbat.cli import LOSSCHECK_BOUNDS
 from lucbat.semloss import _sigmoid
+
+# losscheck's benchmark dimensions: P = 736 parameters, two verse pairs
+BENCH_DIMS = dict(d_model=8, d_hidden=8, vocab=7, max_len=12, n_stanzas=1)
 
 
 def sigmoid(x):
@@ -194,6 +202,13 @@ class TestLstmForward:
         with pytest.raises(ShapeMismatch):
             lstm_forward(np.zeros((0, 4)), params)
 
+    @pytest.mark.parametrize("state", ["h0", "c0"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_initial_state_rejected(self, state, bad):
+        params = LstmParams.random(np.random.default_rng(0), 4, 2)
+        with pytest.raises(ShapeMismatch):
+            lstm_forward(np.zeros((3, 4)), params, **{state: np.array([bad, 0.0])})
+
 
 class TestContextualVector:
     def test_zero_lstm_gives_zero_vector(self):
@@ -272,6 +287,11 @@ class TestCeLoss:
             ce_loss(np.zeros((2, 4)), [5])
         with pytest.raises(IdOutOfRange):
             ce_loss(np.zeros((2, 4)), [2.5])
+        # a bool is an int subclass, but True is not token id 1
+        with pytest.raises(IdOutOfRange):
+            ce_loss(np.zeros((2, 3)), [True])
+        with pytest.raises(IdOutOfRange):
+            ce_loss(np.zeros((3, 3)), [2, False])
 
     def test_target_count_mismatch(self):
         with pytest.raises(ShapeMismatch):
@@ -415,8 +435,13 @@ class TestGradientCheck:
     def test_unpack_rejects_a_wrong_length(self, delta):
         # P = 3 d^2 + 4h (d + h + 1) = 183 at d = 5, h = 3
         unpack_parameters(np.zeros(183), 5, 3)
+        unpack_parameters(np.zeros((2, 183)), 5, 3)
         with pytest.raises(ShapeMismatch):
             unpack_parameters(np.zeros(183 + delta), 5, 3)
+        with pytest.raises(ShapeMismatch):
+            unpack_parameters(np.zeros((2, 183 + delta)), 5, 3)
+        with pytest.raises(ShapeMismatch):
+            unpack_parameters(np.zeros((1, 2, 183)), 5, 3)
 
     def test_unpacked_blocks_do_not_alias_the_vector(self):
         rng = np.random.default_rng(4)
@@ -425,3 +450,113 @@ class TestGradientCheck:
         before = pack_parameters(attn, lstm)
         vec[:] = 7.0
         assert np.array_equal(pack_parameters(attn, lstm), before)
+
+
+def serial_differences(inst, d_model, d_hidden, step=1e-5):
+    """The finite-difference loop of the serial check: one forward per perturbed vector."""
+    ce = ce_loss(inst["logits"], inst["next_token_ids"])
+    theta = pack_parameters(inst["attn"], inst["lstm"])
+
+    def loss_at(vec):
+        attn, lstm = unpack_parameters(vec, d_model, d_hidden)
+        total = 0.0
+        for first, second in inst["stanza_pairs"]:
+            diff = contextual_vector(first, attn, lstm) - contextual_vector(second, attn, lstm)
+            total += float(diff @ diff)
+        return ce + total
+
+    fd = np.zeros_like(theta)
+    for k in range(theta.size):
+        bumped = theta.copy()
+        bumped[k] = theta[k] + step
+        up = loss_at(bumped)
+        bumped[k] = theta[k] - step
+        fd[k] = (up - loss_at(bumped)) / (2.0 * step)
+    return fd
+
+
+class TestBatchedLossHead:
+    @pytest.mark.parametrize("batch, d, h, length", [(1, 4, 3, 5), (3, 2, 5, 1), (7, 8, 8, 12)])
+    def test_batched_rows_equal_single_sets(self, batch, d, h, length):
+        rng = np.random.default_rng(batch * 100 + d)
+        sets = [(AttentionParams.random(rng, d), LstmParams.random(rng, d, h))
+                for _ in range(batch)]
+        x = rng.standard_normal((length, d))
+        stacked = np.stack([pack_parameters(attn, lstm) for attn, lstm in sets])
+        blocks = unpack_parameters(stacked, d, h)
+        assert [block.shape[0] for block in blocks] == [batch] * 6
+        vectors, cache = semloss._forward_pair(x, blocks)
+        d_h_last = rng.standard_normal((batch, h))
+        gradients = semloss._backward_pair(cache, d_h_last, blocks)
+        assert vectors.shape == (batch, h) and gradients.shape == stacked.shape
+        for row, (attn, lstm) in enumerate(sets):
+            assert np.allclose(vectors[row], contextual_vector(x, attn, lstm), rtol=0, atol=1e-12)
+            one = semloss._blocks(attn, lstm)
+            single = semloss._backward_pair(semloss._forward_pair(x, one)[1], d_h_last[row:row + 1], one)
+            assert np.allclose(gradients[row], single[0], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_differences_match_the_serial_loop(self, seed, monkeypatch):
+        captured = []
+        chunked = semloss._central_differences
+
+        def record(*args):
+            captured.append(chunked(*args))
+            return captured[-1]
+
+        monkeypatch.setattr(semloss, "_central_differences", record)
+        report = gradient_check(seed=seed, **BENCH_DIMS)
+        assert report.n_parameters == 736 and report.passed
+        inst = random_instance(seed, **BENCH_DIMS)
+        expected = serial_differences(inst, BENCH_DIMS["d_model"], BENCH_DIMS["d_hidden"])
+        assert np.max(np.abs(captured[0] - expected)) <= 1e-9
+
+    def test_one_batched_recurrence_per_chunk_and_pair(self, monkeypatch):
+        # one B=1 analytic pass and one batched pass per chunk, per pair; the
+        # serial check ran 2P + 1 recurrences per pair, 2946 here
+        calls = []
+        recurrence = semloss._recurrence
+
+        def count(*args):
+            calls.append(len(args[0]))
+            return recurrence(*args)
+
+        monkeypatch.setattr(semloss, "_recurrence", count)
+        report = gradient_check(seed=1, **BENCH_DIMS)
+        pairs = 2 * BENCH_DIMS["n_stanzas"]
+        chunks = math.ceil(report.n_parameters / semloss._FD_CHUNK)
+        assert len(calls) == chunks * pairs + pairs
+        assert 10 * len(calls) < pairs * (2 * report.n_parameters + 1)
+        assert calls.count(1) == pairs and max(calls) == 2 * semloss._FD_CHUNK
+
+    def test_peak_memory_at_the_largest_accepted_check(self):
+        # every dimension at its losscheck cap; stanzas run one at a time, so one
+        # stanza reaches the same peak.  16 parameters per chunk peak at about
+        # 4.0 MB here, 24 at 5.9 MB.
+        dims = {name: LOSSCHECK_BOUNDS[flag][2]
+                for flag, name in [("dmodel", "d_model"), ("dhidden", "d_hidden"),
+                                   ("vocab", "vocab"), ("len", "max_len")]}
+        gradient_check()  # one-time allocations outside the traced call
+        tracemalloc.start()
+        try:
+            report = gradient_check(seed=0, n_stanzas=1, **dims)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.n_parameters == 2880 and report.passed
+        assert peak < 5 * 2**20, f"peak {peak / 2**20:.2f} MB"
+
+    @pytest.mark.parametrize("setting", [
+        {"step": 0.0}, {"step": -1e-5}, {"step": float("nan")}, {"step": float("inf")},
+        {"tolerance": 0.0}, {"tolerance": -1e-4}, {"tolerance": float("nan")},
+        {"tolerance": float("inf")},
+    ])
+    def test_bad_step_or_tolerance_rejected_before_any_work(self, setting, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("gradient_check built an instance")
+
+        monkeypatch.setattr(semloss, "random_instance", no_work)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadCheckSetting):
+                gradient_check(**setting)
