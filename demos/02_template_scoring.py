@@ -27,7 +27,7 @@ print()
 stanza = segment_stanza(KIEU)
 report = score_stanza(stanza, table)
 print("The opening of Truyen Kieu is flawless:")
-print(annotate_stanza(stanza, report))
+print(annotate_stanza(report))
 print()
 
 # break the rhyme at line 2 word 6, flip the tone at line 4 word 4
@@ -35,7 +35,7 @@ broken = KIEU.replace("khéo là ghét", "khéo xanh ghét").replace("thấy", "
 stanza = segment_stanza(broken)
 report = score_stanza(stanza, table)
 print("One broken rhyme and one wrong tone:")
-print(annotate_stanza(stanza, report))
+print(annotate_stanza(report))
 print()
 print(f"score = 100 * (1 - {report.wrong_rhyme}/5 - {report.wrong_tone}/14)"
       f" = {report.score:.3f}")

@@ -26,18 +26,17 @@ from .syllable import (
     parse_syllable,
 )
 from .rules import (
-    IndexOutOfRange,
     InvalidPairCount,
-    LineKind,
     RhymeChain,
     RuleTable,
     RuleTableError,
+    Template,
     build_rhyme_chains,
     default_rule_table,
-    expected_tone,
     load_rule_table,
     parse_rule_table,
     rhymes_with,
+    template,
 )
 from .scoring import (
     EmptyInput,
@@ -99,9 +98,9 @@ __all__ = [
     "InvalidEncoding", "LucBatError", "MultipleToneMarks", "NotASyllable",
     "Syllable", "Tone", "ToneClass", "normalize_verse", "parse_syllable",
     # rules
-    "IndexOutOfRange", "InvalidPairCount", "LineKind", "RhymeChain",
-    "RuleTable", "RuleTableError", "build_rhyme_chains", "default_rule_table",
-    "expected_tone", "load_rule_table", "parse_rule_table", "rhymes_with",
+    "InvalidPairCount", "RhymeChain", "RuleTable", "RuleTableError", "Template",
+    "build_rhyme_chains", "default_rule_table", "load_rule_table", "parse_rule_table",
+    "rhymes_with", "template",
     # scoring
     "EmptyInput", "Histogram", "OddLineCount", "ScoreReport", "Stanza",
     "UnparseableToken", "WrongSyllableCount", "annotate_stanza", "histogram",

@@ -188,10 +188,10 @@ def _cmd_score(args) -> int:
             continue
         for index, report in enumerate(reports, start=1):
             if args.format == "jsonl":
-                _emit(report_record(poem.id, index, report))
+                print(report_record(poem.id, index, report))
             else:
                 print(f"# {poem.id} stanza {index}")
-                print(annotate_stanza(report.stanza, report))
+                print(annotate_stanza(report))
                 print()
     return USAGE_ERROR if failures else 0
 

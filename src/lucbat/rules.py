@@ -8,6 +8,9 @@ A stanza is n six-eight line pairs.  The form constrains it in two ways:
 * Tone.  Words 2/4/6 of a six-line must be level/oblique/level; words
   2/4/6/8 of an eight-line level/oblique/level/level.  7n positions total.
 
+Both constraints depend on n alone.  :func:`template` compiles them once per
+n into the rhyme pairs and tone slots every scoring consumer walks.
+
 Rhyme compatibility is driven by a :class:`RuleTable`: two syllables rhyme
 when their tone-stripped rimes are equal or share a near-rhyme group.  The
 table is a partition, so compatibility is an equivalence relation and each
@@ -16,7 +19,7 @@ chain can be checked against its anchor alone.
 
 from __future__ import annotations
 
-import enum
+import functools
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable, Optional
@@ -24,16 +27,15 @@ from typing import Iterable, Optional
 from .syllable import LucBatError, Syllable, ToneClass, decode_utf8, is_valid_rime, _nfc
 
 __all__ = [
-    "LineKind",
     "Position",
     "RhymeChain",
     "RuleTable",
     "RuleTableError",
     "InvalidPairCount",
-    "IndexOutOfRange",
+    "Template",
     "build_rhyme_chains",
+    "template",
     "rhymes_with",
-    "expected_tone",
     "load_rule_table",
     "parse_rule_table",
     "default_rule_table",
@@ -49,17 +51,8 @@ class InvalidPairCount(LucBatError):
     """A stanza needs at least one six-eight pair."""
 
 
-class IndexOutOfRange(LucBatError):
-    """Word index outside the line."""
-
-
 class RuleTableError(LucBatError):
     """Rule-table file violates the format or the partition invariant."""
-
-
-class LineKind(enum.Enum):
-    SIX = 6
-    EIGHT = 8
 
 
 # Tone templates; odd word positions are unconstrained.
@@ -91,9 +84,6 @@ class RhymeChain:
         """Non-anchor positions, each compared against the anchor."""
         return self.positions[1:]
 
-    def __len__(self) -> int:
-        return len(self.positions)
-
 
 def build_rhyme_chains(n_pairs: int) -> list[RhymeChain]:
     """Rhyme chains for a stanza of ``n_pairs`` six-eight pairs.
@@ -110,15 +100,37 @@ def build_rhyme_chains(n_pairs: int) -> list[RhymeChain]:
     return chains
 
 
-def expected_tone(line_kind: LineKind, word_index: int) -> Optional[ToneClass]:
-    """Template tone class at a word position, or None when unconstrained."""
-    limit = line_kind.value
-    if not isinstance(word_index, int) or word_index < 1 or word_index > limit:
-        raise IndexOutOfRange(
-            f"word index {word_index!r} outside 1..{limit} for a {limit}-word line"
-        )
-    template = SIX_LINE_TONES if line_kind is LineKind.SIX else EIGHT_LINE_TONES
-    return template.get(word_index)
+@dataclass(frozen=True)
+class Template:
+    """The six-eight template of a stanza of ``n_pairs`` pairs, in checking order."""
+
+    n_pairs: int
+    rhyme_pairs: tuple[tuple[Position, Position], ...]  # (member, anchor), chain by chain
+    tone_slots: tuple[tuple[Position, ToneClass], ...]  # (position, expected), line by line
+    rhyme_positions: int  # 3n - 1, the rhyme penalty's denominator
+    tone_positions: int  # 7n, the tone penalty's denominator
+
+
+# Bounded: the Python API scores stanzas of any length, and each template is O(n).
+@functools.lru_cache(maxsize=128, typed=True)
+def template(n_pairs: int) -> Template:
+    """The compiled template for ``n_pairs`` pairs; built once per n and shared.
+
+    Raises :class:`InvalidPairCount` unless ``n_pairs`` is a positive int.
+    """
+    chains = build_rhyme_chains(n_pairs)
+    tone_slots = tuple(
+        ((line, word), expected)
+        for line in range(1, 2 * n_pairs + 1)
+        for word, expected in (SIX_LINE_TONES if line % 2 else EIGHT_LINE_TONES).items()
+    )
+    return Template(
+        n_pairs=n_pairs,
+        rhyme_pairs=tuple((member, chain.anchor) for chain in chains for member in chain.members),
+        tone_slots=tone_slots,
+        rhyme_positions=sum(len(chain.positions) for chain in chains),
+        tone_positions=len(tone_slots),
+    )
 
 
 class RuleTable:

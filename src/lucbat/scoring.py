@@ -12,22 +12,28 @@ can go negative.  Optional weights scale the two penalty terms.
 Only non-anchor chain members can be "wrong": the anchor defines the rhyme
 its chain is checked against, so at most 2n of the 3n-1 rhyme positions are
 penalizable.
+
+The template depends on n alone, so scoring walks the one compiled by
+:func:`lucbat.rules.template` for the stanza's n.  A :class:`ScoreReport`
+keeps one rhyme verdict per rhyme pair and one tone class per tone slot of
+that template; the per-position diagnostics are read off it on demand.
+:func:`report_record` writes a report as its JSONL line from fragments
+compiled once per n, filling in only the parts that vary.  The line is
+byte-identical to ``json.dumps(record, ensure_ascii=False, sort_keys=True,
+allow_nan=False)`` of the nested record dict, so the record format is
+unchanged.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from typing import NamedTuple
 
-from .rules import (
-    EIGHT_LINE_TONES,
-    Position,
-    RuleTable,
-    SIX_LINE_TONES,
-    build_rhyme_chains,
-    rhymes_with,
-)
+from .rules import Position, RuleTable, rhymes_with, template
 from .syllable import (
     LucBatError,
     NotASyllable,
@@ -95,9 +101,6 @@ class Stanza:
         line, word = position
         return self.lines[line - 1][word - 1]
 
-    def text(self) -> str:
-        return "\n".join(" ".join(s.normalized for s in line) for line in self.lines)
-
 
 class RhymeDiagnostic(NamedTuple):
     position: Position
@@ -114,13 +117,35 @@ class ToneDiagnostic(NamedTuple):
 
 @dataclass(frozen=True)
 class ScoreReport:
+    """Score of one stanza.
+
+    ``rhyme_ok`` and ``actual_tones`` line up with the ``rhyme_pairs`` and
+    ``tone_slots`` of ``template(n_pairs)``.
+    """
+
     n_pairs: int
     wrong_rhyme: int
     wrong_tone: int
     score: float
-    rhyme_diagnostics: tuple[RhymeDiagnostic, ...]
-    tone_diagnostics: tuple[ToneDiagnostic, ...]
+    rhyme_ok: tuple[bool, ...]
+    actual_tones: tuple[ToneClass, ...]
     stanza: Stanza
+
+    @property
+    def rhyme_diagnostics(self) -> tuple[RhymeDiagnostic, ...]:
+        pairs = template(self.n_pairs).rhyme_pairs
+        return tuple(
+            RhymeDiagnostic(member, anchor, ok)
+            for (member, anchor), ok in zip(pairs, self.rhyme_ok)
+        )
+
+    @property
+    def tone_diagnostics(self) -> tuple[ToneDiagnostic, ...]:
+        slots = template(self.n_pairs).tone_slots
+        return tuple(
+            ToneDiagnostic(position, expected, actual, actual is expected)
+            for (position, expected), actual in zip(slots, self.actual_tones)
+        )
 
 
 def segment_stanza(raw_poem: str) -> Stanza:
@@ -161,33 +186,32 @@ def score_stanza(
     ``w_rhyme``/``w_tone`` rescale the two penalty terms; the defaults give
     the plain formula.
     """
-    n = stanza.n_pairs
-    rhyme_diags = []
-    for chain in build_rhyme_chains(n):
-        anchor = stanza.syllable_at(chain.anchor)
-        for position in chain.members:
-            ok = rhymes_with(stanza.syllable_at(position), anchor, table)
-            rhyme_diags.append(RhymeDiagnostic(position, chain.anchor, ok))
-    tone_diags = []
-    for line_index, line in enumerate(stanza.lines, start=1):
-        template = SIX_LINE_TONES if line_index % 2 == 1 else EIGHT_LINE_TONES
-        for word_index, expected in template.items():
-            actual = line[word_index - 1].tone_class
-            tone_diags.append(
-                ToneDiagnostic((line_index, word_index), expected, actual, expected is actual)
-            )
-    wrong_rhyme = sum(1 for d in rhyme_diags if not d.ok)
-    wrong_tone = sum(1 for d in tone_diags if not d.ok)
+    compiled = template(stanza.n_pairs)
+    lines = stanza.lines
+    rhyme_ok = tuple(
+        rhymes_with(lines[line - 1][word - 1], lines[a_line - 1][a_word - 1], table)
+        for (line, word), (a_line, a_word) in compiled.rhyme_pairs
+    )
+    actual_tones = tuple(
+        lines[line - 1][word - 1].tone_class for (line, word), _ in compiled.tone_slots
+    )
+    wrong_rhyme = rhyme_ok.count(False)
+    wrong_tone = sum(
+        actual is not expected
+        for (_, expected), actual in zip(compiled.tone_slots, actual_tones)
+    )
     score = 100.0 * (
-        1.0 - w_rhyme * wrong_rhyme / (3 * n - 1) - w_tone * wrong_tone / (7 * n)
+        1.0
+        - w_rhyme * wrong_rhyme / compiled.rhyme_positions
+        - w_tone * wrong_tone / compiled.tone_positions
     )
     return ScoreReport(
-        n_pairs=n,
+        n_pairs=stanza.n_pairs,
         wrong_rhyme=wrong_rhyme,
         wrong_tone=wrong_tone,
         score=score,
-        rhyme_diagnostics=tuple(rhyme_diags),
-        tone_diagnostics=tuple(tone_diags),
+        rhyme_ok=rhyme_ok,
+        actual_tones=actual_tones,
         stanza=stanza,
     )
 
@@ -231,10 +255,6 @@ class Histogram:
     below: int
     above: int
 
-    @property
-    def total_in_range(self) -> int:
-        return sum(count for _, _, count in self.bins)
-
 
 def histogram(scores: list[float], bin_width: float = 10.0) -> Histogram:
     """Bin scores over the fixed range [0, 100] into right-exclusive bins; the last includes 100.
@@ -264,35 +284,66 @@ def histogram(scores: list[float], bin_width: float = 10.0) -> Histogram:
     return Histogram(bins=tuple(bins), below=below, above=above)
 
 
-def report_record(poem_id: str, stanza_index: int, report: ScoreReport) -> dict:
-    """JSON-serializable scoring record for one stanza."""
-    return {
-        "poem_id": poem_id,
-        "stanza_index": stanza_index,
-        "n": report.n_pairs,
-        "R": report.wrong_rhyme,
-        "T": report.wrong_tone,
-        "score": report.score,
-        "diagnostics": {
-            "rhyme": [
-                {"position": list(d.position), "anchor": list(d.anchor), "ok": d.ok}
-                for d in report.rhyme_diagnostics
-            ],
-            "tone": [
-                {
-                    "position": list(d.position),
-                    "expected": d.expected.value,
-                    "actual": d.actual.value,
-                    "ok": d.ok,
-                }
-                for d in report.tone_diagnostics
-            ],
-        },
-    }
+_JSON_BOOL = ("false", "true")
 
 
-def annotate_stanza(stanza: Stanza, report: ScoreReport) -> str:
-    """Human-readable rendering with each violating word marked.
+@functools.lru_cache(maxsize=128)
+def _record_fragments(n_pairs: int) -> tuple[tuple, tuple, str]:
+    """JSON text of every diagnostic of ``template(n_pairs)``, in each form it can take.
+
+    Returns (rhyme, tone, tail): ``rhyme[k][ok]`` is rhyme pair k's object,
+    ``tone[k][actual is LEVEL]`` tone slot k's, and ``tail`` the text that
+    follows the tone list up to the poem id.  Keys are in sorted order.
+    """
+    compiled = template(n_pairs)
+    rhyme = tuple(
+        tuple(
+            f'{{"anchor": [{a_line}, {a_word}], "ok": {_JSON_BOOL[ok]}, '
+            f'"position": [{line}, {word}]}}'
+            for ok in (False, True)
+        )
+        for (line, word), (a_line, a_word) in compiled.rhyme_pairs
+    )
+    tone = tuple(
+        tuple(
+            f'{{"actual": {encode_basestring(actual.value)}, '
+            f'"expected": {encode_basestring(expected.value)}, '
+            f'"ok": {_JSON_BOOL[actual is expected]}, "position": [{line}, {word}]}}'
+            for actual in (ToneClass.OBLIQUE, ToneClass.LEVEL)
+        )
+        for (line, word), expected in compiled.tone_slots
+    )
+    return rhyme, tone, f']}}, "n": {n_pairs}, "poem_id": '
+
+
+def report_record(poem_id: str, stanza_index: int, report: ScoreReport) -> str:
+    """The JSONL scoring record of one stanza, as one line of JSON text.
+
+    The keys, in sorted order: ``R``, ``T``, ``diagnostics`` (``rhyme`` and
+    ``tone`` lists, one object per rhyme pair and tone slot of the template),
+    ``n``, ``poem_id``, ``score`` and ``stanza_index``.  A non-finite score
+    raises the ``ValueError`` that ``json.dumps(..., allow_nan=False)``
+    raises.
+    """
+    score = report.score
+    if not math.isfinite(score):
+        json.dumps(score, allow_nan=False)  # raises json's own ValueError
+    rhyme, tone, tail = _record_fragments(report.n_pairs)
+    level = ToneClass.LEVEL
+    return (
+        f'{{"R": {int.__repr__(report.wrong_rhyme)}, "T": {int.__repr__(report.wrong_tone)}, '
+        '"diagnostics": {"rhyme": ['
+        + ", ".join([forms[ok] for forms, ok in zip(rhyme, report.rhyme_ok)])
+        + '], "tone": ['
+        + ", ".join([forms[actual is level] for forms, actual in zip(tone, report.actual_tones)])
+        + tail
+        + encode_basestring(poem_id)
+        + f', "score": {float.__repr__(score)}, "stanza_index": {int.__repr__(stanza_index)}}}'
+    )
+
+
+def annotate_stanza(report: ScoreReport) -> str:
+    """Human-readable rendering of the report's stanza with each violating word marked.
 
     Words failing a rhyme check get ``[R]``, a tone check ``[T]``; a final
     summary line carries the counts and the score.
@@ -300,7 +351,7 @@ def annotate_stanza(stanza: Stanza, report: ScoreReport) -> str:
     bad_rhyme = {d.position for d in report.rhyme_diagnostics if not d.ok}
     bad_tone = {d.position for d in report.tone_diagnostics if not d.ok}
     out = []
-    for line_index, line in enumerate(stanza.lines, start=1):
+    for line_index, line in enumerate(report.stanza.lines, start=1):
         words = []
         for word_index, syllable in enumerate(line, start=1):
             word = syllable.normalized

@@ -83,7 +83,8 @@ class MissingPair(LucBatError):
 
 
 class BadCheckSetting(LucBatError):
-    """A finite-difference step or tolerance that is not a finite positive number."""
+    """A gradient-check setting out of range: a dimension or count below 1, or a step
+    or tolerance that is not a finite positive number."""
 
 
 # Parameters k per batched finite-difference pass (2k perturbed vectors).  It bounds
@@ -556,8 +557,14 @@ def gradient_check(
 
     The per-component relative error is |a - f| / max(|a|, |f|, 1e-4); the
     floor turns the comparison into an absolute check at 1e-8 where both
-    gradients vanish.  ``step`` and ``tolerance`` must be finite and positive.
+    gradients vanish.  The dimensions, ``vocab``, ``max_len`` and ``n_stanzas`` must be
+    at least 1; ``step`` and ``tolerance`` must be finite and positive.
     """
+    sizes = (("d_model", d_model), ("d_hidden", d_hidden), ("vocab", vocab),
+             ("max_len", max_len), ("n_stanzas", n_stanzas))
+    for name, value in sizes:
+        if not value >= 1:
+            raise BadCheckSetting(f"{name} must be at least 1, got {value!r}")
     for name, value in (("step", step), ("tolerance", tolerance)):
         if not (math.isfinite(value) and value > 0):
             raise BadCheckSetting(f"{name} must be a finite positive number, got {value!r}")

@@ -20,7 +20,7 @@ import enum
 import functools
 import re
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "Tone",
@@ -34,7 +34,6 @@ __all__ = [
     "normalize_verse",
     "is_valid_rime",
     "mark_rime",
-    "replace_tone",
     "ONSETS",
     "VOWELS",
 ]
@@ -149,10 +148,12 @@ class Syllable:
     onset: str
     rime: str
     tone: Tone
+    # Derived from ``tone`` once, when the memoized parse builds the syllable, so scoring
+    # reads a plain attribute per templated position rather than two enum properties.
+    tone_class: ToneClass = field(init=False, repr=False, compare=False)
 
-    @property
-    def tone_class(self) -> ToneClass:
-        return self.tone.tone_class
+    def __post_init__(self):
+        object.__setattr__(self, "tone_class", self.tone.tone_class)
 
 
 def _nfc(text: str) -> str:
@@ -263,11 +264,6 @@ def parse_syllable(token: str) -> Syllable:
         raise NotASyllable(token, f"invalid coda {coda!r}")
     normalized = onset + mark_rime(rime, tone)
     return Syllable(raw=token, normalized=normalized, onset=onset, rime=rime, tone=tone)
-
-
-def replace_tone(syllable: Syllable, tone: Tone) -> Syllable:
-    """Same onset and rime, different tone.  Used to build synthetic test data."""
-    return parse_syllable(syllable.onset + mark_rime(syllable.rime, tone))
 
 
 def is_valid_rime(text: str) -> bool:

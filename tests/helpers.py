@@ -2,7 +2,22 @@
 
 from lucbat import Tone, ToneClass, parse_syllable, segment_stanza
 from lucbat.rules import EIGHT_LINE_TONES, SIX_LINE_TONES
-from lucbat.syllable import mark_rime, replace_tone
+from lucbat.syllable import mark_rime
+
+
+def replace_tone(syllable, tone):
+    """Same onset and rime, different tone."""
+    return parse_syllable(syllable.onset + mark_rime(syllable.rime, tone))
+
+
+def stanza_text(stanza):
+    """A stanza's canonical spellings, one line per verse."""
+    return "\n".join(" ".join(s.normalized for s in line) for line in stanza.lines)
+
+
+def total_in_range(hist):
+    """Scores a histogram counted inside [0, 100]."""
+    return sum(count for _, _, count in hist.bins)
 
 # templated tone positions of a quatrain, fixed order
 QUATRAIN_TONE_POSITIONS = [

@@ -82,6 +82,28 @@ class TestScoreCommand:
         record = json.loads(capsys.readouterr().out.strip())
         assert record["R"] == 1
 
+    def test_records_are_written_from_the_compiled_template(self, tmp_path, capsys, monkeypatch):
+        # scored records come from per-template fragments, not json.dumps of a dict;
+        # only the error record still goes through json.dumps
+        broken = perturb_quatrain(KIEU, tone_flips=[(1, 2)], rhyme_breaks=[(3, 6)])
+        poems = [KIEU, broken, KIEU + "\n" + broken, "chỉ một dòng", broken + "\n" + KIEU]
+        path = write(tmp_path, "poems.txt", "\n\n".join(poems) + "\n")
+        dumps_calls = []
+        dumps = json.dumps
+
+        def counting_dumps(*args, **kwargs):
+            dumps_calls.append(args[0])
+            return dumps(*args, **kwargs)
+
+        monkeypatch.setattr(json, "dumps", counting_dumps)
+        lucbat.template.cache_clear()
+        assert main(["score", path, "--format", "jsonl"]) == 1
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        scored = [r for r in records if "score" in r]
+        assert len(scored) == 6 and len(records) == 7
+        assert dumps_calls == [r for r in records if "error" in r]
+        assert lucbat.template.cache_info().misses == len({r["n"] for r in scored})
+
     def test_stdin(self, tmp_path, capsys, monkeypatch):
         import io
 

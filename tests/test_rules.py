@@ -3,16 +3,14 @@ import itertools
 import pytest
 
 from lucbat import (
-    IndexOutOfRange,
     InvalidPairCount,
-    LineKind,
     RuleTableError,
     ToneClass,
     build_rhyme_chains,
-    expected_tone,
     parse_rule_table,
     parse_syllable,
     rhymes_with,
+    template,
 )
 
 
@@ -20,7 +18,7 @@ class TestRhymeChains:
     def test_single_pair(self):
         chains = build_rhyme_chains(1)
         assert [c.positions for c in chains] == [((1, 6), (2, 6))]
-        assert sum(len(c) for c in chains) == 3 * 1 - 1
+        assert sum(len(c.positions) for c in chains) == 3 * 1 - 1
 
     def test_quatrain(self):
         chains = build_rhyme_chains(2)
@@ -28,7 +26,7 @@ class TestRhymeChains:
             ((1, 6), (2, 6)),
             ((2, 8), (3, 6), (4, 6)),
         ]
-        assert sum(len(c) for c in chains) == 3 * 2 - 1
+        assert sum(len(c.positions) for c in chains) == 3 * 2 - 1
 
     def test_three_pairs(self):
         # hand enumeration: word 6 of lines 1-2; then word 8 of each
@@ -39,7 +37,7 @@ class TestRhymeChains:
             ((2, 8), (3, 6), (4, 6)),
             ((4, 8), (5, 6), (6, 6)),
         ]
-        assert sum(len(c) for c in chains) == 8
+        assert sum(len(c.positions) for c in chains) == 8
 
     @pytest.mark.parametrize("n", range(1, 51))
     def test_count_law(self, n):
@@ -63,29 +61,46 @@ class TestRhymeChains:
 
 class TestToneTemplate:
     def test_template_positions(self):
-        assert expected_tone(LineKind.SIX, 2) is ToneClass.LEVEL
-        assert expected_tone(LineKind.SIX, 4) is ToneClass.OBLIQUE
-        assert expected_tone(LineKind.SIX, 6) is ToneClass.LEVEL
-        assert expected_tone(LineKind.EIGHT, 8) is ToneClass.LEVEL
+        level, oblique = ToneClass.LEVEL, ToneClass.OBLIQUE
+        assert template(1).tone_slots == (
+            ((1, 2), level), ((1, 4), oblique), ((1, 6), level),
+            ((2, 2), level), ((2, 4), oblique), ((2, 6), level), ((2, 8), level),
+        )
+        # every further pair repeats the first one's slots two lines down
+        slots = template(3).tone_slots
+        for k in range(3):
+            pair = [((line - 2 * k, word), expected)
+                    for (line, word), expected in slots[7 * k : 7 * k + 7]]
+            assert tuple(pair) == template(1).tone_slots
 
     @pytest.mark.parametrize("word", [1, 3, 5])
     def test_odd_positions_unconstrained(self, word):
-        assert expected_tone(LineKind.SIX, word) is None
-        assert expected_tone(LineKind.EIGHT, word) is None
+        for n in (1, 2, 5):
+            assert all(w != word for (_, w), _ in template(n).tone_slots)
 
     def test_eight_only_position(self):
-        assert expected_tone(LineKind.EIGHT, 7) is None
-        with pytest.raises(IndexOutOfRange):
-            expected_tone(LineKind.SIX, 7)
-        with pytest.raises(IndexOutOfRange):
-            expected_tone(LineKind.EIGHT, 9)
-        with pytest.raises(IndexOutOfRange):
-            expected_tone(LineKind.SIX, 0)
+        for n in (1, 2, 5):
+            words = {(line % 2, word) for (line, word), _ in template(n).tone_slots}
+            assert (0, 8) in words and (1, 8) not in words  # word 8 only on eight-lines
+            assert all(word <= (6 if odd else 8) for odd, word in words)
+            assert all(word != 7 for _, word in words)
 
     def test_checked_positions_per_pair(self):
-        six = [w for w in range(1, 7) if expected_tone(LineKind.SIX, w)]
-        eight = [w for w in range(1, 9) if expected_tone(LineKind.EIGHT, w)]
-        assert len(six) + len(eight) == 7
+        for n in range(1, 21):
+            compiled = template(n)
+            assert compiled.n_pairs == n
+            assert len(compiled.tone_slots) == compiled.tone_positions == 7 * n
+            assert compiled.rhyme_positions == 3 * n - 1
+            chains = build_rhyme_chains(n)
+            assert compiled.rhyme_pairs == tuple(
+                (member, chain.anchor) for chain in chains for member in chain.members
+            )
+            assert template(n) is compiled  # compiled once, then shared
+
+    @pytest.mark.parametrize("bad", [0, -1, -100, True, 2.0])
+    def test_invalid_pair_count(self, bad):
+        with pytest.raises(InvalidPairCount):
+            template(bad)
 
 
 class TestRhymesWith:

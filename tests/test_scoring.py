@@ -2,10 +2,13 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lucbat import (
     EmptyInput,
     OddLineCount,
+    Tone,
+    ToneClass,
     UnparseableToken,
     WrongSyllableCount,
     annotate_stanza,
@@ -15,12 +18,16 @@ from lucbat import (
     score_stanza,
     segment_stanza,
     split_quatrains,
+    template,
 )
+from lucbat.syllable import mark_rime
 from helpers import (
     QUATRAIN_RHYME_MEMBERS,
     QUATRAIN_TONE_POSITIONS,
     brute_force_score,
     perturb_quatrain,
+    stanza_text,
+    total_in_range,
 )
 
 
@@ -140,7 +147,7 @@ class TestScoreStanza:
     def test_retokenized_stanza_scores_identically(self, kieu, table):
         stanza = segment_stanza(kieu)
         report = score_stanza(stanza, table)
-        again = score_stanza(segment_stanza(stanza.text()), table)
+        again = score_stanza(segment_stanza(stanza_text(stanza)), table)
         assert again == report
 
     def test_weighted_variant(self, kieu, table):
@@ -194,7 +201,7 @@ class TestHistogram:
     def test_simple_bins(self):
         hist = histogram([100.0, 100.0, 95.0])
         assert hist.bins[-1] == (90.0, 100.0, 3)
-        assert hist.total_in_range == 3
+        assert total_in_range(hist) == 3
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
@@ -212,7 +219,7 @@ class TestHistogram:
         hist = histogram([-3.0, 50.0, 101.0])
         assert hist.below == 1
         assert hist.above == 1
-        assert hist.total_in_range == 1
+        assert total_in_range(hist) == 1
 
     def test_uneven_final_bin(self):
         hist = histogram([99.0], bin_width=30.0)
@@ -232,7 +239,7 @@ class TestHistogram:
             assert count == expected
         assert hist.below == sum(1 for s in scores if s < 0)
         assert hist.above == sum(1 for s in scores if s > 100)
-        assert hist.total_in_range + hist.below + hist.above == 500
+        assert total_in_range(hist) + hist.below + hist.above == 500
 
     def test_bad_width(self):
         with pytest.raises(ValueError):
@@ -243,7 +250,8 @@ class TestReporting:
     def test_record_is_json_serializable(self, kieu, table):
         report = score_stanza(segment_stanza(kieu), table)
         record = report_record("poem-1", 1, report)
-        parsed = json.loads(json.dumps(record))
+        assert "\n" not in record
+        parsed = json.loads(record)
         assert parsed["score"] == 100.0
         assert parsed["R"] == 0 and parsed["T"] == 0 and parsed["n"] == 2
         assert len(parsed["diagnostics"]["tone"]) == 14
@@ -251,13 +259,109 @@ class TestReporting:
 
     def test_annotation_marks_violations(self, kieu, table):
         text = perturb_quatrain(kieu, tone_flips=[(4, 4)], rhyme_breaks=[(2, 6)])
-        stanza = segment_stanza(text)
-        rendered = annotate_stanza(stanza, score_stanza(stanza, table))
+        rendered = annotate_stanza(score_stanza(segment_stanza(text), table))
         assert "[R]" in rendered
         assert "[T]" in rendered
         assert "score=" in rendered
 
     def test_annotation_clean_for_perfect_stanza(self, kieu, table):
-        stanza = segment_stanza(kieu)
-        rendered = annotate_stanza(stanza, score_stanza(stanza, table))
+        rendered = annotate_stanza(score_stanza(segment_stanza(kieu), table))
         assert "[R]" not in rendered and "[T]" not in rendered
+
+
+def record_dict(poem_id, stanza_index, report):
+    """The scoring record as the nested dict that json.dumps used to serialize."""
+    return {
+        "poem_id": poem_id,
+        "stanza_index": stanza_index,
+        "n": report.n_pairs,
+        "R": report.wrong_rhyme,
+        "T": report.wrong_tone,
+        "score": report.score,
+        "diagnostics": {
+            "rhyme": [
+                {"position": list(d.position), "anchor": list(d.anchor), "ok": d.ok}
+                for d in report.rhyme_diagnostics
+            ],
+            "tone": [
+                {
+                    "position": list(d.position),
+                    "expected": d.expected.value,
+                    "actual": d.actual.value,
+                    "ok": d.ok,
+                }
+                for d in report.tone_diagnostics
+            ],
+        },
+    }
+
+
+def dumped(record):
+    return json.dumps(record, ensure_ascii=False, sort_keys=True, allow_nan=False)
+
+
+# each rime in a near-rhyme group of its own among these
+_RIMES = ("a", "ai", "au", "om", "i")
+_ONSETS = ("t", "m", "l", "kh")
+_TONES = {True: (Tone.NGANG, Tone.HUYEN), False: (Tone.SAC, Tone.HOI, Tone.NGA, Tone.NANG)}
+_WORDS = st.sampled_from([(o, r, t) for o in _ONSETS for r in _RIMES for t in Tone])
+
+
+@st.composite
+def planted_stanzas(draw):
+    """(stanza text, rhyme faults, tone faults): 1-4 pairs, each fault planted by choice."""
+    n = draw(st.integers(1, 4))
+    words = {
+        (line, word): list(draw(_WORDS))
+        for line in range(1, 2 * n + 1)
+        for word in range(1, (8 if line % 2 == 0 else 6) + 1)
+    }
+    compiled = template(n)
+    tone_faults = rhyme_faults = 0
+    for position, expected in compiled.tone_slots:
+        fault = draw(st.booleans())
+        words[position][2] = draw(st.sampled_from(_TONES[(expected is ToneClass.LEVEL) != fault]))
+        tone_faults += fault
+    for member, anchor in compiled.rhyme_pairs:  # anchors are never members
+        fault = draw(st.booleans())
+        rime = words[anchor][1]
+        words[member][1] = draw(st.sampled_from([r for r in _RIMES if r != rime])) if fault else rime
+        rhyme_faults += fault
+    lines = [
+        " ".join(onset + mark_rime(rime, tone)
+                 for (line, _), (onset, rime, tone) in words.items() if line == k)
+        for k in range(1, 2 * n + 1)
+    ]
+    return "\n".join(lines), rhyme_faults, tone_faults
+
+
+_POEM_IDS = st.text(st.one_of(
+    st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029/:'),
+    st.characters(min_codepoint=0x10000),
+    st.characters(),
+))
+_WEIGHTS = st.one_of(st.just(1.0), st.floats(0.0, 1e6, exclude_min=True))
+
+
+class TestRecordLine:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(planted=planted_stanzas(), poem_id=_POEM_IDS,
+           stanza_index=st.integers(0, 2**70), w_rhyme=_WEIGHTS, w_tone=_WEIGHTS)
+    def test_line_is_byte_identical_to_json_dumps_of_the_dict(
+        self, table, planted, poem_id, stanza_index, w_rhyme, w_tone
+    ):
+        text, rhyme_faults, tone_faults = planted
+        report = score_stanza(segment_stanza(text), table, w_rhyme=w_rhyme, w_tone=w_tone)
+        assert (report.wrong_rhyme, report.wrong_tone) == (rhyme_faults, tone_faults)
+        line = report_record(poem_id, stanza_index, report)
+        assert line == dumped(record_dict(poem_id, stanza_index, report))
+
+    @pytest.mark.parametrize("w_rhyme", [float("inf"), float("nan")])
+    def test_non_finite_score_raises_jsons_value_error(self, kieu, table, w_rhyme):
+        broken = perturb_quatrain(kieu, rhyme_breaks=[(2, 6)])
+        report = score_stanza(segment_stanza(broken), table, w_rhyme=w_rhyme)
+        with pytest.raises(ValueError) as expected:
+            dumped(record_dict("p", 1, report))
+        with pytest.raises(ValueError) as raised:
+            report_record("p", 1, report)
+        assert str(raised.value) == str(expected.value)

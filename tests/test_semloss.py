@@ -560,3 +560,17 @@ class TestBatchedLossHead:
             warnings.simplefilter("error")
             with pytest.raises(BadCheckSetting):
                 gradient_check(**setting)
+
+    @pytest.mark.parametrize("name", ["d_model", "d_hidden", "vocab", "max_len", "n_stanzas"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_size_below_one_rejected_before_any_work(self, name, value, monkeypatch):
+        # d_model=0 and d_hidden=0 used to pass on an empty head, with divide-by-zero
+        # warnings; d_model=-1 escaped as a numpy ValueError
+        def no_work(*args, **kwargs):
+            raise AssertionError("gradient_check built an instance")
+
+        monkeypatch.setattr(semloss, "random_instance", no_work)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BadCheckSetting, match=f"{name} must be at least 1"):
+                gradient_check(**{name: value})
