@@ -45,7 +45,7 @@ out = custom_loss(inst["stanza_pairs"], inst["logits"], inst["next_token_ids"],
 print(f"\ncombined loss: ce={out.ce:.4f} + pair-distance={out.mse:.4f} "
       f"= {out.total:.4f}")
 print(f"gradient vector has {out.gradients.size} entries "
-      f"(3 attention matrices + 12 LSTM tensors)")
+      f"(3 attention matrices + 3 LSTM stacks U, W, b)")
 
 report = gradient_check(seed=1, d_model=d_model, d_hidden=d_hidden)
 print(f"\nfinite-difference check: max relative error "

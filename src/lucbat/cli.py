@@ -26,7 +26,6 @@ from . import __version__
 from .corpus import (
     build_verse_index,
     corpus_from_text,
-    decode_utf8,
     filter_by_score,
     ingest,
     split_and_shuffle,
@@ -43,7 +42,7 @@ from .scoring import (
     report_record,
     score_poem,
 )
-from .syllable import LucBatError
+from .syllable import LucBatError, decode_utf8
 
 USAGE_ERROR = 1
 INTERNAL_ERROR = 2

@@ -15,16 +15,14 @@ from typing import Iterable, Optional
 
 from .rules import RuleTable
 from .scoring import EmptyInput, OddLineCount, score_stanza, segment_stanza, split_quatrains
-from .syllable import InvalidEncoding, LucBatError, decode_utf8, normalize_verse
+from .syllable import LucBatError, decode_utf8, normalize_verse
 
 __all__ = [
     "Poem",
     "Corpus",
     "VerseIndex",
     "FilterStats",
-    "InvalidEncoding",
     "ingest",
-    "decode_utf8",
     "corpus_from_text",
     "write_corpus",
     "split_into_quatrains",

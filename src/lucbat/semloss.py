@@ -11,13 +11,14 @@ where ce is the next-token cross-entropy over the block and E_prev/E_next
 are the contextual vectors of a stanza's two pairs.  Gradients of the total
 with respect to the attention and LSTM parameters are computed analytically
 (reverse mode) and can be verified against central finite differences with
-:func:`gradient_check`.
+:func:`gradient_check`, which uses a fixed step of 1e-5 and a fixed tolerance
+of 1e-4.  The LSTM always starts from the zero state.
 
-The LSTM parameters are stacked in gate order f, i, o, c: U (4h, d), W (4h, h)
-and b (4h,).  The packed parameter vector, whose order and block sizes only
-:func:`pack_parameters` and :func:`unpack_parameters` know, is W_q, W_k, W_v,
-U, W, b, each raveled row-major: W_q, W_k, W_v, U_f … U_c, W_f … W_c, b_f … b_c.
-A (B, P) matrix holds B packed vectors, one per row.
+The LSTM parameters are three stacks in gate order f, i, o, c: U (4h, d),
+W (4h, h) and b (4h,).  The packed parameter vector, whose order and block
+sizes only :func:`pack_parameters` and :func:`unpack_parameters` know, is
+W_q, W_k, W_v, U, W, b, each raveled row-major.  A (B, P) matrix holds B
+packed vectors, one per row.
 
 The forward and backward passes are batch-first: the private attention,
 recurrence and backward steps take every parameter block with a leading
@@ -83,14 +84,22 @@ class MissingPair(LucBatError):
 
 
 class BadCheckSetting(LucBatError):
-    """A gradient-check setting out of range: a dimension or count below 1, or a step
-    or tolerance that is not a finite positive number."""
+    """A gradient-check setting out of range: a seed that is not a non-negative int,
+    or a dimension or count that is not an int of at least 1."""
 
 
 # Parameters k per batched finite-difference pass (2k perturbed vectors).  It bounds
 # the check's extra memory: losscheck's peak RSS at P=736 rose by 0.75 MB at 16,
 # 1.2 MB at 24 and 1.6 MB at 32, while 32 was only about 8 ms faster.
 _FD_CHUNK = 16
+# central-difference step and the largest relative error that passes
+_FD_STEP = 1e-5
+_TOLERANCE = 1e-4
+
+
+def _is_int(value) -> bool:
+    """A Python or NumPy integer; a ``bool`` is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -109,6 +118,14 @@ def _as_matrix(x, name: str) -> np.ndarray:
     return arr
 
 
+def _shapes(*blocks) -> list[tuple]:
+    """The shapes of parameter blocks, which must be NumPy arrays."""
+    if not all(isinstance(block, np.ndarray) for block in blocks):
+        kinds = ", ".join(type(block).__name__ for block in blocks)
+        raise ShapeMismatch(f"parameter blocks must be NumPy arrays, got {kinds}")
+    return [block.shape for block in blocks]
+
+
 @dataclass(frozen=True)
 class AttentionParams:
     """Square query/key/value projections for one attention head."""
@@ -118,68 +135,38 @@ class AttentionParams:
     W_v: np.ndarray
 
     def __post_init__(self):
-        d = self.W_q.shape[0]
-        for name in ("W_q", "W_k", "W_v"):
-            w = getattr(self, name)
-            if w.shape != (d, d):
-                raise ShapeMismatch(f"{name} must be ({d}, {d}), got {w.shape}")
+        W_q, W_k, W_v = _shapes(self.W_q, self.W_k, self.W_v)
+        if len(W_q) != 2 or W_q[0] != W_q[1] or W_k != W_q or W_v != W_q:
+            raise ShapeMismatch(f"W_q, W_k, W_v must be (d, d); got {W_q}, {W_k}, {W_v}")
 
     @property
     def d_model(self) -> int:
         return self.W_q.shape[0]
 
     @classmethod
-    def random(cls, rng: np.random.Generator, d_model: int, scale: float = 0.5):
-        return cls(
-            W_q=scale * rng.standard_normal((d_model, d_model)),
-            W_k=scale * rng.standard_normal((d_model, d_model)),
-            W_v=scale * rng.standard_normal((d_model, d_model)),
-        )
+    def random(cls, rng: np.random.Generator, d_model: int):
+        """Entries drawn from N(0, 0.5^2)."""
+        return cls(*(0.5 * rng.standard_normal((d_model, d_model)) for _ in range(3)))
 
 
-def _stack_gates(kind: str, *gates) -> np.ndarray:
-    """Concatenate four same-shape per-gate arrays along rows, in gate order."""
-    if any(np.shape(gate) != np.shape(gates[0]) for gate in gates):
-        raise ShapeMismatch(f"{kind}_f, {kind}_i, {kind}_o and {kind}_c must share one shape")
-    return np.concatenate(gates)
-
-
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class LstmParams:
     """LSTM parameters stacked in gate order f, i, o, c.
 
     ``U`` (4h, d) holds the input weights, ``W`` (4h, h) the recurrent weights
-    and ``b`` (4h,) the biases; rows k*h:(k+1)*h belong to gate k.  ``U_f`` …
-    ``b_c`` are row views of the stacks, and the keyword constructor takes
-    those twelve per-gate arrays.  :func:`pack_parameters` packs ``U``, ``W``,
-    ``b`` raveled in that order, which is ``U_f … U_c, W_f … W_c, b_f … b_c``.
+    and ``b`` (4h,) the biases; rows k*h:(k+1)*h belong to gate k, so
+    ``np.split(U, 4)`` gives the four per-gate blocks.  The arrays are kept
+    as given, not copied.
     """
 
     U: np.ndarray
     W: np.ndarray
     b: np.ndarray
 
-    def __init__(self, U_f, U_i, U_o, U_c, W_f, W_i, W_o, W_c, b_f, b_i, b_o, b_c):
-        self._store(
-            _stack_gates("U", U_f, U_i, U_o, U_c),
-            _stack_gates("W", W_f, W_i, W_o, W_c),
-            _stack_gates("b", b_f, b_i, b_o, b_c),
-        )
-
-    @classmethod
-    def _stacked(cls, U: np.ndarray, W: np.ndarray, b: np.ndarray) -> "LstmParams":
-        """Wrap the stacked blocks themselves (no copy)."""
-        params = cls.__new__(cls)
-        params._store(U, W, b)
-        return params
-
-    def _store(self, U, W, b) -> None:
-        h = len(U) // 4
-        if U.ndim != 2 or len(U) != 4 * h or W.shape != (4 * h, h) or b.shape != (4 * h,):
-            raise ShapeMismatch(
-                f"U, W, b must be (4h, d), (4h, h), (4h,); got {U.shape}, {W.shape}, {b.shape}"
-            )
-        vars(self).update(U=U, W=W, b=b)  # frozen: bypass __setattr__
+    def __post_init__(self):
+        U, W, b = _shapes(self.U, self.W, self.b)
+        if len(U) != 2 or U[0] % 4 or W != (U[0], U[0] // 4) or b != U[:1]:
+            raise ShapeMismatch(f"U, W, b must be (4h, d), (4h, h), (4h,); got {U}, {W}, {b}")
 
     @property
     def d_hidden(self) -> int:
@@ -190,28 +177,15 @@ class LstmParams:
         return self.U.shape[1]
 
     @classmethod
-    def random(cls, rng: np.random.Generator, d_in: int, d_hidden: int, scale: float = 0.5):
-        # one (4h, ...) draw is the four per-gate draws in gate order
-        return cls._stacked(
-            scale * rng.standard_normal((4 * d_hidden, d_in)),
-            scale * rng.standard_normal((4 * d_hidden, d_hidden)),
-            scale * rng.standard_normal(4 * d_hidden),
-        )
+    def random(cls, rng: np.random.Generator, d_in: int, d_hidden: int):
+        """Entries drawn from N(0, 0.5^2): U, then W, then b."""
+        n = 4 * d_hidden
+        return cls(*(0.5 * rng.standard_normal(shape) for shape in [(n, d_in), (n, d_hidden), n]))
 
     @classmethod
     def zeros(cls, d_in: int, d_hidden: int):
         n = 4 * d_hidden
-        return cls._stacked(np.zeros((n, d_in)), np.zeros((n, d_hidden)), np.zeros(n))
-
-
-def _gate_rows(kind: str, k: int) -> property:
-    """Row view of gate ``k`` in the ``kind`` stack."""
-    return property(lambda self: getattr(self, kind)[k * self.d_hidden : (k + 1) * self.d_hidden])
-
-
-for _k, _gate in enumerate("fioc"):
-    for _kind in "UWb":
-        setattr(LstmParams, f"{_kind}_{_gate}", _gate_rows(_kind, _k))
+        return cls(np.zeros((n, d_in)), np.zeros((n, d_hidden)), np.zeros(n))
 
 
 def _pack(*blocks: np.ndarray) -> np.ndarray:
@@ -250,8 +224,7 @@ def unpack_parameters(vec: np.ndarray, d_model: int, d_hidden: int):
         start += size
     if batch:
         return blocks
-    W_q, W_k, W_v, U, W, b = blocks
-    return AttentionParams(W_q, W_k, W_v), LstmParams._stacked(U, W, b)
+    return AttentionParams(*blocks[:3]), LstmParams(*blocks[3:])
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -313,28 +286,18 @@ def _recurrence(Y: np.ndarray, U, W, b, h: np.ndarray, c: np.ndarray):
     return gates, hidden, cell
 
 
-def lstm_forward(
-    X,
-    params: LstmParams,
-    h0: np.ndarray | None = None,
-    c0: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Run the gate recursion over the rows of ``X``.
+def lstm_forward(X, params: LstmParams) -> tuple[np.ndarray, np.ndarray]:
+    """Run the gate recursion over the rows of ``X`` from the zero state.
 
     Per step: f/i/o = sigmoid(U x + W h_prev + b); candidate = tanh(...);
-    c = f*c_prev + i*candidate; h = o*tanh(c).  Returns the stacked hidden
-    and cell states, each of shape (T, d_hidden).
+    c = f*c_prev + i*candidate; h = o*tanh(c), with h and c zero before the
+    first step.  Returns the stacked hidden and cell states, each of shape
+    (T, d_hidden).
     """
     X = _as_matrix(X, "X")
-    h = np.zeros(params.d_hidden) if h0 is None else np.asarray(h0, dtype=np.float64)
-    c = np.zeros(params.d_hidden) if c0 is None else np.asarray(c0, dtype=np.float64)
-    if h.shape != (params.d_hidden,) or c.shape != (params.d_hidden,):
-        raise ShapeMismatch("h0/c0 must have shape (d_hidden,)")
-    if not (np.all(np.isfinite(h)) and np.all(np.isfinite(c))):
-        raise ShapeMismatch("h0/c0 contain non-finite values")
-    _, hidden, cell = _recurrence(
-        X[None], params.U[None], params.W[None], params.b[None], h[None], c[None]
-    )
+    zero = np.zeros((1, params.d_hidden))
+    stacks = (block[None] for block in (params.U, params.W, params.b))
+    _, hidden, cell = _recurrence(X[None], *stacks, zero, zero)
     return hidden[0], cell[0]
 
 
@@ -373,8 +336,7 @@ def ce_loss(logits, next_token_ids: Sequence[int]) -> float:
         raise ShapeMismatch(f"expected {m - 1} target ids, got {len(ids)}")
     total = 0.0
     for i, token_id in enumerate(ids):
-        if (isinstance(token_id, bool) or not isinstance(token_id, (int, np.integer))
-                or not 1 <= token_id <= vocab):
+        if not (_is_int(token_id) and 1 <= token_id <= vocab):
             raise IdOutOfRange(f"id {token_id!r} outside 1..{vocab}")
         row = logits[i]
         shifted = row - row.max()
@@ -499,8 +461,8 @@ def random_instance(
     m = int(rng.integers(2, max(2, min(2 * max_len, 12)) + 1))
     logits = rng.standard_normal((m, vocab))
     next_ids = [int(rng.integers(1, vocab + 1)) for _ in range(m - 1)]
-    attn = AttentionParams.random(rng, d_model, scale=0.5)
-    lstm = LstmParams.random(rng, d_model, d_hidden, scale=0.5)
+    attn = AttentionParams.random(rng, d_model)
+    lstm = LstmParams.random(rng, d_model, d_hidden)
     return {
         "stanza_pairs": stanza_pairs,
         "logits": logits,
@@ -523,8 +485,8 @@ class GradientCheckReport:
     tolerance: float
 
 
-def _central_differences(theta: np.ndarray, loss_at, step: float) -> np.ndarray:
-    """(loss(theta + step e_k) - loss(theta - step e_k)) / 2 step for every k.
+def _central_differences(theta: np.ndarray, loss_at) -> np.ndarray:
+    """(loss(theta + s e_k) - loss(theta - s e_k)) / 2s for every k, s = ``_FD_STEP``.
 
     ``loss_at`` maps a (B, P) matrix of parameter vectors to their B losses.
     Each call takes one chunk of k parameters: rows 0..k-1 bump them up and
@@ -535,10 +497,10 @@ def _central_differences(theta: np.ndarray, loss_at, step: float) -> np.ndarray:
         k = min(_FD_CHUNK, theta.size - start)
         rows = np.arange(k)
         bumped = np.tile(theta, (2 * k, 1))
-        bumped[rows, start + rows] += step
-        bumped[k + rows, start + rows] -= step
+        bumped[rows, start + rows] += _FD_STEP
+        bumped[k + rows, start + rows] -= _FD_STEP
         loss = loss_at(bumped)
-        fd[start : start + k] = (loss[:k] - loss[k:]) / (2.0 * step)
+        fd[start : start + k] = (loss[:k] - loss[k:]) / (2.0 * _FD_STEP)
     return fd
 
 
@@ -549,25 +511,23 @@ def gradient_check(
     vocab: int = 7,
     max_len: int = 6,
     n_stanzas: int = 2,
-    step: float = 1e-5,
-    tolerance: float = 1e-4,
     mean_pair_loss: bool = False,
 ) -> GradientCheckReport:
     """Compare analytic gradients against central finite differences.
 
-    The per-component relative error is |a - f| / max(|a|, |f|, 1e-4); the
-    floor turns the comparison into an absolute check at 1e-8 where both
-    gradients vanish.  The dimensions, ``vocab``, ``max_len`` and ``n_stanzas`` must be
-    at least 1; ``step`` and ``tolerance`` must be finite and positive.
+    The differences use a step of 1e-5.  The per-component relative error is
+    |a - f| / max(|a|, |f|, 1e-4); the floor turns the comparison into an
+    absolute check at 1e-8 where both gradients vanish.  The check passes when
+    the largest relative error is at most 1e-4.  ``seed`` must be a
+    non-negative int, and the dimensions, ``vocab``, ``max_len`` and
+    ``n_stanzas`` ints of at least 1 (a ``bool`` is not an int); anything else
+    raises :class:`BadCheckSetting` before any work.
     """
-    sizes = (("d_model", d_model), ("d_hidden", d_hidden), ("vocab", vocab),
-             ("max_len", max_len), ("n_stanzas", n_stanzas))
-    for name, value in sizes:
-        if not value >= 1:
-            raise BadCheckSetting(f"{name} must be at least 1, got {value!r}")
-    for name, value in (("step", step), ("tolerance", tolerance)):
-        if not (math.isfinite(value) and value > 0):
-            raise BadCheckSetting(f"{name} must be a finite positive number, got {value!r}")
+    settings = (("seed", seed, 0), ("d_model", d_model, 1), ("d_hidden", d_hidden, 1),
+                ("vocab", vocab, 1), ("max_len", max_len, 1), ("n_stanzas", n_stanzas, 1))
+    for name, value, least in settings:
+        if not (_is_int(value) and value >= least):
+            raise BadCheckSetting(f"{name} must be an int of at least {least}, got {value!r}")
     inst = random_instance(seed, d_model, d_hidden, vocab, max_len, n_stanzas)
     breakdown = custom_loss(
         inst["stanza_pairs"], inst["logits"], inst["next_token_ids"],
@@ -583,7 +543,7 @@ def gradient_check(
         squares = (w * (diff[:, None] @ diff[..., None])[:, 0, 0] for w, _, _, diff in passes)
         return breakdown.ce + sum(squares, np.zeros(len(vecs)))
 
-    fd = _central_differences(theta, loss_at, step)
+    fd = _central_differences(theta, loss_at)
     analytic = breakdown.gradients
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-4)
     max_rel = float(np.max(np.abs(analytic - fd) / denom))
@@ -595,6 +555,6 @@ def gradient_check(
         max_relative_error=max_rel,
         ce=breakdown.ce,
         mse=breakdown.mse,
-        passed=max_rel <= tolerance,
-        tolerance=tolerance,
+        passed=max_rel <= _TOLERANCE,
+        tolerance=_TOLERANCE,
     )

@@ -179,7 +179,6 @@ def test_c6_loss_mechanism():
             vocab=5 + seed % 12,         # <= 16
             max_len=4 + seed % 9,        # <= 12
             n_stanzas=1 + seed % 3,
-            step=1e-5,
         )
         worst = max(worst, report.max_relative_error)
         assert report.passed, f"seed {seed}: {report.max_relative_error}"

@@ -134,11 +134,9 @@ class TestLstmForward:
         U_o = np.array([[0.3, -0.1], [0.2, 0.2]])
         U_c = np.array([[0.6, 0.2], [-0.3, 0.4]])
         params = LstmParams(
-            U_f=U_f, U_i=U_i, U_o=U_o, U_c=U_c,
-            W_f=np.ones((2, 2)), W_i=np.ones((2, 2)),
-            W_o=np.ones((2, 2)), W_c=np.ones((2, 2)),
-            b_f=np.array([0.1, -0.2]), b_i=np.array([0.0, 0.05]),
-            b_o=np.array([-0.1, 0.1]), b_c=np.array([0.05, -0.05]),
+            U=np.concatenate([U_f, U_i, U_o, U_c]),
+            W=np.ones((8, 2)),
+            b=np.array([0.1, -0.2, 0.0, 0.05, -0.1, 0.1, 0.05, -0.05]),
         )
         x = np.array([[1.0, -1.0]])
         hidden, cell = lstm_forward(x, params)
@@ -154,16 +152,20 @@ class TestLstmForward:
 
     def test_two_steps_hand_recursion(self):
         rng = np.random.default_rng(5)
-        params = LstmParams.random(rng, 2, 2, scale=0.4)
+        params = LstmParams.random(rng, 2, 2)
         x = rng.standard_normal((2, 2))
         hidden, cell = lstm_forward(x, params)
+        # per-gate blocks in gate order f, i, o, c
+        (U_f, U_i, U_o, U_c), (W_f, W_i, W_o, W_c), (b_f, b_i, b_o, b_c) = (
+            np.split(stack, 4) for stack in (params.U, params.W, params.b)
+        )
         h = np.zeros(2)
         c = np.zeros(2)
         for step in range(2):
-            f = 1 / (1 + np.exp(-(params.U_f @ x[step] + params.W_f @ h + params.b_f)))
-            i = 1 / (1 + np.exp(-(params.U_i @ x[step] + params.W_i @ h + params.b_i)))
-            o = 1 / (1 + np.exp(-(params.U_o @ x[step] + params.W_o @ h + params.b_o)))
-            g = np.tanh(params.U_c @ x[step] + params.W_c @ h + params.b_c)
+            f = 1 / (1 + np.exp(-(U_f @ x[step] + W_f @ h + b_f)))
+            i = 1 / (1 + np.exp(-(U_i @ x[step] + W_i @ h + b_i)))
+            o = 1 / (1 + np.exp(-(U_o @ x[step] + W_o @ h + b_o)))
+            g = np.tanh(U_c @ x[step] + W_c @ h + b_c)
             c = f * c + i * g
             h = o * np.tanh(c)
         assert np.allclose(hidden[-1], h, atol=1e-12)
@@ -178,36 +180,64 @@ class TestLstmForward:
             assert np.all(np.abs(hidden) < 1.0)
 
     def test_memory_carry_with_saturated_gates(self):
-        # f == 1 and i == 0 exactly (saturating biases): the cell never moves
-        params = LstmParams.zeros(3, 2)
-        params = LstmParams(
-            **{
-                **{f"U_{g}": getattr(params, f"U_{g}") for g in "fioc"},
-                **{f"W_{g}": getattr(params, f"W_{g}") for g in "fioc"},
-                "b_f": np.full(2, 40.0), "b_i": np.full(2, -40.0),
-                "b_o": np.zeros(2), "b_c": np.zeros(2),
-            }
-        )
-        c0 = np.array([0.3, -0.7])
+        # saturating pre-activations of +-40 make f == 1 at every step and i == 1 at
+        # the first step only, exactly: the first step writes the candidate into the
+        # zero cell, and every later step carries it unchanged
         x = np.random.default_rng(0).standard_normal((6, 3))
-        _, cell = lstm_forward(x, params, c0=c0)
-        assert np.all(cell == c0)
+        x[:, 0] = [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        U_f, U_i, U_o, U_c = np.zeros((4, 2, 3))
+        U_i[:, 0] = 80.0
+        U_c[:, 1:] = [[0.4, -0.3], [0.2, 0.5]]
+        b = np.concatenate([np.full(2, 40.0), np.full(2, -40.0), np.zeros(4)])
+        params = LstmParams(np.concatenate([U_f, U_i, U_o, U_c]), np.zeros((8, 2)), b)
+        _, cell = lstm_forward(x, params)
+        assert np.allclose(cell[0], np.tanh(U_c @ x[0]), rtol=0, atol=1e-15)
+        assert np.all(cell[0] != 0.0)
+        assert np.all(cell == cell[0])
 
     def test_shape_mismatch(self):
         params = LstmParams.zeros(4, 3)
         with pytest.raises(ShapeMismatch):
             lstm_forward(np.zeros((2, 5)), params)
         with pytest.raises(ShapeMismatch):
-            lstm_forward(np.zeros((2, 4)), params, h0=np.zeros(2))
-        with pytest.raises(ShapeMismatch):
             lstm_forward(np.zeros((0, 4)), params)
 
-    @pytest.mark.parametrize("state", ["h0", "c0"])
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_initial_state_rejected(self, state, bad):
-        params = LstmParams.random(np.random.default_rng(0), 4, 2)
+
+class TestParameterBlocks:
+    @pytest.mark.parametrize("cls, blocks", [
+        pytest.param(AttentionParams, ([[1.0]], [[1.0]], [[1.0]]), id="attention-lists"),
+        pytest.param(LstmParams, ([[1.0]] * 4, [[1.0]] * 4, [1.0] * 4), id="lstm-lists"),
+        pytest.param(AttentionParams, (np.ones(2),) * 3, id="attention-1d"),
+        pytest.param(AttentionParams, (np.array(1.0),) * 3, id="attention-0d"),
+        pytest.param(AttentionParams, (np.ones((2, 2, 2)),) * 3, id="attention-3d"),
+        pytest.param(LstmParams, (np.ones(8), np.ones((8, 2)), np.ones(8)), id="lstm-U-1d"),
+        pytest.param(LstmParams, (np.array(1.0), np.ones((8, 2)), np.ones(8)), id="lstm-U-0d"),
+        pytest.param(LstmParams, (np.ones((8, 3)), np.ones((8, 2, 1)), np.ones(8)),
+                     id="lstm-W-3d"),
+        pytest.param(LstmParams, (np.ones((8, 3)), np.ones((8, 2)), np.ones((8, 1))),
+                     id="lstm-b-2d"),
+        pytest.param(AttentionParams, (np.ones((2, 3)),) * 3, id="attention-not-square"),
+        pytest.param(AttentionParams, (np.eye(2), np.eye(3), np.eye(2)),
+                     id="attention-sizes-disagree"),
+        pytest.param(LstmParams, (np.ones((8, 3)), np.ones((12, 3)), np.ones(12)),
+                     id="lstm-U-rows-disagree"),
+        pytest.param(LstmParams, (np.ones((8, 3)), np.ones((8, 2)), np.ones(12)),
+                     id="lstm-b-disagrees"),
+        pytest.param(LstmParams, (np.ones((8, 3)), np.ones((8, 3)), np.ones(8)),
+                     id="lstm-W-not-4h-by-h"),
+        pytest.param(LstmParams, (np.ones((6, 3)), np.ones((6, 1)), np.ones(6)),
+                     id="lstm-rows-not-multiple-of-4"),
+    ])
+    def test_bad_blocks_raise_shape_mismatch(self, cls, blocks):
         with pytest.raises(ShapeMismatch):
-            lstm_forward(np.zeros((3, 4)), params, **{state: np.array([bad, 0.0])})
+            cls(*blocks)
+
+    def test_good_blocks_are_kept_as_given(self):
+        attn = AttentionParams(*(np.eye(3) for _ in range(3)))
+        U, W, b = np.ones((8, 3)), np.ones((8, 2)), np.ones(8)
+        lstm = LstmParams(U, W, b)
+        assert attn.d_model == 3 and (lstm.d_in, lstm.d_hidden) == (3, 2)
+        assert lstm.U is U and lstm.W is W and lstm.b is b
 
 
 class TestContextualVector:
@@ -316,12 +346,10 @@ class TestCustomLoss:
         # componentwise squared distance is exactly 2
         d = 2
         attn = AttentionParams(W_q=np.zeros((d, d)), W_k=np.zeros((d, d)), W_v=np.eye(d))
-        zeros = LstmParams.zeros(d, d)
         lstm = LstmParams(
-            U_f=zeros.U_f, U_i=zeros.U_i, U_o=zeros.U_o, U_c=40.0 * np.eye(d),
-            W_f=zeros.W_f, W_i=zeros.W_i, W_o=zeros.W_o, W_c=zeros.W_c,
-            b_f=np.full(d, 40.0), b_i=np.full(d, 40.0),
-            b_o=np.full(d, 40.0), b_c=np.zeros(d),
+            U=np.concatenate([np.zeros((3 * d, d)), 40.0 * np.eye(d)]),
+            W=np.zeros((4 * d, d)),
+            b=np.concatenate([np.full(3 * d, 40.0), np.zeros(d)]),
         )
         pair_prev = np.zeros((25, d))
         pair_next = np.ones((25, d))
@@ -404,20 +432,21 @@ class TestGradientCheck:
 
     @pytest.mark.parametrize("seed, d, h", [(0, 4, 3), (3, 2, 5), (8, 8, 8)])
     def test_packed_layout_and_random_stream(self, seed, d, h):
-        # the stacked blocks pack as the per-gate arrays in gate order f, i, o, c,
-        # and one stacked draw equals the per-gate draws the 12-array layout made
+        # the stacks pack as the per-gate arrays in gate order f, i, o, c, and one
+        # stacked draw equals the per-gate draws the 12-array layout made
         lstm = LstmParams.random(np.random.default_rng(seed), d, h)
         rng = np.random.default_rng(seed)
         drawn = ([0.5 * rng.standard_normal((h, d)) for _ in range(4)]
                  + [0.5 * rng.standard_normal((h, h)) for _ in range(4)]
                  + [0.5 * rng.standard_normal(h) for _ in range(4)])
+        gates = [block for stack in (lstm.U, lstm.W, lstm.b) for block in np.split(stack, 4)]
         names = [f"{kind}_{gate}" for kind in "UWb" for gate in "fioc"]
-        for name, expected in zip(names, drawn):
-            assert np.array_equal(getattr(lstm, name), expected), name
+        for name, block, expected in zip(names, gates, drawn):
+            assert np.array_equal(block, expected), name
         attn = AttentionParams.random(rng, d)
         expected = np.concatenate(
             [attn.W_q.ravel(), attn.W_k.ravel(), attn.W_v.ravel()]
-            + [getattr(lstm, name).ravel() for name in names]
+            + [gate.ravel() for gate in drawn]
         )
         assert np.array_equal(pack_parameters(attn, lstm), expected)
 
@@ -428,7 +457,7 @@ class TestGradientCheck:
         vec = pack_parameters(attn, lstm)
         attn2, lstm2 = unpack_parameters(vec, 5, 3)
         assert np.array_equal(attn.W_q, attn2.W_q)
-        assert np.array_equal(lstm.W_c, lstm2.W_c)
+        assert np.array_equal(np.split(lstm.W, 4)[3], np.split(lstm2.W, 4)[3])
         assert np.array_equal(vec, pack_parameters(attn2, lstm2))
 
     @pytest.mark.parametrize("delta", [-1, 1])
@@ -546,31 +575,26 @@ class TestBatchedLossHead:
         assert report.n_parameters == 2880 and report.passed
         assert peak < 5 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
-    @pytest.mark.parametrize("setting", [
-        {"step": 0.0}, {"step": -1e-5}, {"step": float("nan")}, {"step": float("inf")},
-        {"tolerance": 0.0}, {"tolerance": -1e-4}, {"tolerance": float("nan")},
-        {"tolerance": float("inf")},
+    @pytest.mark.parametrize("value, name", [
+        *((value, name) for value in (0, -1, 2.5, True)
+          for name in ("d_model", "d_hidden", "vocab", "max_len", "n_stanzas")),
+        (-1, "seed"), (2.5, "seed"), (True, "seed"),
     ])
-    def test_bad_step_or_tolerance_rejected_before_any_work(self, setting, monkeypatch):
-        def no_work(*args, **kwargs):
-            raise AssertionError("gradient_check built an instance")
-
-        monkeypatch.setattr(semloss, "random_instance", no_work)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(BadCheckSetting):
-                gradient_check(**setting)
-
-    @pytest.mark.parametrize("name", ["d_model", "d_hidden", "vocab", "max_len", "n_stanzas"])
-    @pytest.mark.parametrize("value", [0, -1])
     def test_size_below_one_rejected_before_any_work(self, name, value, monkeypatch):
         # d_model=0 and d_hidden=0 used to pass on an empty head, with divide-by-zero
-        # warnings; d_model=-1 escaped as a numpy ValueError
+        # warnings; d_model=-1 and seed=-1 escaped as a numpy ValueError, 2.5 and
+        # True as a TypeError.  A bool is not an int here.
         def no_work(*args, **kwargs):
             raise AssertionError("gradient_check built an instance")
 
         monkeypatch.setattr(semloss, "random_instance", no_work)
+        least = 0 if name == "seed" else 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(BadCheckSetting, match=f"{name} must be at least 1"):
+            with pytest.raises(BadCheckSetting,
+                               match=f"^{name} must be an int of at least {least}, got "):
                 gradient_check(**{name: value})
+
+    def test_numpy_integers_are_accepted(self):
+        report = gradient_check(seed=np.int64(2), d_model=np.int32(3))
+        assert report.passed and report.seed == 2 and report.d_model == 3
