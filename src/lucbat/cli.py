@@ -36,6 +36,7 @@ from .creativity import creativity_score
 from .rules import RuleTable, default_rule_table, load_rule_table
 from .scoring import (
     HISTOGRAM_HI,
+    MAX_BINS,
     EmptyInput,
     annotate_stanza,
     histogram,
@@ -49,8 +50,6 @@ INTERNAL_ERROR = 2
 # Weights near the float limit overflow the score to -inf, which JSON cannot carry;
 # 1e6 is far beyond any useful weight.
 MAX_WEIGHT = 1e6
-# report bins the score range [0, 100]; a tiny --bins width would allocate billions of bins.
-MAX_BINS = 1000
 # losscheck flag: (argparse dest, least, most).  The check runs one batched forward pass
 # per chunk of semloss._FD_CHUNK parameters over stanzas * 2 pairs of up to len steps, and
 # P grows with dmodel * dhidden; at the caps (P=2880) it takes about 3 s on 2 vCPUs.

@@ -203,15 +203,8 @@ def load_rule_table(path: str) -> RuleTable:
     return parse_rule_table(text, version=str(path))
 
 
-_DEFAULT_TABLE: Optional[RuleTable] = None
-
-
+@functools.cache
 def default_rule_table() -> RuleTable:
-    """The table shipped with the package (see ``data/near_rhymes.txt``)."""
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        text = (
-            resources.files("lucbat").joinpath("data/near_rhymes.txt").read_text("utf-8")
-        )
-        _DEFAULT_TABLE = parse_rule_table(text, version="builtin")
-    return _DEFAULT_TABLE
+    """The table shipped with the package (see ``data/near_rhymes.txt``), parsed once."""
+    text = resources.files("lucbat").joinpath("data/near_rhymes.txt").read_text("utf-8")
+    return parse_rule_table(text, version="builtin")

@@ -16,7 +16,7 @@ penalizable.
 The template depends on n alone, so scoring walks the one compiled by
 :func:`lucbat.rules.template` for the stanza's n.  A :class:`ScoreReport`
 keeps one rhyme verdict per rhyme pair and one tone class per tone slot of
-that template; the per-position diagnostics are read off it on demand.
+that template, in the template's order.
 :func:`report_record` writes a report as its JSONL line from fragments
 compiled once per n, filling in only the parts that vary.  The line is
 byte-identical to ``json.dumps(record, ensure_ascii=False, sort_keys=True,
@@ -31,7 +31,6 @@ import json
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring
-from typing import NamedTuple
 
 from .rules import Position, RuleTable, rhymes_with, template
 from .syllable import (
@@ -47,8 +46,6 @@ from .syllable import (
 __all__ = [
     "Stanza",
     "ScoreReport",
-    "RhymeDiagnostic",
-    "ToneDiagnostic",
     "Histogram",
     "OddLineCount",
     "WrongSyllableCount",
@@ -57,6 +54,7 @@ __all__ = [
     "segment_stanza",
     "score_stanza",
     "score_poem",
+    "split_quatrains",
     "histogram",
     "report_record",
     "annotate_stanza",
@@ -64,6 +62,8 @@ __all__ = [
 
 # histogram() bins scores over [0, HISTOGRAM_HI]; a flawless stanza scores 100
 HISTOGRAM_HI = 100.0
+# histogram() refuses more bins than this; a tiny width would allocate billions of them
+MAX_BINS = 1000
 
 
 class OddLineCount(LucBatError):
@@ -102,19 +102,6 @@ class Stanza:
         return self.lines[line - 1][word - 1]
 
 
-class RhymeDiagnostic(NamedTuple):
-    position: Position
-    anchor: Position
-    ok: bool
-
-
-class ToneDiagnostic(NamedTuple):
-    position: Position
-    expected: ToneClass
-    actual: ToneClass
-    ok: bool
-
-
 @dataclass(frozen=True)
 class ScoreReport:
     """Score of one stanza.
@@ -130,22 +117,6 @@ class ScoreReport:
     rhyme_ok: tuple[bool, ...]
     actual_tones: tuple[ToneClass, ...]
     stanza: Stanza
-
-    @property
-    def rhyme_diagnostics(self) -> tuple[RhymeDiagnostic, ...]:
-        pairs = template(self.n_pairs).rhyme_pairs
-        return tuple(
-            RhymeDiagnostic(member, anchor, ok)
-            for (member, anchor), ok in zip(pairs, self.rhyme_ok)
-        )
-
-    @property
-    def tone_diagnostics(self) -> tuple[ToneDiagnostic, ...]:
-        slots = template(self.n_pairs).tone_slots
-        return tuple(
-            ToneDiagnostic(position, expected, actual, actual is expected)
-            for (position, expected), actual in zip(slots, self.actual_tones)
-        )
 
 
 def segment_stanza(raw_poem: str) -> Stanza:
@@ -259,12 +230,14 @@ class Histogram:
 def histogram(scores: list[float], bin_width: float = 10.0) -> Histogram:
     """Bin scores over the fixed range [0, 100] into right-exclusive bins; the last includes 100.
 
-    Scores outside [0, 100] are tallied separately in ``below``/``above``.
+    Scores outside [0, 100] are tallied separately in ``below``/``above``.  A
+    ``bin_width`` that is not finite and positive, or that gives more than
+    ``MAX_BINS`` bins, raises ``ValueError``.
     """
     if not scores:
         raise EmptyInput("no scores to bin")
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
+    if not 0 < bin_width < math.inf or HISTOGRAM_HI / bin_width > MAX_BINS:
+        raise ValueError(f"bin_width must be finite, positive and give at most {MAX_BINS} bins")
     n_bins = math.ceil(HISTOGRAM_HI / bin_width)
     counts = [0] * n_bins
     below = above = 0
@@ -348,8 +321,12 @@ def annotate_stanza(report: ScoreReport) -> str:
     Words failing a rhyme check get ``[R]``, a tone check ``[T]``; a final
     summary line carries the counts and the score.
     """
-    bad_rhyme = {d.position for d in report.rhyme_diagnostics if not d.ok}
-    bad_tone = {d.position for d in report.tone_diagnostics if not d.ok}
+    compiled = template(report.n_pairs)
+    bad_rhyme = {member for (member, _), ok in zip(compiled.rhyme_pairs, report.rhyme_ok) if not ok}
+    bad_tone = {
+        position for (position, expected), actual in zip(compiled.tone_slots, report.actual_tones)
+        if actual is not expected
+    }
     out = []
     for line_index, line in enumerate(report.stanza.lines, start=1):
         words = []

@@ -448,7 +448,17 @@ def random_instance(
     max_len: int = 6,
     n_stanzas: int = 2,
 ) -> dict:
-    """Synthetic block for checking: embeddings, logits, targets, parameters."""
+    """Synthetic block for checking: embeddings, logits, targets, parameters.
+
+    ``seed`` must be a non-negative int, and the dimensions, ``vocab``,
+    ``max_len`` and ``n_stanzas`` ints of at least 1 (a ``bool`` is not an
+    int); anything else raises :class:`BadCheckSetting` before any work.
+    """
+    settings = (("seed", seed, 0), ("d_model", d_model, 1), ("d_hidden", d_hidden, 1),
+                ("vocab", vocab, 1), ("max_len", max_len, 1), ("n_stanzas", n_stanzas, 1))
+    for name, value, least in settings:
+        if not (_is_int(value) and value >= least):
+            raise BadCheckSetting(f"{name} must be an int of at least {least}, got {value!r}")
     rng = np.random.default_rng(seed)
     shortest = min(2, max_len)
     stanza_pairs = []
@@ -518,16 +528,10 @@ def gradient_check(
     The differences use a step of 1e-5.  The per-component relative error is
     |a - f| / max(|a|, |f|, 1e-4); the floor turns the comparison into an
     absolute check at 1e-8 where both gradients vanish.  The check passes when
-    the largest relative error is at most 1e-4.  ``seed`` must be a
-    non-negative int, and the dimensions, ``vocab``, ``max_len`` and
-    ``n_stanzas`` ints of at least 1 (a ``bool`` is not an int); anything else
-    raises :class:`BadCheckSetting` before any work.
+    the largest relative error is at most 1e-4.  The settings go to
+    :func:`random_instance`, whose checks raise :class:`BadCheckSetting` before
+    any work.
     """
-    settings = (("seed", seed, 0), ("d_model", d_model, 1), ("d_hidden", d_hidden, 1),
-                ("vocab", vocab, 1), ("max_len", max_len, 1), ("n_stanzas", n_stanzas, 1))
-    for name, value, least in settings:
-        if not (_is_int(value) and value >= least):
-            raise BadCheckSetting(f"{name} must be an int of at least {least}, got {value!r}")
     inst = random_instance(seed, d_model, d_hidden, vocab, max_len, n_stanzas)
     breakdown = custom_loss(
         inst["stanza_pairs"], inst["logits"], inst["next_token_ids"],

@@ -23,6 +23,7 @@ import unicodedata
 from dataclasses import dataclass, field
 
 __all__ = [
+    "LucBatError",
     "Tone",
     "ToneClass",
     "Syllable",

@@ -422,6 +422,13 @@ class TestArgumentErrors:
     def test_semloss_names_match_the_lazy_table(self):
         assert set(lucbat._SEMLOSS_NAMES) == set(lucbat.semloss.__all__)
 
+    def test_package_exports_are_declared_by_their_modules(self):
+        undeclared = [
+            name for name in lucbat.__all__ if name != "__version__"
+            if name not in sys.modules[getattr(lucbat, name).__module__].__all__
+        ]
+        assert undeclared == []
+
 
 _VOWELS = "aăâeêioôơuưy"
 _TONE_MARKS = "\u0300\u0301\u0303\u0309\u0323"

@@ -7,6 +7,7 @@ from lucbat import (
     RuleTableError,
     ToneClass,
     build_rhyme_chains,
+    default_rule_table,
     parse_rule_table,
     parse_syllable,
     rhymes_with,
@@ -139,6 +140,9 @@ class TestRuleTableLoading:
         for group in table.groups:
             assert not (group & seen)
             seen |= group
+
+    def test_default_table_is_one_object(self):
+        assert default_rule_table() is default_rule_table()
 
     def test_parse_simple(self):
         t = parse_rule_table("# version: 9\nau âu\nai ay ây\n")

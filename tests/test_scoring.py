@@ -1,5 +1,7 @@
 import json
+import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from lucbat import (
     split_quatrains,
     template,
 )
+from lucbat.scoring import MAX_BINS
 from lucbat.syllable import mark_rime
 from helpers import (
     QUATRAIN_RHYME_MEMBERS,
@@ -110,10 +113,14 @@ class TestScoreStanza:
     def test_diagnostics_completeness(self, kieu, table):
         report = score_stanza(segment_stanza(kieu), table)
         n = report.n_pairs
-        assert len(report.rhyme_diagnostics) == (3 * n - 1) - n
-        assert len(report.tone_diagnostics) == 7 * n
-        assert all(d.ok for d in report.rhyme_diagnostics)
-        assert all(d.ok for d in report.tone_diagnostics)
+        compiled = template(n)
+        assert len(report.rhyme_ok) == len(compiled.rhyme_pairs) == (3 * n - 1) - n
+        assert len(report.actual_tones) == len(compiled.tone_slots) == 7 * n
+        assert all(report.rhyme_ok)
+        assert all(
+            actual is expected
+            for (_, expected), actual in zip(compiled.tone_slots, report.actual_tones)
+        )
 
     def test_tone_flip_patterns_match_formula(self, kieu, table):
         # all 2^7 violation patterns over the first pair's tone positions
@@ -242,8 +249,11 @@ class TestHistogram:
         assert total_in_range(hist) + hist.below + hist.above == 500
 
     def test_bad_width(self):
-        with pytest.raises(ValueError):
-            histogram([1.0], bin_width=0)
+        # inf used to raise IndexError, 1e-300 OverflowError, and 0.0999 gave 1001 bins
+        for width in (0, -1.0, math.inf, -math.inf, math.nan, 1e-300, 0.0999):
+            with pytest.raises(ValueError):
+                histogram([1.0], bin_width=width)
+        assert len(histogram([1.0], bin_width=0.1).bins) == MAX_BINS == 1000
 
 
 class TestReporting:
@@ -257,12 +267,26 @@ class TestReporting:
         assert len(parsed["diagnostics"]["tone"]) == 14
         assert len(parsed["diagnostics"]["rhyme"]) == 3
 
-    def test_annotation_marks_violations(self, kieu, table):
-        text = perturb_quatrain(kieu, tone_flips=[(4, 4)], rhyme_breaks=[(2, 6)])
-        rendered = annotate_stanza(score_stanza(segment_stanza(text), table))
-        assert "[R]" in rendered
-        assert "[T]" in rendered
-        assert "score=" in rendered
+    @pytest.mark.parametrize("tone_flips, rhyme_breaks", [
+        *(pytest.param([p], [], id=f"tone-{p[0]}-{p[1]}") for p in QUATRAIN_TONE_POSITIONS),
+        *(pytest.param([], [p], id=f"rhyme-{p[0]}-{p[1]}") for p in QUATRAIN_RHYME_MEMBERS),
+        # (2, 6) breaks both checks, so it carries both marks
+        pytest.param([(1, 2), (2, 6), (4, 4)], [(2, 6), (4, 6)], id="mixed"),
+    ])
+    def test_annotation_marks_violations(self, kieu, table, tone_flips, rhyme_breaks):
+        text = perturb_quatrain(kieu, tone_flips=tone_flips, rhyme_breaks=rhyme_breaks)
+        rendered = annotate_stanza(score_stanza(segment_stanza(text), table)).splitlines()
+        rhyme_marked, tone_marked = set(), set()
+        for line, verse in enumerate(rendered[:-1], start=1):
+            for word, token in enumerate(verse.split(" "), start=1):
+                rhyme_mark, tone_mark = re.fullmatch(r"\w+(\[R\])?(\[T\])?", token).groups()
+                if rhyme_mark:
+                    rhyme_marked.add((line, word))
+                if tone_mark:
+                    tone_marked.add((line, word))
+        assert rhyme_marked == set(rhyme_breaks)
+        assert tone_marked == set(tone_flips)
+        assert rendered[-1].startswith(f"n=2 R={len(rhyme_breaks)} T={len(tone_flips)} score=")
 
     def test_annotation_clean_for_perfect_stanza(self, kieu, table):
         rendered = annotate_stanza(score_stanza(segment_stanza(kieu), table))
@@ -271,6 +295,7 @@ class TestReporting:
 
 def record_dict(poem_id, stanza_index, report):
     """The scoring record as the nested dict that json.dumps used to serialize."""
+    compiled = template(report.n_pairs)
     return {
         "poem_id": poem_id,
         "stanza_index": stanza_index,
@@ -280,17 +305,17 @@ def record_dict(poem_id, stanza_index, report):
         "score": report.score,
         "diagnostics": {
             "rhyme": [
-                {"position": list(d.position), "anchor": list(d.anchor), "ok": d.ok}
-                for d in report.rhyme_diagnostics
+                {"position": list(position), "anchor": list(anchor), "ok": ok}
+                for (position, anchor), ok in zip(compiled.rhyme_pairs, report.rhyme_ok)
             ],
             "tone": [
                 {
-                    "position": list(d.position),
-                    "expected": d.expected.value,
-                    "actual": d.actual.value,
-                    "ok": d.ok,
+                    "position": list(position),
+                    "expected": expected.value,
+                    "actual": actual.value,
+                    "ok": actual is expected,
                 }
-                for d in report.tone_diagnostics
+                for (position, expected), actual in zip(compiled.tone_slots, report.actual_tones)
             ],
         },
     }

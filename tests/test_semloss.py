@@ -583,17 +583,19 @@ class TestBatchedLossHead:
     def test_size_below_one_rejected_before_any_work(self, name, value, monkeypatch):
         # d_model=0 and d_hidden=0 used to pass on an empty head, with divide-by-zero
         # warnings; d_model=-1 and seed=-1 escaped as a numpy ValueError, 2.5 and
-        # True as a TypeError.  A bool is not an int here.
+        # True as a TypeError.  A bool is not an int here.  random_instance, which
+        # gradient_check calls first, owns the check.
         def no_work(*args, **kwargs):
-            raise AssertionError("gradient_check built an instance")
+            raise AssertionError("a random stream was drawn")
 
-        monkeypatch.setattr(semloss, "random_instance", no_work)
+        monkeypatch.setattr(np.random, "default_rng", no_work)
         least = 0 if name == "seed" else 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(BadCheckSetting,
-                               match=f"^{name} must be an int of at least {least}, got "):
-                gradient_check(**{name: value})
+        for check in (gradient_check, random_instance):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(BadCheckSetting,
+                                   match=f"^{name} must be an int of at least {least}, got "):
+                    check(**{"seed": 0, name: value})
 
     def test_numpy_integers_are_accepted(self):
         report = gradient_check(seed=np.int64(2), d_model=np.int32(3))
