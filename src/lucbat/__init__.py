@@ -5,6 +5,8 @@ template with a near-rhyme registry, stanza scoring and corpus filtering,
 a verse-overlap creativity metric, and a gradient-checked semantic loss
 head (self-attention + LSTM contextual vectors).
 
+Each module's ``__all__`` is its public surface; the package re-exports
+them all, and names outside them stay importable from their modules only.
 The semantic-loss names (``gradient_check``, ``LstmParams`` and the rest of
 ``lucbat.semloss``) load lazily, on first access, so that importing the
 package for text work does not import numpy.
@@ -14,66 +16,12 @@ __version__ = "0.1.0"
 
 import importlib
 
-from .syllable import (
-    InvalidEncoding,
-    LucBatError,
-    MultipleToneMarks,
-    NotASyllable,
-    Syllable,
-    Tone,
-    ToneClass,
-    normalize_verse,
-    parse_syllable,
-)
-from .rules import (
-    InvalidPairCount,
-    RhymeChain,
-    RuleTable,
-    RuleTableError,
-    Template,
-    build_rhyme_chains,
-    default_rule_table,
-    load_rule_table,
-    parse_rule_table,
-    rhymes_with,
-    template,
-)
-from .scoring import (
-    EmptyInput,
-    Histogram,
-    OddLineCount,
-    ScoreReport,
-    Stanza,
-    UnparseableToken,
-    WrongSyllableCount,
-    annotate_stanza,
-    histogram,
-    report_record,
-    score_poem,
-    score_stanza,
-    segment_stanza,
-    split_quatrains,
-)
-from .corpus import (
-    Corpus,
-    FilterStats,
-    Poem,
-    VerseIndex,
-    build_verse_index,
-    corpus_from_text,
-    filter_by_score,
-    ingest,
-    split_and_shuffle,
-    split_into_quatrains,
-    write_corpus,
-)
-from .creativity import (
-    CreativityReport,
-    EmptyGeneratedSet,
-    EmptyPoem,
-    PoemNovelty,
-    creativity_score,
-)
+from . import corpus, creativity, rules, scoring, syllable
+from .syllable import *
+from .rules import *
+from .scoring import *
+from .corpus import *
+from .creativity import *
 
 _SEMLOSS_NAMES = (
     "AttentionParams", "BadCheckSetting", "DegenerateSequence",
@@ -94,25 +42,10 @@ def __getattr__(name):
 
 __all__ = [
     "__version__",
-    # syllable
-    "InvalidEncoding", "LucBatError", "MultipleToneMarks", "NotASyllable",
-    "Syllable", "Tone", "ToneClass", "normalize_verse", "parse_syllable",
-    # rules
-    "InvalidPairCount", "RhymeChain", "RuleTable", "RuleTableError", "Template",
-    "build_rhyme_chains", "default_rule_table", "load_rule_table", "parse_rule_table",
-    "rhymes_with", "template",
-    # scoring
-    "EmptyInput", "Histogram", "OddLineCount", "ScoreReport", "Stanza",
-    "UnparseableToken", "WrongSyllableCount", "annotate_stanza", "histogram",
-    "report_record", "score_poem", "score_stanza", "segment_stanza",
-    "split_quatrains",
-    # corpus
-    "Corpus", "FilterStats", "Poem", "VerseIndex",
-    "build_verse_index", "corpus_from_text", "filter_by_score", "ingest",
-    "split_and_shuffle", "split_into_quatrains", "write_corpus",
-    # creativity
-    "CreativityReport", "EmptyGeneratedSet", "EmptyPoem", "PoemNovelty",
-    "creativity_score",
-    # semloss (lazy)
-    *_SEMLOSS_NAMES,
+    *syllable.__all__,
+    *rules.__all__,
+    *scoring.__all__,
+    *corpus.__all__,
+    *creativity.__all__,
+    *_SEMLOSS_NAMES,  # lazy
 ]

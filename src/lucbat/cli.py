@@ -95,11 +95,13 @@ def _parse_weights(text: str) -> tuple[float, float]:
 
 def _parse_bin_width(text: str) -> float:
     width = _finite(text)
-    if width <= 0 or 100.0 / width > MAX_BINS:
+    try:
+        histogram([0.0], bin_width=width)  # histogram owns the bin-count rule
+    except ValueError:
         raise argparse.ArgumentTypeError(
             f"bin width must be positive and give at most {MAX_BINS} bins over [0, 100], "
             f"got {text!r}"
-        )
+        ) from None
     return width
 
 

@@ -96,19 +96,23 @@ def ingest(paths: Iterable[str]) -> Corpus:
 
     A directory stands for its ``*.txt`` files in sorted order; one with none
     raises :class:`EmptyInput`.  The ordinal keeps counting if the same path
-    is listed twice, so ids stay unique.  I/O errors propagate as OSError;
-    bad bytes raise :class:`InvalidEncoding`.
+    is listed twice, so ids stay unique.  A path that is not valid UTF-8
+    spells its bad bytes as ``\\xNN`` in the id, so every id can be written
+    as UTF-8.  I/O errors propagate as OSError; bad bytes in a file raise
+    :class:`InvalidEncoding`.
     """
     poems: list[Poem] = []
     next_ordinal: dict[str, int] = {}
     for path in _expand(paths):
         with open(path, "rb") as handle:
             text = decode_utf8(handle.read(), path)
-        start = next_ordinal.get(path, 0)
+        # Python decodes a non-UTF-8 file name with lone surrogates, which no UTF-8 output takes
+        name = os.fsencode(path).decode("utf-8", "backslashreplace")
+        start = next_ordinal.get(name, 0)
         blocks = _split_blocks(text)
         for offset, block in enumerate(blocks):
-            poems.append(Poem(id=f"{path}:{start + offset}", text=block))
-        next_ordinal[path] = start + len(blocks)
+            poems.append(Poem(id=f"{name}:{start + offset}", text=block))
+        next_ordinal[name] = start + len(blocks)
     return Corpus(poems=tuple(poems))
 
 

@@ -27,7 +27,6 @@ from typing import Iterable, Optional
 from .syllable import LucBatError, Syllable, ToneClass, decode_utf8, is_valid_rime, _nfc
 
 __all__ = [
-    "Position",
     "RhymeChain",
     "RuleTable",
     "RuleTableError",
@@ -39,8 +38,6 @@ __all__ = [
     "load_rule_table",
     "parse_rule_table",
     "default_rule_table",
-    "SIX_LINE_TONES",
-    "EIGHT_LINE_TONES",
 ]
 
 # (line_index, word_index), both 1-based.

@@ -30,13 +30,8 @@ __all__ = [
     "NotASyllable",
     "MultipleToneMarks",
     "InvalidEncoding",
-    "decode_utf8",
     "parse_syllable",
     "normalize_verse",
-    "is_valid_rime",
-    "mark_rime",
-    "ONSETS",
-    "VOWELS",
 ]
 
 

@@ -297,6 +297,32 @@ def test_invalid_utf8_on_stdin_exits_one():
         assert b"stdin: 'utf-8' codec can't decode byte 0xff" in result.stderr
 
 
+def test_file_name_that_is_not_utf8_gives_utf8_poem_ids(tmp_path):
+    flips = [(line, word) for line in (1, 2, 3, 4)
+             for word in ((2, 4, 6) if line % 2 else (2, 4, 6, 8))]
+    text = KIEU + "\n\n" + perturb_quatrain(KIEU, tone_flips=flips) + "\n"  # scores 100, 0
+    try:
+        (tmp_path / os.fsdecode(b"q\xff.txt")).write_text(text, encoding="utf-8")
+    except (OSError, UnicodeError):
+        pytest.skip("the file system refuses a file name that is not UTF-8")
+    path = os.fsdecode(b"q\xff.txt")
+    src = Path(lucbat.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": "utf-8:strict"}
+    ids = []
+    for argv in (["score", path, "--format", "jsonl"],
+                 ["creativity", "--generated", path, "--corpus", path, "--format", "jsonl"],
+                 ["filter", path, "--min-score", "50", "--out", "kept.txt",
+                  "--stats", "stats.json"]):
+        result = subprocess.run([sys.executable, "-m", "lucbat", *argv], cwd=tmp_path,
+                                capture_output=True, env=env)
+        assert result.returncode == 0, result.stderr
+        records = [json.loads(line.decode("utf-8")) for line in result.stdout.splitlines()]
+        ids += [record["poem_id"] for record in records if "poem_id" in record]
+    stats = json.loads((tmp_path / "stats.json").read_bytes().decode("utf-8"))
+    ids += [drop["poem_id"] for drop in stats["dropped"]]
+    assert ids == ["q\\xff.txt:0", "q\\xff.txt:1"] * 2 + ["q\\xff.txt:1"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [["score", "{d}"], ["filter", "{d}", "--min-score", "0", "--out", "{d}/kept.txt"],
@@ -428,6 +454,13 @@ class TestArgumentErrors:
             if name not in sys.modules[getattr(lucbat, name).__module__].__all__
         ]
         assert undeclared == []
+
+    def test_no_module_export_is_shadowed_by_another(self):
+        assert len(lucbat.__all__) == len(set(lucbat.__all__))
+        for module in (lucbat.syllable, lucbat.rules, lucbat.scoring, lucbat.corpus,
+                       lucbat.creativity):
+            for name in module.__all__:
+                assert getattr(lucbat, name) is getattr(module, name), (module.__name__, name)
 
 
 _VOWELS = "aăâeêioôơuưy"
