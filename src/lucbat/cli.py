@@ -41,7 +41,9 @@ from .scoring import (
     annotate_stanza,
     histogram,
     report_record,
-    score_poem,
+    score_stanza,
+    segment_stanza,
+    split_quatrains,
 )
 from .syllable import LucBatError, decode_utf8
 
@@ -178,7 +180,10 @@ def _cmd_score(args) -> int:
     failures = 0
     for poem in corpus.poems:
         try:
-            reports, _ = score_poem(poem.text, table, w_rhyme=w_rhyme, w_tone=w_tone)
+            reports = [
+                score_stanza(segment_stanza(quatrain), table, w_rhyme=w_rhyme, w_tone=w_tone)
+                for quatrain in split_quatrains(poem.text)
+            ]
         except LucBatError as error:
             failures += 1
             if args.format == "jsonl":

@@ -53,7 +53,6 @@ __all__ = [
     "EmptyInput",
     "segment_stanza",
     "score_stanza",
-    "score_poem",
     "split_quatrains",
     "histogram",
     "report_record",
@@ -195,29 +194,6 @@ def split_quatrains(raw_poem: str) -> list[str]:
             f"poem has {len(lines)} lines; quatrain split needs a multiple of 4"
         )
     return ["\n".join(lines[i : i + 4]) for i in range(0, len(lines), 4)]
-
-
-def score_poem(
-    raw_poem: str,
-    table: RuleTable,
-    w_rhyme: float = 1.0,
-    w_tone: float = 1.0,
-) -> tuple[list[ScoreReport], float]:
-    """Score every quatrain of a poem; returns (reports, mean score).
-
-    Segmentation errors are re-raised with a ``stanza_index`` attribute
-    (1-based) naming the offending quatrain.
-    """
-    reports = []
-    for index, quatrain in enumerate(split_quatrains(raw_poem), start=1):
-        try:
-            stanza = segment_stanza(quatrain)
-        except LucBatError as exc:
-            exc.stanza_index = index
-            raise
-        reports.append(score_stanza(stanza, table, w_rhyme=w_rhyme, w_tone=w_tone))
-    mean_score = sum(r.score for r in reports) / len(reports)
-    return reports, mean_score
 
 
 @dataclass(frozen=True)

@@ -260,18 +260,19 @@ def self_attention(X, params: AttentionParams) -> np.ndarray:
     return _attention(X, params.W_q[None], params.W_k[None], params.W_v[None])[5][0]
 
 
-def _recurrence(Y: np.ndarray, U, W, b, h: np.ndarray, c: np.ndarray):
-    """The gate recursion of :func:`lstm_forward` for B parameter sets from (h, c).
+def _recurrence(Y: np.ndarray, U, W, b):
+    """The gate recursion of :func:`lstm_forward` for B parameter sets from the zero state.
 
-    ``Y`` is (B, T, d), ``U``, ``W``, ``b`` are (B, 4h, d), (B, 4h, h), (B, 4h)
-    and ``h``, ``c`` are (B, h).  The input projection Y U^T + b is computed
-    once, then one batched W h_prev per step.  Returns the activated gates
-    (B, T, 4h), sigmoid on the f, i, o rows and tanh on the candidate rows,
-    and the hidden and cell states (B, T, h).
+    ``Y`` is (B, T, d) and ``U``, ``W``, ``b`` are (B, 4h, d), (B, 4h, h), (B, 4h).
+    The input projection Y U^T + b is computed once, then one batched
+    W h_prev per step.  Returns the activated gates (B, T, 4h), sigmoid on
+    the f, i, o rows and tanh on the candidate rows, and the hidden and cell
+    states (B, T, h).
     """
     if Y.shape[-1] != U.shape[-1]:
         raise ShapeMismatch(f"input width {Y.shape[-1]} != d_in {U.shape[-1]}")
     n = W.shape[-1]
+    h = c = np.zeros((len(W), n))
     gates = Y @ U.swapaxes(1, 2) + b[:, None]
     hidden = np.empty(gates.shape[:2] + (n,))
     cell = np.empty_like(hidden)
@@ -295,9 +296,8 @@ def lstm_forward(X, params: LstmParams) -> tuple[np.ndarray, np.ndarray]:
     (T, d_hidden).
     """
     X = _as_matrix(X, "X")
-    zero = np.zeros((1, params.d_hidden))
     stacks = (block[None] for block in (params.U, params.W, params.b))
-    _, hidden, cell = _recurrence(X[None], *stacks, zero, zero)
+    _, hidden, cell = _recurrence(X[None], *stacks)
     return hidden[0], cell[0]
 
 
@@ -308,8 +308,7 @@ def _forward_pair(X, blocks: Sequence[np.ndarray], name: str = "X") -> tuple:
     the contextual vectors (B, h) and the values the backward pass needs.
     """
     attended = _attention(X, *blocks[:3], name)
-    zero = np.zeros((len(blocks[0]), blocks[4].shape[-1]))
-    states = _recurrence(attended[-1], *blocks[3:], zero, zero)
+    states = _recurrence(attended[-1], *blocks[3:])
     return states[1][:, -1], (attended, states)
 
 

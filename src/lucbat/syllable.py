@@ -238,8 +238,7 @@ def parse_syllable(token: str) -> Syllable:
     """
     if not token or any(ch.isspace() for ch in token):
         raise NotASyllable(token, "empty or contains whitespace")
-    lowered = _nfc(token.lower())
-    base, tone = _extract_tone(token, lowered)
+    base, tone = _extract_tone(token, token.lower())
     if not base:
         raise NotASyllable(token, "no letters")
     for ch in base:
@@ -253,9 +252,7 @@ def parse_syllable(token: str) -> Syllable:
     if split is None:
         raise NotASyllable(token, "no vowel nucleus after onset")
     onset, rime = split
-    nucleus, coda = _split_rime(rime)
-    if not nucleus:
-        raise NotASyllable(token, "no vowel nucleus")
+    _, coda = _split_rime(rime)
     if coda and coda not in _CODAS:
         raise NotASyllable(token, f"invalid coda {coda!r}")
     normalized = onset + mark_rime(rime, tone)

@@ -1,4 +1,5 @@
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -73,6 +74,31 @@ class TestScoreCommand:
         assert records[0]["score"] == 100.0
         assert "error" in records[1] and "score" not in records[1]
         assert records[2]["R"] == 1
+
+    def test_quatrains_of_one_poem_share_its_id(self, tmp_path, capsys):
+        broken = perturb_quatrain(KIEU, rhyme_breaks=[(2, 6)])
+        path = write(tmp_path, "poems.txt", f"{KIEU}\n{broken}\n")
+        assert main(["score", path, "--format", "jsonl"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["poem_id"] for r in records] == [f"{path}:0"] * 2
+        assert [r["stanza_index"] for r in records] == [1, 2]
+        assert [r["score"] for r in records] == [100.0, pytest.approx(80.0)]
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "text"])
+    def test_bad_later_quatrain_fails_the_whole_poem(self, tmp_path, capsys, fmt):
+        bad = KIEU.replace("dâu", "d4u")
+        path = write(tmp_path, "poems.txt", f"{KIEU}\n{bad}\n\n{KIEU}\n")
+        assert main(["score", path, "--format", fmt]) == 1
+        out = capsys.readouterr().out
+        if fmt == "jsonl":
+            records = [json.loads(line) for line in out.splitlines()]
+            assert [r["poem_id"] for r in records] == [f"{path}:0", f"{path}:1"]
+            assert "d4u" in records[0]["error"] and "score" not in records[0]
+            assert records[1]["score"] == 100.0
+        else:
+            assert out.count(": ERROR ") == 1 and f"# {path}:0: ERROR " in out
+            assert f"# {path}:0 stanza" not in out
+            assert f"# {path}:1 stanza 1\n" in out
 
     def test_rules_override(self, tmp_path, capsys):
         # an empty table removes the {au, âu} group: "dâu" stops rhyming
@@ -461,6 +487,17 @@ class TestArgumentErrors:
                        lucbat.creativity):
             for name in module.__all__:
                 assert getattr(lucbat, name) is getattr(module, name), (module.__name__, name)
+
+    def test_functions_the_benchmark_traces_exist(self, monkeypatch):
+        # perfbench --trace 1 wraps these by name; a deleted one would only fail there
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+        from perfbench.layers import TRACED
+
+        missing = [
+            f"{module}.{name}" for module, names in TRACED.items() for name in names
+            if not callable(getattr(importlib.import_module(f"lucbat.{module}"), name, None))
+        ]
+        assert missing == []
 
 
 _VOWELS = "aăâeêioôơuưy"

@@ -16,7 +16,6 @@ from lucbat import (
     annotate_stanza,
     histogram,
     report_record,
-    score_poem,
     score_stanza,
     segment_stanza,
     split_quatrains,
@@ -175,28 +174,11 @@ class TestScoreStanza:
         assert report.score < 0
 
 
-class TestScorePoem:
-    def test_two_perfect_quatrains(self, kieu, table):
-        reports, mean = score_poem(kieu + "\n" + kieu, table)
-        assert len(reports) == 2
-        assert mean == 100.0
-
-    def test_mean_of_mixed_quatrains(self, kieu, table):
-        broken = perturb_quatrain(kieu, rhyme_breaks=[(2, 6)])
-        reports, mean = score_poem(kieu + "\n" + broken, table)
-        assert [r.score for r in reports] == [100.0, pytest.approx(80.0)]
-        assert mean == pytest.approx(90.0)
-
-    def test_six_lines_rejected(self, kieu, table):
+class TestSplitQuatrains:
+    def test_six_lines_rejected(self, kieu):
         text = "\n".join(kieu.splitlines() + kieu.splitlines()[:2])
-        with pytest.raises(OddLineCount):
-            score_poem(text, table)
-
-    def test_error_annotated_with_stanza_index(self, kieu, table):
-        bad = kieu.replace("dâu", "d4u")
-        with pytest.raises(UnparseableToken) as err:
-            score_poem(kieu + "\n" + bad, table)
-        assert err.value.stanza_index == 2
+        with pytest.raises(OddLineCount, match="poem has 6 lines"):
+            split_quatrains(text)
 
     def test_split_quatrains(self, kieu):
         parts = split_quatrains(kieu + "\n\n" + kieu)
