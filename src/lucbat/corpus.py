@@ -8,10 +8,8 @@ dataset build can be reproduced byte for byte.
 from __future__ import annotations
 
 import os
-import random
 import unicodedata
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .rules import RuleTable
 from .scoring import EmptyInput, OddLineCount, score_stanza, segment_stanza, split_quatrains
@@ -32,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Poem:
+class Poem(NamedTuple):
     id: str
     text: str
 
@@ -41,9 +38,13 @@ class Poem:
         return [line.strip() for line in self.text.splitlines() if line.strip()]
 
 
-@dataclass(frozen=True)
 class Corpus:
-    poems: tuple[Poem, ...]
+    """Poems in order.  A plain class, not a named tuple, so ``len`` counts poems."""
+
+    __slots__ = ("poems",)
+
+    def __init__(self, poems: tuple[Poem, ...]):
+        self.poems = poems
 
     def __len__(self) -> int:
         return len(self.poems)
@@ -152,18 +153,19 @@ def split_and_shuffle(
     The same corpus and seed always produce the same output order; different
     seeds permute the same multiset of quatrains.
     """
+    import random  # only this function shuffles; the other commands skip the import
+
     quatrains, excluded = split_into_quatrains(corpus)
     shuffled = list(quatrains.poems)
     random.Random(seed).shuffle(shuffled)
     return Corpus(poems=tuple(shuffled)), excluded
 
 
-@dataclass(frozen=True)
-class FilterStats:
+class FilterStats(NamedTuple):
     kept_count: int
     dropped_count: int
     mean_score_kept: Optional[float]
-    dropped: tuple[tuple[str, str], ...] = field(default=())  # (id, reason)
+    dropped: tuple[tuple[str, str], ...] = ()  # (id, reason)
 
 
 def filter_by_score(

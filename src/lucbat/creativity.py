@@ -8,7 +8,7 @@ verse was copied, 0.0 means every verse was.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import Corpus, VerseIndex
 from .syllable import LucBatError
@@ -32,8 +32,7 @@ class EmptyPoem(LucBatError):
         self.poem_id = poem_id
 
 
-@dataclass(frozen=True)
-class PoemNovelty:
+class PoemNovelty(NamedTuple):
     poem_id: str
     copied_verses: int
     total_verses: int
@@ -43,8 +42,7 @@ class PoemNovelty:
         return self.copied_verses / self.total_verses
 
 
-@dataclass(frozen=True)
-class CreativityReport:
+class CreativityReport(NamedTuple):
     per_poem: tuple[PoemNovelty, ...]
     score: float  # mean over poems of (1 - copied_ratio), in [0, 1]
 

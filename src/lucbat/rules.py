@@ -20,9 +20,8 @@ chain can be checked against its anchor alone.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from importlib import resources
-from typing import Iterable, Optional
+import pkgutil
+from typing import Iterable, NamedTuple, Optional
 
 from .syllable import LucBatError, Syllable, ToneClass, decode_utf8, is_valid_rime, _nfc
 
@@ -66,8 +65,7 @@ EIGHT_LINE_TONES: dict[int, ToneClass] = {
 }
 
 
-@dataclass(frozen=True)
-class RhymeChain:
+class RhymeChain(NamedTuple):
     """Positions required to share a rhyme; the first one is the anchor."""
 
     positions: tuple[Position, ...]
@@ -97,8 +95,7 @@ def build_rhyme_chains(n_pairs: int) -> list[RhymeChain]:
     return chains
 
 
-@dataclass(frozen=True)
-class Template:
+class Template(NamedTuple):
     """The six-eight template of a stanza of ``n_pairs`` pairs, in checking order."""
 
     n_pairs: int
@@ -203,5 +200,6 @@ def load_rule_table(path: str) -> RuleTable:
 @functools.cache
 def default_rule_table() -> RuleTable:
     """The table shipped with the package (see ``data/near_rhymes.txt``), parsed once."""
-    text = resources.files("lucbat").joinpath("data/near_rhymes.txt").read_text("utf-8")
+    # pkgutil, not importlib.resources: on Python 3.12+ the latter imports inspect and tempfile
+    text = pkgutil.get_data("lucbat", "data/near_rhymes.txt").decode("utf-8")
     return parse_rule_table(text, version="builtin")

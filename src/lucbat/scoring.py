@@ -29,8 +29,8 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
 from json.encoder import encode_basestring
+from typing import NamedTuple
 
 from .rules import Position, RuleTable, rhymes_with, template
 from .syllable import (
@@ -89,8 +89,7 @@ class EmptyInput(LucBatError):
     """No data to aggregate."""
 
 
-@dataclass(frozen=True)
-class Stanza:
+class Stanza(NamedTuple):
     """Validated lines of parsed syllables, alternating six and eight."""
 
     lines: tuple[tuple[Syllable, ...], ...]
@@ -101,8 +100,7 @@ class Stanza:
         return self.lines[line - 1][word - 1]
 
 
-@dataclass(frozen=True)
-class ScoreReport:
+class ScoreReport(NamedTuple):
     """Score of one stanza.
 
     ``rhyme_ok`` and ``actual_tones`` line up with the ``rhyme_pairs`` and
@@ -196,8 +194,7 @@ def split_quatrains(raw_poem: str) -> list[str]:
     return ["\n".join(lines[i : i + 4]) for i in range(0, len(lines), 4)]
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(NamedTuple):
     bins: tuple[tuple[float, float, int], ...]  # (lo, hi, count)
     below: int
     above: int

@@ -20,7 +20,7 @@ import enum
 import functools
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = [
     "LucBatError",
@@ -130,13 +130,15 @@ _PUNCTUATION_RUN = re.compile("[" + re.escape("".join(sorted(_PUNCTUATION))) + "
 PARSE_CACHE_SIZE = 65536
 
 
-@dataclass(frozen=True)
-class Syllable:
+class Syllable(NamedTuple):
     """A parsed syllable.
 
     ``normalized`` is the canonical spelling: NFC-composed, lowercased, with
     the tone mark on the main vowel of the rime.  ``rime`` is stored with the
     tone stripped; rhyme comparison and tone checking are independent.
+    ``tone_class`` is a field that :func:`parse_syllable` fills from ``tone``,
+    so scoring reads a plain attribute per templated position rather than two
+    enum properties.
     """
 
     raw: str
@@ -144,12 +146,7 @@ class Syllable:
     onset: str
     rime: str
     tone: Tone
-    # Derived from ``tone`` once, when the memoized parse builds the syllable, so scoring
-    # reads a plain attribute per templated position rather than two enum properties.
-    tone_class: ToneClass = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "tone_class", self.tone.tone_class)
+    tone_class: ToneClass
 
 
 def _nfc(text: str) -> str:
@@ -234,7 +231,7 @@ def parse_syllable(token: str) -> Syllable:
 
     Results are memoized per token (at most ``PARSE_CACHE_SIZE`` of them) and
     shared between callers, which is safe because :class:`Syllable` is
-    frozen.  Failures are not cached: a bad token raises afresh on each call.
+    immutable.  Failures are not cached: a bad token raises afresh on each call.
     """
     if not token or any(ch.isspace() for ch in token):
         raise NotASyllable(token, "empty or contains whitespace")
@@ -256,7 +253,10 @@ def parse_syllable(token: str) -> Syllable:
     if coda and coda not in _CODAS:
         raise NotASyllable(token, f"invalid coda {coda!r}")
     normalized = onset + mark_rime(rime, tone)
-    return Syllable(raw=token, normalized=normalized, onset=onset, rime=rime, tone=tone)
+    return Syllable(
+        raw=token, normalized=normalized, onset=onset, rime=rime, tone=tone,
+        tone_class=tone.tone_class,
+    )
 
 
 def is_valid_rime(text: str) -> bool:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lucbat
-from lucbat.cli import main
+from lucbat.cli import LOSSCHECK_BOUNDS, main
 from lucbat.syllable import _PUNCTUATION
 from helpers import perturb_quatrain
 from conftest import KIEU
@@ -471,6 +471,28 @@ class TestArgumentErrors:
                              "gradient_check LstmParams lucbat.semloss", "True"]
         assert lines[-1].endswith(": PASS")
 
+    def test_text_commands_start_without_dataclasses_or_inspect(self, tmp_path):
+        # the text records are named tuples; dataclasses would also load inspect, ast and dis
+        poems = write(tmp_path, "poems.txt", KIEU + "\n")
+        src = Path(lucbat.__file__).resolve().parent.parent
+        probe = "\n".join([
+            "import sys",
+            "preloaded = set(sys.modules)",  # some hosts' site imports more than others
+            f"sys.path.insert(0, {str(src)!r})",
+            "import contextlib, io",
+            "import lucbat, lucbat.cli",
+            "with contextlib.redirect_stdout(io.StringIO()) as out:",
+            "    assert lucbat.cli.main(['--version']) == 0",
+            f"    assert lucbat.cli.main(['score', {poems!r}]) == 0",
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - preloaded)))",
+            "print(out.getvalue())",
+        ])
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, check=True)
+        lines = result.stdout.splitlines()
+        assert lines[:3] == ["[]", "lucbat 0.1.0", f"# {poems}:0 stanza 1"]
+        assert "score=100.000" in result.stdout
+
     def test_semloss_names_match_the_lazy_table(self):
         assert set(lucbat._SEMLOSS_NAMES) == set(lucbat.semloss.__all__)
 
@@ -498,6 +520,36 @@ class TestArgumentErrors:
             if not callable(getattr(importlib.import_module(f"lucbat.{module}"), name, None))
         ]
         assert missing == []
+
+
+# Field order of each public record.  A named tuple unpacks and compares in this order,
+# so a reordered field would change callers' results without an error.
+_RECORD_FIELDS = {
+    "Syllable": ("raw", "normalized", "onset", "rime", "tone", "tone_class"),
+    "RhymeChain": ("positions",),
+    "Template": ("n_pairs", "rhyme_pairs", "tone_slots", "rhyme_positions", "tone_positions"),
+    "Stanza": ("lines", "n_pairs"),
+    "ScoreReport": ("n_pairs", "wrong_rhyme", "wrong_tone", "score", "rhyme_ok",
+                    "actual_tones", "stanza"),
+    "Histogram": ("bins", "below", "above"),
+    "Poem": ("id", "text"),
+    "FilterStats": ("kept_count", "dropped_count", "mean_score_kept", "dropped"),
+    "PoemNovelty": ("poem_id", "copied_verses", "total_verses"),
+    "CreativityReport": ("per_poem", "score"),
+}
+
+
+@pytest.mark.parametrize("name, fields", _RECORD_FIELDS.items(), ids=_RECORD_FIELDS)
+def test_records_are_immutable_named_tuples(name, fields):
+    record_type = getattr(lucbat, name)
+    assert record_type._fields == fields
+    values = tuple(f"value of {field}" for field in fields)
+    record = record_type(**dict(zip(fields, values)))
+    assert record == values
+    assert tuple(getattr(record, field) for field in fields) == values
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
 
 
 _VOWELS = "aăâeêioôơuưy"
@@ -528,13 +580,28 @@ _FILE_TEXT = st.lists(
 ).map("\n".join)
 
 
+# numeric flag values: finite, huge, tiny, negative, non-finite and malformed
+_NUMBER = st.sampled_from(["1", "0.5", "50", "99.99", "100", "1e6", "1e308", "1e999", "1e-9",
+                           "5e-324", "0", "-0.0", "-1", "-1e308", "inf", "-inf", "nan", "",
+                           "abc", "1,", "0x10"])
+_WEIGHTS = st.one_of(st.tuples(_NUMBER, _NUMBER).map(",".join), _NUMBER)
+# losscheck flags: small values within the caps, or one past a cap
+_LOSSCHECK_ARGS = st.tuples(*(
+    st.sampled_from([least, least + 1] + ([] if most is None else [most + 1]))
+    .map(lambda value, flag=flag: f"--{flag}={value}")
+    for flag, (_, least, most) in LOSSCHECK_BOUNDS.items()
+))
+
+
 def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
-@given(poems=_FILE_TEXT, corpus=_FILE_TEXT)
-def test_no_input_makes_a_command_exit_two(poems, corpus):
+@given(poems=_FILE_TEXT, corpus=_FILE_TEXT, weights=_WEIGHTS, min_score=_NUMBER,
+       bins=_NUMBER, losscheck_args=_LOSSCHECK_ARGS)
+def test_no_input_makes_a_command_exit_two(poems, corpus, weights, min_score, bins,
+                                           losscheck_args):
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         (work / "poems.txt").write_text(poems, encoding="utf-8")
@@ -553,14 +620,16 @@ def test_no_input_makes_a_command_exit_two(poems, corpus):
 
         poem_file = work / "poems.txt"
         run("score", poem_file)
-        scores = run("score", poem_file, "--format", "jsonl")
+        scores = run("score", poem_file, "--format", "jsonl", f"--weights={weights}")
         json_lines(scores)
-        (work / "scores.jsonl").write_text(scores, encoding="utf-8")
-        stats = run("filter", poem_file, "--min-score", "50", "--out", work / "kept.txt")
+        # plain scores below, inside and above [0, 100] give report something to bin
+        (work / "scores.jsonl").write_text(scores + "-3.5\n95\n100\n1e308\n", encoding="utf-8")
+        stats = run("filter", poem_file, f"--min-score={min_score}", "--out", work / "kept.txt")
         if stats:
             json.loads(stats, parse_constant=_reject_constant)
         run("quatrains", poem_file, "--seed", "3", "--out", work / "q.txt")
         json_lines(run("creativity", "--generated", poem_file, "--corpus", work / "corpus.txt",
                        "--format", "jsonl"))
         run("report", poem_file)
-        json_lines(run("report", work / "scores.jsonl", "--format", "jsonl"))
+        json_lines(run("report", work / "scores.jsonl", "--format", "jsonl", f"--bins={bins}"))
+        run("losscheck", *losscheck_args)

@@ -5,6 +5,7 @@ import pytest
 
 from lucbat import (
     Corpus,
+    FilterStats,
     InvalidEncoding,
     Poem,
     build_verse_index,
@@ -24,6 +25,18 @@ def write(tmp_path, name, text):
     path.write_text(text, encoding="utf-8")
     return str(path)
 
+
+
+def test_corpus_length_and_iteration_count_poems():
+    poems = (Poem(id="a", text="x"), Poem(id="b", text="y"), Poem(id="c", text="z"))
+    corpus = Corpus(poems=poems)
+    assert corpus.poems is poems
+    assert len(corpus) == 3
+    assert tuple(corpus) == poems
+
+
+def test_filter_stats_default_to_no_dropped_entries():
+    assert FilterStats(1, 0, None).dropped == ()
 
 class TestIngest:
     def test_two_blocks(self, tmp_path):
