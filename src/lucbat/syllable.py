@@ -138,7 +138,9 @@ class Syllable(NamedTuple):
     tone stripped; rhyme comparison and tone checking are independent.
     ``tone_class`` is a field that :func:`parse_syllable` fills from ``tone``,
     so scoring reads a plain attribute per templated position rather than two
-    enum properties.
+    enum properties.  It must equal ``tone.tone_class``, which nothing
+    checks: build syllables with :func:`parse_syllable`, not by calling
+    ``Syllable`` directly.
     """
 
     raw: str

@@ -584,7 +584,10 @@ _FILE_TEXT = st.lists(
 _NUMBER = st.sampled_from(["1", "0.5", "50", "99.99", "100", "1e6", "1e308", "1e999", "1e-9",
                            "5e-324", "0", "-0.0", "-1", "-1e308", "inf", "-inf", "nan", "",
                            "abc", "1,", "0x10"])
-_WEIGHTS = st.one_of(st.tuples(_NUMBER, _NUMBER).map(",".join), _NUMBER)
+# one draw in three is a pair of accepted weights, so weighted records get scored too
+_WEIGHT = st.sampled_from(["1", "0.5", "2", "1e-9", "1e6"])
+_WEIGHTS = st.one_of(st.tuples(_WEIGHT, _WEIGHT).map(",".join),
+                     st.tuples(_NUMBER, _NUMBER).map(",".join), _NUMBER)
 # losscheck flags: small values within the caps, or one past a cap
 _LOSSCHECK_ARGS = st.tuples(*(
     st.sampled_from([least, least + 1] + ([] if most is None else [most + 1]))
@@ -620,16 +623,22 @@ def test_no_input_makes_a_command_exit_two(poems, corpus, weights, min_score, bi
 
         poem_file = work / "poems.txt"
         run("score", poem_file)
-        scores = run("score", poem_file, "--format", "jsonl", f"--weights={weights}")
+        scores = run("score", poem_file, "--format", "jsonl")
         json_lines(scores)
+        weighted = run("score", poem_file, "--format", "jsonl", f"--weights={weights}")
+        json_lines(weighted)
         # plain scores below, inside and above [0, 100] give report something to bin
-        (work / "scores.jsonl").write_text(scores + "-3.5\n95\n100\n1e308\n", encoding="utf-8")
-        stats = run("filter", poem_file, f"--min-score={min_score}", "--out", work / "kept.txt")
-        if stats:
-            json.loads(stats, parse_constant=_reject_constant)
+        (work / "scores.jsonl").write_text(scores + weighted + "-3.5\n95\n100\n1e308\n",
+                                           encoding="utf-8")
+        for threshold in ("50", min_score):
+            stats = run("filter", poem_file, f"--min-score={threshold}", "--out",
+                        work / "kept.txt")
+            if stats:
+                json.loads(stats, parse_constant=_reject_constant)
         run("quatrains", poem_file, "--seed", "3", "--out", work / "q.txt")
         json_lines(run("creativity", "--generated", poem_file, "--corpus", work / "corpus.txt",
                        "--format", "jsonl"))
         run("report", poem_file)
+        json_lines(run("report", work / "scores.jsonl", "--format", "jsonl"))
         json_lines(run("report", work / "scores.jsonl", "--format", "jsonl", f"--bins={bins}"))
         run("losscheck", *losscheck_args)

@@ -76,12 +76,12 @@ def test_tone_class_partition():
         assert tone.tone_class is expected
 
 
-
 def test_tone_class_field_is_filled_from_the_tone():
     tokens = ["ta", "tà", "tá", "tả", "tã", "tạ"]
     assert {parse_syllable(token).tone for token in tokens} == set(Tone)
     for token in tokens:
         assert parse_syllable(token).tone_class is parse_syllable(token).tone.tone_class
+
 
 @pytest.mark.parametrize("token", ["xyz123", "bcd", "123", "fở", "wa", "ngстранный"])
 def test_not_a_syllable(token):
