@@ -17,9 +17,11 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from json.encoder import encode_basestring
 from typing import Optional, Sequence
 
 from . import __version__
@@ -32,7 +34,7 @@ from .corpus import (
     split_into_quatrains,
     write_corpus,
 )
-from .creativity import creativity_score
+from .creativity import PoemNovelty, creativity_score
 from .rules import RuleTable, default_rule_table, load_rule_table
 from .scoring import (
     HISTOGRAM_HI,
@@ -221,20 +223,27 @@ def _cmd_filter(args) -> int:
     return 0
 
 
+def _novelty_record(novelty: PoemNovelty) -> str:
+    """``_emit``'s line for one poem's novelty, written from text.
+
+    The ratio is finite, since a poem has at least one verse, so
+    ``float.__repr__`` writes it as ``json.dumps`` would.
+    """
+    return (
+        f'{{"copied_ratio": {float.__repr__(novelty.copied_ratio)}, '
+        f'"copied_verses": {int.__repr__(novelty.copied_verses)}, '
+        f'"poem_id": {encode_basestring(novelty.poem_id)}, '
+        f'"total_verses": {int.__repr__(novelty.total_verses)}}}'
+    )
+
+
 def _cmd_creativity(args) -> int:
     generated = ingest([args.generated])
     index = build_verse_index(ingest([args.corpus]))
     report = creativity_score(generated, index)
     if args.format == "jsonl":
         for novelty in report.per_poem:
-            _emit(
-                {
-                    "poem_id": novelty.poem_id,
-                    "copied_verses": novelty.copied_verses,
-                    "total_verses": novelty.total_verses,
-                    "copied_ratio": novelty.copied_ratio,
-                }
-            )
+            print(_novelty_record(novelty))
         _emit({"creativity": report.score, "poems": len(report.per_poem)})
     else:
         for novelty in report.per_poem:
@@ -361,10 +370,15 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses: parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

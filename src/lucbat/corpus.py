@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import os
 import unicodedata
+from itertools import chain
 from typing import Iterable, NamedTuple, Optional
 
 from .rules import RuleTable
 from .scoring import EmptyInput, OddLineCount, score_stanza, segment_stanza, split_quatrains
-from .syllable import LucBatError, decode_utf8, normalize_verse
+from .syllable import LucBatError, decode_utf8, normalize_verse, normalize_verses
 
 __all__ = [
     "Poem",
@@ -201,11 +202,24 @@ def filter_by_score(
 
 
 class VerseIndex:
-    """Set of normalized verses; membership is punctuation/case/form blind."""
+    """Set of normalized verses; membership is punctuation/case/form blind.
+
+    ``VerseIndex(verses)`` and ``verse in index`` normalize each verse they
+    are given with :func:`normalize_verse`, so a verse holding a line break
+    stays one verse.  :meth:`count_copied` looks up every line of a poem's
+    text with one :func:`normalize_verses` call.
+    """
 
     def __init__(self, verses: Iterable[str]):
         normalized = (normalize_verse(v) for v in verses)
         self._verses = frozenset(v for v in normalized if v)
+
+    @classmethod
+    def _of_normalized(cls, verses: Iterable[str]) -> "VerseIndex":
+        """An index of verses that are already normalized; empty ones are dropped."""
+        index = cls.__new__(cls)
+        index._verses = frozenset(filter(None, verses))
+        return index
 
     @property
     def size(self) -> int:
@@ -214,7 +228,13 @@ class VerseIndex:
     def __contains__(self, verse: str) -> bool:
         return normalize_verse(verse) in self._verses
 
+    def count_copied(self, text: str) -> int:
+        """How many lines of ``text`` are in the index; blank lines never are."""
+        return sum(map(self._verses.__contains__, normalize_verses(text)))
+
 
 def build_verse_index(corpus: Corpus) -> VerseIndex:
-    """Index every line of every poem in the corpus."""
-    return VerseIndex(line for poem in corpus.poems for line in poem.lines())
+    """Index every line of every poem in the corpus, normalizing a poem at a time."""
+    return VerseIndex._of_normalized(
+        chain.from_iterable(normalize_verses(poem.text) for poem in corpus.poems)
+    )

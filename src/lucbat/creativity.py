@@ -60,7 +60,7 @@ def creativity_score(generated: Corpus, index: VerseIndex) -> CreativityReport:
         verses = poem.lines()
         if not verses:
             raise EmptyPoem(poem.id)
-        copied = sum(1 for verse in verses if verse in index)
+        copied = index.count_copied(poem.text)
         per_poem.append(
             PoemNovelty(poem_id=poem.id, copied_verses=copied, total_verses=len(verses))
         )

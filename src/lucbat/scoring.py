@@ -39,7 +39,7 @@ from .syllable import (
     MultipleToneMarks,
     Syllable,
     ToneClass,
-    normalize_verse,
+    normalize_verses,
     parse_syllable,
 )
 
@@ -119,12 +119,12 @@ class ScoreReport(NamedTuple):
 def segment_stanza(raw_poem: str) -> Stanza:
     """Tokenize and validate a stanza.
 
-    Lines are normalized (case, punctuation, Unicode form) before
-    tokenization; blank lines are dropped.  Line lengths must alternate
+    Lines are normalized (case, punctuation, Unicode form) by one
+    :func:`~lucbat.syllable.normalize_verses` call before tokenization;
+    blank lines are dropped.  Line lengths must alternate
     6, 8, 6, 8, ...
     """
-    lines = [normalize_verse(line) for line in raw_poem.splitlines()]
-    lines = [line for line in lines if line]
+    lines = [line for line in normalize_verses(raw_poem) if line]
     if not lines or len(lines) % 2 != 0:
         raise OddLineCount(f"need an even number of lines, got {len(lines)}")
     parsed_lines = []

@@ -32,6 +32,7 @@ __all__ = [
     "InvalidEncoding",
     "parse_syllable",
     "normalize_verse",
+    "normalize_verses",
 ]
 
 
@@ -279,6 +280,23 @@ def normalize_verse(line: str) -> str:
     """Canonical verse form: NFC, lowercased, punctuation dropped, spaces collapsed.
 
     Idempotent, and confluent over Unicode forms: composed and decomposed
-    spellings of the same verse normalize identically.
+    spellings of the same verse normalize identically.  This is the one-line
+    form; :func:`normalize_verses` applies it to every line of a block.
     """
     return " ".join(_PUNCTUATION_RUN.sub(" ", _nfc(line.lower())).split())
+
+
+def normalize_verses(text: str) -> list[str]:
+    """``[normalize_verse(line) for line in text.splitlines()]``, in one pass over ``text``.
+
+    Blank lines stay in the list as ``""``, so indices match ``splitlines``.
+    The lowercase, NFC and punctuation steps run once over the whole block
+    instead of once per line.  The result is the same because no step moves
+    a line boundary: no boundary character is cased or case-ignorable, so
+    final-sigma lowercasing stops at it, each one is an NFC starter that
+    composes with nothing, and none is punctuation.
+    """
+    return [
+        " ".join(line.split())
+        for line in _PUNCTUATION_RUN.sub(" ", _nfc(text.lower())).splitlines()
+    ]

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lucbat
-from lucbat.cli import LOSSCHECK_BOUNDS, main
+from lucbat import PoemNovelty, build_verse_index, creativity_score, ingest
+from lucbat.cli import LOSSCHECK_BOUNDS, _novelty_record, _parser, build_parser, main
 from lucbat.syllable import _PUNCTUATION
 from helpers import perturb_quatrain
 from conftest import KIEU
@@ -195,6 +196,51 @@ class TestCreativityCommand:
         corpus = write(tmp_path, "corpus.txt", KIEU + "\n")
         assert main(["creativity", "--generated", generated, "--corpus", corpus]) == 1
 
+    # ids as ingest spells them: a path, then ":" and the poem's ordinal
+    _IDS = ['q"uote:0', "back\\slash:1", "tab\tbell\x07nul\x00:2", "line\u2028sep:3",
+            "emoji \U0001f600:4", "bad\\xff.txt:5", "Trăm năm.txt:6", ":7"]
+
+    @pytest.mark.parametrize("copied, total", [(1, 3), (2, 3), (0, 4), (4, 4), (1, 1), (5, 7)])
+    def test_per_poem_record_is_json_dumps_of_the_record(self, copied, total):
+        for poem_id in self._IDS:
+            novelty = PoemNovelty(poem_id, copied, total)
+            record = {"poem_id": poem_id, "copied_verses": copied, "total_verses": total,
+                      "copied_ratio": copied / total}
+            assert _novelty_record(novelty) == json.dumps(
+                record, ensure_ascii=False, sort_keys=True, allow_nan=False)
+
+    def test_jsonl_lines_are_json_dumps_of_the_report(self, tmp_path):
+        names = ['q"uote.txt', "back\\slash.txt", "tab\tbell\x07.txt", "line\u2028sep.txt",
+                 "emoji \U0001f600.txt", os.fsdecode(b"bad\xff.txt")]
+        gen_dir = tmp_path / "generated"
+        gen_dir.mkdir()
+        made = []
+        for k, name in enumerate(names):
+            try:
+                (gen_dir / name).write_text(KIEU.splitlines()[k % 4] + "\nmột câu mới\n\n" + KIEU,
+                                            encoding="utf-8")
+            except (OSError, UnicodeError):
+                continue  # a file system that refuses the name
+            made.append(name)
+        assert len(made) >= 4
+        corpus = write(tmp_path, "corpus.txt", KIEU + "\n")
+        src = Path(lucbat.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": "utf-8:strict"}
+        result = subprocess.run(
+            [sys.executable, "-m", "lucbat", "creativity", "--generated", str(gen_dir),
+             "--corpus", corpus, "--format", "jsonl"], capture_output=True, env=env)
+        assert result.returncode == 0, result.stderr
+        report = creativity_score(ingest([str(gen_dir)]), build_verse_index(ingest([corpus])))
+        expected = [
+            json.dumps({"poem_id": n.poem_id, "copied_verses": n.copied_verses,
+                        "total_verses": n.total_verses, "copied_ratio": n.copied_ratio},
+                       ensure_ascii=False, sort_keys=True, allow_nan=False)
+            for n in report.per_poem
+        ]
+        expected.append(json.dumps({"creativity": report.score, "poems": len(report.per_poem)},
+                                   ensure_ascii=False, sort_keys=True, allow_nan=False))
+        assert result.stdout.decode("utf-8").split("\n") == expected + [""]
+
 
 class TestReportCommand:
     def test_plain_floats(self, tmp_path, capsys):
@@ -310,6 +356,24 @@ class TestLosscheckCommand:
 
     def test_bad_dimension_rejected(self, capsys):
         assert main(["losscheck", "--dmodel", "0"]) == 1
+
+
+def test_commands_in_one_process_print_what_each_prints_alone(tmp_path, monkeypatch):
+    # main reuses one parser; a call must not see what an earlier call parsed or printed
+    monkeypatch.setenv("COLUMNS", "80")  # usage text wraps at the terminal width
+    poems = write(tmp_path, "poems.txt", KIEU + "\n")
+    src = Path(lucbat.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for argv in (["score", poems], ["losscheck", "--dmodel", "x"], ["--version"]):
+        alone = subprocess.run([sys.executable, "-m", "lucbat", *argv], capture_output=True,
+                               env=env)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(argv)
+        assert (status, out.getvalue(), err.getvalue()) == (
+            alone.returncode, alone.stdout.decode("utf-8"), alone.stderr.decode("utf-8"))
+    assert _parser() is _parser()
+    assert build_parser() is not build_parser()
 
 
 def test_invalid_utf8_on_stdin_exits_one():

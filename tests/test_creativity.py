@@ -1,8 +1,15 @@
+import unicodedata
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lucbat import (
+    Corpus,
+    CreativityReport,
     EmptyGeneratedSet,
     EmptyPoem,
+    Poem,
+    PoemNovelty,
     VerseIndex,
     build_verse_index,
     corpus_from_text,
@@ -102,8 +109,74 @@ def test_empty_generated_set(index):
 
 
 def test_empty_poem_detected(index):
-    from lucbat import Corpus, Poem
-
     broken = Corpus(poems=(Poem(id="x", text="   "),))
     with pytest.raises(EmptyPoem):
         creativity_score(broken, index)
+
+
+# Lines that are equal after normalization, lines that are not, and lines that
+# normalize to "": blank, whitespace-only and punctuation-only.
+_LINES = st.sampled_from([
+    "Trăm năm trong cõi người ta",
+    "trăm NĂM, trong cõi… người ta!",
+    unicodedata.normalize("NFD", "  Trăm năm trong cõi người ta  "),
+    "chữ tài chữ mệnh khéo là ghét nhau",
+    "mây trôi lặng lẽ qua đồi",
+    "ΑΣ", "İ", "", "   ", "\t\u3000", "…", "(–)", ", ; :",
+])
+_BOUNDARIES = st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x85", "\u2028"])
+_POEM_TEXT = st.lists(st.tuples(_LINES, _BOUNDARIES).map("".join), min_size=1, max_size=6).map(
+    "".join)
+_CORPUS = st.lists(_POEM_TEXT, min_size=1, max_size=5).map(
+    lambda texts: Corpus(tuple(Poem(id=f"p:{i}", text=text) for i, text in enumerate(texts))))
+
+
+def _reference_creativity(generated, index):
+    """Per-verse lookups through ``verse in index``, as ``creativity_score`` once made them."""
+    per_poem = []
+    for poem in generated.poems:
+        verses = poem.lines()
+        if not verses:
+            raise EmptyPoem(poem.id)
+        copied = sum(1 for verse in verses if verse in index)
+        per_poem.append(PoemNovelty(poem.id, copied, len(verses)))
+    score = sum(1.0 - novelty.copied_ratio for novelty in per_poem) / len(per_poem)
+    return CreativityReport(tuple(per_poem), score)
+
+
+@settings(max_examples=200, derandomize=True, database=None)
+@given(_CORPUS)
+def test_index_built_a_poem_at_a_time_equals_one_built_a_verse_at_a_time(corpus):
+    expected = VerseIndex(line for poem in corpus.poems for line in poem.lines())
+    assert build_verse_index(corpus)._verses == expected._verses
+
+
+@settings(max_examples=200, derandomize=True, database=None)
+@given(training=_CORPUS, generated=_CORPUS)
+def test_creativity_score_equals_per_verse_reference(training, generated):
+    index = build_verse_index(training)
+    try:
+        expected = _reference_creativity(generated, index)
+    except EmptyPoem:
+        with pytest.raises(EmptyPoem):
+            creativity_score(generated, index)
+    else:
+        assert creativity_score(generated, index) == expected
+
+
+def test_count_copied_skips_blank_and_punctuation_only_lines(index):
+    text = "Trăm năm trong cõi người ta!\n\n   \n…\r\nTRĂM NĂM TRONG CÕI NGƯỜI TA\nmới"
+    assert index.count_copied(text) == 2
+
+
+def test_a_verse_with_a_line_break_stays_one_verse():
+    index = VerseIndex(["a\nb"])
+    assert index._verses == frozenset({"a b"})
+    assert "a\nb" in index
+    assert "a" not in index
+
+
+def test_empty_verse_is_never_in_the_index(index):
+    assert "" not in index
+    assert "  …  " not in index
+    assert "" not in VerseIndex(["", "…", "a"])

@@ -11,6 +11,7 @@ from lucbat import (
     Tone,
     ToneClass,
     normalize_verse,
+    normalize_verses,
     parse_syllable,
 )
 from lucbat.cli import main
@@ -255,3 +256,35 @@ def test_normalize_verse_matches_reference_and_is_idempotent(line):
     once = normalize_verse(line)
     assert once == _reference_normalize_verse(line)
     assert normalize_verse(once) == once
+
+
+# Every boundary str.splitlines splits on; "\r\n" is one boundary, not two.
+_LINE_BOUNDARIES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                    "\u2028", "\u2029"]
+# Σ lowercases to σ or ς by context, İ to two code points.
+_BLOCK_TEXT = st.lists(
+    st.sampled_from(
+        _LETTERS
+        + [letter.upper() for letter in _LETTERS]
+        + [unicodedata.normalize("NFD", letter) for letter in _LETTERS]
+        + list(_TONE_MARKS + "\u0302\u0306\u031b")
+        + sorted(_PUNCTUATION)
+        + _LINE_BOUNDARIES
+        + list(" \t\u00a0\u2000\u3000")
+        + ["Σ", "İ"]
+    ),
+    max_size=80,
+).map("".join)
+
+
+@settings(max_examples=500, derandomize=True, database=None)
+@given(_BLOCK_TEXT)
+def test_normalize_verses_is_normalize_verse_per_line(text):
+    assert normalize_verses(text) == [normalize_verse(line) for line in text.splitlines()]
+
+
+def test_normalize_verses_examples():
+    assert normalize_verses("") == []
+    assert normalize_verses("Trăm NĂM,\r\n\n  …  \u2028Người ta!\n") == [
+        "trăm năm", "", "", "người ta"]
+    assert normalize_verses("ΑΣ\nΣΑ") == ["ας", "σα"]
