@@ -42,7 +42,7 @@ for poem_id, reason in excluded:
     print(f"  excluded {poem_id}: {reason}")
 
 scores = []
-for poem in quatrains:
+for poem in quatrains.poems:
     report = score_stanza(segment_stanza(poem.text), table)
     scores.append(report.score)
     print(f"  {poem.id}: R={report.wrong_rhyme} T={report.wrong_tone} "

@@ -288,9 +288,10 @@ def _cmd_report(args) -> int:
     if not scores:
         raise EmptyInput("no scores found in input")
     hist = histogram(scores, bin_width=args.bins)
-    total = sum(scores)
-    # finite scores can still overflow the sum; averaging term by term cannot
-    mean = total / len(scores) if math.isfinite(total) else sum(s / len(scores) for s in scores)
+    try:
+        mean = math.fsum(scores) / len(scores)
+    except OverflowError:  # finite scores can still overflow the sum: average term by term
+        mean = sum(s / len(scores) for s in scores)
     if args.format == "jsonl":
         for lo, hi, count in hist.bins:
             _emit({"bin_lo": lo, "bin_hi": hi, "count": count})

@@ -7,6 +7,7 @@ dataset build can be reproduced byte for byte.
 
 from __future__ import annotations
 
+import math
 import os
 import unicodedata
 from itertools import chain
@@ -49,9 +50,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.poems)
-
-    def __iter__(self):
-        return iter(self.poems)
 
 
 def _split_blocks(text: str) -> list[str]:
@@ -191,7 +189,7 @@ def filter_by_score(
             scores.append(report.score)
         else:
             dropped.append((poem.id, f"score {report.score:.3f} < {min_score}"))
-    mean_kept = sum(scores) / len(scores) if scores else None
+    mean_kept = math.fsum(scores) / len(scores) if scores else None
     stats = FilterStats(
         kept_count=len(kept),
         dropped_count=len(dropped),

@@ -14,7 +14,9 @@ n into the rhyme pairs and tone slots every scoring consumer walks.
 Rhyme compatibility is driven by a :class:`RuleTable`: two syllables rhyme
 when their tone-stripped rimes are equal or share a near-rhyme group.  The
 table is a partition, so compatibility is an equivalence relation and each
-chain can be checked against its anchor alone.
+chain can be checked against its anchor alone.  Table rimes are validated by
+the syllable parser, :func:`~lucbat.syllable.parse_syllable`, the same
+grammar that reads the verses.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ import functools
 import pkgutil
 from typing import Iterable, NamedTuple, Optional
 
-from .syllable import LucBatError, Syllable, ToneClass, decode_utf8, is_valid_rime, _nfc
+from .syllable import (
+    LucBatError, NotASyllable, Syllable, ToneClass, decode_utf8, parse_syllable, _nfc,
+)
 
 __all__ = [
     "RhymeChain",
@@ -138,7 +142,12 @@ class RuleTable:
             if not group:
                 raise RuleTableError("empty near-rhyme group")
             for rime in group:
-                if not is_valid_rime(rime):
+                # a rime is a syllable with no onset and no tone, spelled canonically
+                try:
+                    valid = parse_syllable(rime).rime == rime
+                except NotASyllable:
+                    valid = False
+                if not valid:
                     raise RuleTableError(f"invalid rime {rime!r}")
                 if rime in self._group_of:
                     raise RuleTableError(f"rime {rime!r} listed twice")

@@ -36,7 +36,6 @@ from .rules import Position, RuleTable, rhymes_with, template
 from .syllable import (
     LucBatError,
     NotASyllable,
-    MultipleToneMarks,
     Syllable,
     ToneClass,
     normalize_verses,
@@ -137,7 +136,7 @@ def segment_stanza(raw_poem: str) -> Stanza:
         for token in tokens:
             try:
                 parsed.append(parse_syllable(token))
-            except (NotASyllable, MultipleToneMarks) as exc:
+            except NotASyllable as exc:
                 raise UnparseableToken(lineno, token, str(exc)) from exc
         parsed_lines.append(tuple(parsed))
     return Stanza(lines=tuple(parsed_lines), n_pairs=len(lines) // 2)

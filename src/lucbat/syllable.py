@@ -61,12 +61,11 @@ class NotASyllable(LucBatError):
         self.reason = reason
 
 
-class MultipleToneMarks(LucBatError):
+class MultipleToneMarks(NotASyllable):
     """Token carries more than one tone diacritic."""
 
     def __init__(self, token: str):
-        super().__init__(f"{token!r}: more than one tone mark")
-        self.token = token
+        super().__init__(token, "more than one tone mark")
 
 
 class Tone(enum.Enum):
@@ -156,26 +155,6 @@ def _nfc(text: str) -> str:
     return unicodedata.normalize("NFC", text)
 
 
-def _nfd(text: str) -> str:
-    return unicodedata.normalize("NFD", text)
-
-
-def _extract_tone(token: str, text: str) -> tuple[str, Tone]:
-    """Return (tone-stripped NFC text, tone).  ``token`` is for error messages."""
-    marks = []
-    kept = []
-    for ch in _nfd(text):
-        tone = _TONE_COMBINING.get(ch)
-        if tone is not None:
-            marks.append(tone)
-        else:
-            kept.append(ch)
-    if len(marks) > 1:
-        raise MultipleToneMarks(token)
-    tone = marks[0] if marks else Tone.NGANG
-    return _nfc("".join(kept)), tone
-
-
 def _split_onset(base: str) -> tuple[str, str] | None:
     """Longest onset prefix that leaves a vowel-initial, non-empty rime.
 
@@ -229,16 +208,30 @@ def parse_syllable(token: str) -> Syllable:
     """Parse one whitespace-free token into a :class:`Syllable`.
 
     Raises :class:`NotASyllable` for digits, missing vowels, letters outside
-    the Vietnamese alphabet, or an impossible onset/coda; raises
-    :class:`MultipleToneMarks` when two tone diacritics are present.
+    the Vietnamese alphabet, an impossible onset/coda, or two tone
+    diacritics; the last is its subclass :class:`MultipleToneMarks`, so
+    callers catch :class:`NotASyllable` alone.
 
     Results are memoized per token (at most ``PARSE_CACHE_SIZE`` of them) and
     shared between callers, which is safe because :class:`Syllable` is
-    immutable.  Failures are not cached: a bad token raises afresh on each call.
+    immutable.  Rule-table rimes are validated through this parser too and
+    share the memo.  Failures are not cached: a bad token raises afresh on
+    each call.
     """
     if not token or any(ch.isspace() for ch in token):
         raise NotASyllable(token, "empty or contains whitespace")
-    base, tone = _extract_tone(token, token.lower())
+    marks = []
+    kept = []
+    for ch in unicodedata.normalize("NFD", token.lower()):
+        tone = _TONE_COMBINING.get(ch)
+        if tone is not None:
+            marks.append(tone)
+        else:
+            kept.append(ch)
+    if len(marks) > 1:
+        raise MultipleToneMarks(token)
+    tone = marks[0] if marks else Tone.NGANG
+    base = _nfc("".join(kept))
     if not base:
         raise NotASyllable(token, "no letters")
     for ch in base:
@@ -260,20 +253,6 @@ def parse_syllable(token: str) -> Syllable:
         raw=token, normalized=normalized, onset=onset, rime=rime, tone=tone,
         tone_class=tone.tone_class,
     )
-
-
-def is_valid_rime(text: str) -> bool:
-    """True if ``text`` is a well-formed tone-stripped rime (as in rule tables)."""
-    try:
-        base, tone = _extract_tone(text, _nfc(text.lower()))
-    except MultipleToneMarks:
-        return False
-    if tone is not Tone.NGANG or not base or base != text:
-        return False
-    nucleus, coda = _split_rime(base)
-    if not nucleus:
-        return False
-    return coda == "" or coda in _CODAS
 
 
 def normalize_verse(line: str) -> str:

@@ -273,6 +273,13 @@ class TestReportCommand:
         path = write(tmp_path, "scores.txt", "\n")
         assert main(["report", path]) == 1
 
+    def test_mean_is_correctly_rounded(self, tmp_path, capsys):
+        # a left-to-right float sum of ten 0.1 scores gives a mean of 0.09999999999999999
+        path = write(tmp_path, "scores.txt", "0.1\n" * 10)
+        assert main(["report", path, "--format", "jsonl"]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert summary == '{"above": 0, "below": 0, "mean": 0.1, "n": 10}'
+
     def test_overflowing_sum_still_gives_a_finite_mean(self, tmp_path, capsys):
         path = write(tmp_path, "scores.txt", "1e308\n1e308\n")
         assert main(["report", path, "--format", "jsonl"]) == 0
@@ -443,6 +450,26 @@ def test_non_utf8_rules_file_exits_one(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{rules}: 'utf-8' codec can't decode byte 0xff" in captured.err
+    assert not (tmp_path / "kept.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["score", "{poems}", "--rules", "{rules}"],
+     ["filter", "{poems}", "--min-score", "0", "--out", "{out}", "--rules", "{rules}"]],
+    ids=["score", "filter"],
+)
+@pytest.mark.parametrize(
+    "rime", ["xâu", "\u00e1\u0300", "an1"], ids=["onset", "double-tone-mark", "digit"]
+)
+def test_invalid_rime_in_rules_file_exits_one(tmp_path, capsys, argv, rime):
+    rules = write(tmp_path, "rules.txt", f"au {rime}\n")
+    paths = {"poems": write(tmp_path, "poems.txt", KIEU + "\n"), "rules": rules,
+             "out": str(tmp_path / "kept.txt")}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"lucbat {argv[0]}: error: bad rule table: invalid rime {rime!r}\n"
     assert not (tmp_path / "kept.txt").exists()
 
 

@@ -26,11 +26,6 @@ def write(tmp_path, name, text):
     return str(path)
 
 
-def test_corpus_iterates_over_its_poems():
-    poems = (Poem(id="a", text="x"), Poem(id="b", text="y"))
-    assert tuple(Corpus(poems=poems)) == poems
-
-
 def test_filter_stats_default_to_no_dropped_entries():
     assert FilterStats(1, 0, None).dropped == ()
 
@@ -155,6 +150,13 @@ class TestFilterByScore:
         assert stats.dropped_count == 1
         assert stats.mean_score_kept == pytest.approx(100.0)
         assert kept.poems[0].text == KIEU
+
+    def test_mean_score_kept_is_correctly_rounded(self, table):
+        # scores 100, 500/7, 500/7: a left-to-right float sum makes the mean one ulp high
+        flipped = perturb_quatrain(KIEU, tone_flips=[(1, 2), (1, 4), (2, 2), (2, 4)])
+        corpus = corpus_from_text("\n\n".join([KIEU, flipped, flipped]))
+        _, stats = filter_by_score(corpus, table, min_score=0.0)
+        assert stats.mean_score_kept == 80.95238095238095
 
     def test_segmentation_failures_dropped_with_reason(self, table):
         corpus = corpus_from_text("chỉ còn lại ba chữ\n")

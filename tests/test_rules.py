@@ -1,9 +1,11 @@
 import itertools
+import unicodedata
 
 import pytest
 
 from lucbat import (
     InvalidPairCount,
+    RuleTable,
     RuleTableError,
     ToneClass,
     build_rhyme_chains,
@@ -168,6 +170,34 @@ class TestRuleTableLoading:
             parse_rule_table("au xâu\n")  # onset letter in a rime
         with pytest.raises(RuleTableError):
             parse_rule_table("àu âu\n")  # tone mark in a rime
+
+    @pytest.mark.parametrize(
+        "rime, valid",
+        [
+            ("ương", True),
+            ("a", True),
+            ("anh", True),
+            ("à", False),
+            ("xa", False),
+            ("", False),
+            ("aqu", False),
+            ("Anh", False),
+            (unicodedata.normalize("NFD", "ương"), False),
+            ("a\u0301\u0300", False),
+            ("an1", False),
+            ("aö", False),
+            ("a n", False),
+        ],
+        ids=["uong", "a", "anh", "tone-mark", "onset", "empty", "bad-coda", "upper-case",
+             "nfd", "double-tone-mark", "digit", "non-vietnamese-letter", "whitespace"],
+    )
+    def test_table_rime_is_a_bare_canonical_rime(self, rime, valid):
+        if valid:
+            assert RuleTable([[rime]]).group_of(rime) == 0
+        else:
+            with pytest.raises(RuleTableError) as caught:
+                RuleTable([[rime]])
+            assert str(caught.value) == f"invalid rime {rime!r}"
 
     def test_inline_comments(self):
         t = parse_rule_table("au âu  # folk staple\n")

@@ -62,6 +62,13 @@ class TestSegmentation:
             segment_stanza(kieu.replace("cõi", "c0d3"))
         assert err.value.line == 1
 
+    def test_double_tone_mark_is_an_unparseable_token(self, kieu):
+        with pytest.raises(UnparseableToken) as err:
+            segment_stanza(kieu.replace("ghét", "\u00e1\u0300"))
+        assert str(err.value) == (
+            "line 2: cannot parse '\u00e1\u0300' ('\u00e1\u0300': more than one tone mark)"
+        )
+
     def test_blank_lines_dropped(self, kieu):
         lines = kieu.splitlines()
         padded = "\n\n".join(lines)

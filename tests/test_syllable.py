@@ -21,7 +21,6 @@ from lucbat.syllable import (
     VOWELS,
     _PUNCTUATION,
     _nfc,
-    is_valid_rime,
     mark_rime,
 )
 from conftest import KIEU
@@ -91,8 +90,12 @@ def test_not_a_syllable(token):
 
 
 def test_multiple_tone_marks():
-    with pytest.raises(MultipleToneMarks):
+    with pytest.raises(MultipleToneMarks) as caught:
         parse_syllable("á̀")
+    assert isinstance(caught.value, NotASyllable)
+    assert str(caught.value) == "'á̀': more than one tone mark"
+    assert caught.value.token == "á̀"
+    assert caught.value.reason == "more than one tone mark"
 
 
 def test_whitespace_rejected():
@@ -158,16 +161,6 @@ def test_normalize_verse_examples():
 def test_normalize_verse_idempotent(line):
     once = normalize_verse(line)
     assert normalize_verse(once) == once
-
-
-def test_is_valid_rime():
-    assert is_valid_rime("ương")
-    assert is_valid_rime("a")
-    assert is_valid_rime("anh")
-    assert not is_valid_rime("à")        # carries a tone mark
-    assert not is_valid_rime("xa")       # not vowel-initial
-    assert not is_valid_rime("")
-    assert not is_valid_rime("aqu")      # bad coda
 
 
 def test_cached_parse_keeps_the_token_it_was_given():
