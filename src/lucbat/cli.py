@@ -290,8 +290,10 @@ def _cmd_report(args) -> int:
     hist = histogram(scores, bin_width=args.bins)
     try:
         mean = math.fsum(scores) / len(scores)
-    except OverflowError:  # finite scores can still overflow the sum: average term by term
-        mean = sum(s / len(scores) for s in scores)
+    except OverflowError:  # finite scores can overflow their sum, but never their exact mean
+        from fractions import Fraction  # imported here, so start-up does not load it
+
+        mean = float(sum(map(Fraction, scores)) / len(scores))
     if args.format == "jsonl":
         for lo, hi, count in hist.bins:
             _emit({"bin_lo": lo, "bin_hi": hi, "count": count})

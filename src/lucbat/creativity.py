@@ -8,6 +8,7 @@ verse was copied, 0.0 means every verse was.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .corpus import Corpus, VerseIndex
@@ -64,5 +65,6 @@ def creativity_score(generated: Corpus, index: VerseIndex) -> CreativityReport:
         per_poem.append(
             PoemNovelty(poem_id=poem.id, copied_verses=copied, total_verses=len(verses))
         )
-    score = sum(1.0 - novelty.copied_ratio for novelty in per_poem) / len(per_poem)
+    # fsum: correctly rounded, so the score does not depend on the Python version
+    score = math.fsum(1.0 - novelty.copied_ratio for novelty in per_poem) / len(per_poem)
     return CreativityReport(per_poem=tuple(per_poem), score=score)

@@ -13,8 +13,15 @@ Only non-anchor chain members can be "wrong": the anchor defines the rhyme
 its chain is checked against, so at most 2n of the 3n-1 rhyme positions are
 penalizable.
 
+Segmentation lowercases, NFC-composes and drops punctuation over the
+whole stanza in one pass, takes each line's tokens with one whitespace
+split (the tokens of :func:`~lucbat.syllable.normalize_verse`, without
+building the joined verse) and parses a line with one ``map`` over the
+memoized :func:`~lucbat.syllable.parse_syllable`.
+
 The template depends on n alone, so scoring walks the one compiled by
-:func:`lucbat.rules.template` for the stanza's n.  A :class:`ScoreReport`
+:func:`lucbat.rules.template` for the stanza's n, restated once per n as
+zero-based indices into :attr:`Stanza.lines`.  A :class:`ScoreReport`
 keeps one rhyme verdict per rhyme pair and one tone class per tone slot of
 that template, in the template's order.
 :func:`report_record` writes a report as its JSONL line from fragments
@@ -30,15 +37,16 @@ import functools
 import json
 import math
 from json.encoder import encode_basestring
+from operator import is_not
 from typing import NamedTuple
 
-from .rules import Position, RuleTable, rhymes_with, template
+from .rules import Position, RuleTable, Template, template
 from .syllable import (
     LucBatError,
     NotASyllable,
     Syllable,
     ToneClass,
-    normalize_verses,
+    _normalized_lines,
     parse_syllable,
 )
 
@@ -118,28 +126,41 @@ class ScoreReport(NamedTuple):
 def segment_stanza(raw_poem: str) -> Stanza:
     """Tokenize and validate a stanza.
 
-    Lines are normalized (case, punctuation, Unicode form) by one
-    :func:`~lucbat.syllable.normalize_verses` call before tokenization;
-    blank lines are dropped.  Line lengths must alternate
-    6, 8, 6, 8, ...
+    Lines are normalized (case, punctuation, Unicode form) in one pass over
+    the stanza and split on whitespace; blank lines are dropped.  Line
+    lengths must alternate 6, 8, 6, 8, ...
     """
-    lines = [line for line in normalize_verses(raw_poem) if line]
+    lines = [tokens for tokens in map(str.split, _normalized_lines(raw_poem)) if tokens]
     if not lines or len(lines) % 2 != 0:
         raise OddLineCount(f"need an even number of lines, got {len(lines)}")
     parsed_lines = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, tokens in enumerate(lines, start=1):
         expected = 6 if lineno % 2 == 1 else 8
-        tokens = line.split(" ")
         if len(tokens) != expected:
             raise WrongSyllableCount(lineno, expected, len(tokens))
-        parsed = []
-        for token in tokens:
-            try:
-                parsed.append(parse_syllable(token))
-            except NotASyllable as exc:
-                raise UnparseableToken(lineno, token, str(exc)) from exc
-        parsed_lines.append(tuple(parsed))
+        try:
+            parsed_lines.append(tuple(map(parse_syllable, tokens)))
+        except NotASyllable as exc:
+            raise UnparseableToken(lineno, exc.token, str(exc)) from exc
     return Stanza(lines=tuple(parsed_lines), n_pairs=len(lines) // 2)
+
+
+@functools.lru_cache(maxsize=128)  # bounded like rules.template
+def _walk(n_pairs: int) -> tuple[Template, tuple, tuple, tuple, tuple]:
+    """``template(n_pairs)`` as zero-based ``(line, word)`` indices into ``Stanza.lines``.
+
+    Returns (template, members, anchors, slots, expected): rhyme pair k
+    compares ``members[k]`` with ``anchors[k]``, and tone slot k is
+    ``slots[k]`` with expected class ``expected[k]``, in the template's order.
+    """
+    compiled = template(n_pairs)
+    members, anchors = (
+        tuple((line - 1, word - 1) for line, word in positions)
+        for positions in zip(*compiled.rhyme_pairs)
+    )
+    slots = tuple((line - 1, word - 1) for (line, word), _ in compiled.tone_slots)
+    expected = tuple(expected for _, expected in compiled.tone_slots)
+    return compiled, members, anchors, slots, expected
 
 
 def score_stanza(
@@ -153,20 +174,16 @@ def score_stanza(
     ``w_rhyme``/``w_tone`` rescale the two penalty terms; the defaults give
     the plain formula.
     """
-    compiled = template(stanza.n_pairs)
+    compiled, members, anchors, slots, expected = _walk(stanza.n_pairs)
     lines = stanza.lines
-    rhyme_ok = tuple(
-        rhymes_with(lines[line - 1][word - 1], lines[a_line - 1][a_word - 1], table)
-        for (line, word), (a_line, a_word) in compiled.rhyme_pairs
-    )
-    actual_tones = tuple(
-        lines[line - 1][word - 1].tone_class for (line, word), _ in compiled.tone_slots
-    )
+    rhyme_ok = tuple(map(
+        table.compatible,
+        [lines[line][word].rime for line, word in members],
+        [lines[line][word].rime for line, word in anchors],
+    ))
+    actual_tones = tuple([lines[line][word].tone_class for line, word in slots])
     wrong_rhyme = rhyme_ok.count(False)
-    wrong_tone = sum(
-        actual is not expected
-        for (_, expected), actual in zip(compiled.tone_slots, actual_tones)
-    )
+    wrong_tone = sum(map(is_not, actual_tones, expected))
     score = 100.0 * (
         1.0
         - w_rhyme * wrong_rhyme / compiled.rhyme_positions

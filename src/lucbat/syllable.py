@@ -98,6 +98,7 @@ _TONE_COMBINING = {
     "̣": Tone.NANG,   # dot below
 }
 _COMBINING_FOR_TONE = {tone: mark for mark, tone in _TONE_COMBINING.items()}
+_TONE_MARK = re.compile("[" + "".join(_TONE_COMBINING) + "]")
 
 VOWELS = frozenset("aăâeêioôơuưy")
 
@@ -106,6 +107,7 @@ VOWELS = frozenset("aăâeêioôơuưy")
 _MODIFIED_VOWELS = frozenset("ăâêôơư")
 
 _CONSONANT_LETTERS = frozenset("bcdđghklmnpqrstvx")
+_ALPHABET = VOWELS | _CONSONANT_LETTERS
 
 # Orthographic onset inventory, longest-match.  "gi" and "qu" are atomic
 # units; their i/u never belongs to the rime.
@@ -218,28 +220,26 @@ def parse_syllable(token: str) -> Syllable:
     share the memo.  Failures are not cached: a bad token raises afresh on
     each call.
     """
-    if not token or any(ch.isspace() for ch in token):
+    if token.split() != [token]:
         raise NotASyllable(token, "empty or contains whitespace")
-    marks = []
-    kept = []
-    for ch in unicodedata.normalize("NFD", token.lower()):
-        tone = _TONE_COMBINING.get(ch)
-        if tone is not None:
-            marks.append(tone)
-        else:
-            kept.append(ch)
+    decomposed = unicodedata.normalize("NFD", token.lower())
+    marks = _TONE_MARK.findall(decomposed)
     if len(marks) > 1:
         raise MultipleToneMarks(token)
-    tone = marks[0] if marks else Tone.NGANG
-    base = _nfc("".join(kept))
+    if marks:
+        tone = _TONE_COMBINING[marks[0]]
+        decomposed = decomposed.replace(marks[0], "")
+    else:
+        tone = Tone.NGANG
+    base = _nfc(decomposed)
     if not base:
         raise NotASyllable(token, "no letters")
-    for ch in base:
-        if ch.isdigit():
+    if not _ALPHABET.issuperset(base):
+        culprit = next(ch for ch in base if ch not in _ALPHABET)
+        if culprit.isdigit():
             raise NotASyllable(token, "contains digits")
-        if ch not in VOWELS and ch not in _CONSONANT_LETTERS:
-            raise NotASyllable(token, f"non-Vietnamese character {ch!r}")
-    if not any(ch in VOWELS for ch in base):
+        raise NotASyllable(token, f"non-Vietnamese character {culprit!r}")
+    if VOWELS.isdisjoint(base):
         raise NotASyllable(token, "no vowel nucleus")
     split = _split_onset(base)
     if split is None:
@@ -265,17 +265,23 @@ def normalize_verse(line: str) -> str:
     return " ".join(_PUNCTUATION_RUN.sub(" ", _nfc(line.lower())).split())
 
 
+def _normalized_lines(text: str) -> list[str]:
+    """The lines of ``text`` after the lowercase, NFC and punctuation steps.
+
+    Whitespace is left as it is: :func:`normalize_verses` collapses it, and
+    ``segment_stanza`` splits each line on it directly.  No step moves a line
+    boundary: no boundary character is cased or case-ignorable, so
+    final-sigma lowercasing stops at it, each one is an NFC starter that
+    composes with nothing, and none is punctuation.
+    """
+    return _PUNCTUATION_RUN.sub(" ", _nfc(text.lower())).splitlines()
+
+
 def normalize_verses(text: str) -> list[str]:
     """``[normalize_verse(line) for line in text.splitlines()]``, in one pass over ``text``.
 
     Blank lines stay in the list as ``""``, so indices match ``splitlines``.
     The lowercase, NFC and punctuation steps run once over the whole block
-    instead of once per line.  The result is the same because no step moves
-    a line boundary: no boundary character is cased or case-ignorable, so
-    final-sigma lowercasing stops at it, each one is an NFC starter that
-    composes with nothing, and none is punctuation.
+    (:func:`_normalized_lines`) instead of once per line.
     """
-    return [
-        " ".join(line.split())
-        for line in _PUNCTUATION_RUN.sub(" ", _nfc(text.lower())).splitlines()
-    ]
+    return [" ".join(line.split()) for line in _normalized_lines(text)]

@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lucbat
-from lucbat import PoemNovelty, build_verse_index, creativity_score, ingest
+from lucbat import PoemNovelty, build_verse_index, creativity_score, ingest, scoring
 from lucbat.cli import LOSSCHECK_BOUNDS, _novelty_record, _parser, build_parser, main
 from lucbat.syllable import _PUNCTUATION
 from helpers import perturb_quatrain
@@ -123,13 +124,15 @@ class TestScoreCommand:
             return dumps(*args, **kwargs)
 
         monkeypatch.setattr(json, "dumps", counting_dumps)
-        lucbat.template.cache_clear()
+        for compiled in (lucbat.template, scoring._walk, scoring._record_fragments):
+            compiled.cache_clear()
         assert main(["score", path, "--format", "jsonl"]) == 1
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         scored = [r for r in records if "score" in r]
         assert len(scored) == 6 and len(records) == 7
         assert dumps_calls == [r for r in records if "error" in r]
-        assert lucbat.template.cache_info().misses == len({r["n"] for r in scored})
+        for compiled in (lucbat.template, scoring._walk, scoring._record_fragments):
+            assert compiled.cache_info().misses == len({r["n"] for r in scored})
 
     def test_stdin(self, tmp_path, capsys, monkeypatch):
         import io
@@ -285,6 +288,27 @@ class TestReportCommand:
         assert main(["report", path, "--format", "jsonl"]) == 0
         summary = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert summary["mean"] == 1e308
+
+    @pytest.mark.parametrize("copies", [3, 6])
+    def test_mean_of_scores_at_the_float_limit_is_exact(self, tmp_path, capsys, copies):
+        # fsum overflows, and so does each rounded share summed term by term
+        path = write(tmp_path, "scores.txt", f"{sys.float_info.max!r}\n" * copies)
+        assert main(["report", path, "--format", "jsonl"]) == 0
+        summary = capsys.readouterr().out.splitlines()[-1]
+        assert json.loads(summary)["mean"] == sys.float_info.max
+        assert '"mean": 1.7976931348623157e+308' in summary
+        assert main(["report", path]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == (
+            f"n={copies} mean={sys.float_info.max:.3f}")
+
+    def test_mixed_sign_mean_that_overflows_fsum_is_exact(self, tmp_path, capsys):
+        scores = [sys.float_info.max, sys.float_info.max, -1e308]
+        with pytest.raises(OverflowError):
+            math.fsum(scores)
+        path = write(tmp_path, "scores.txt", "".join(f"{s!r}\n" for s in scores))
+        assert main(["report", path, "--format", "jsonl"]) == 0
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert summary["mean"] == 8.651287565748772e+307  # (2 * max - 1e308) / 3, rounded once
 
     def test_non_finite_score_rejected(self, tmp_path, capsys):
         path = write(tmp_path, "scores.txt", "95\nnan\n")

@@ -1,3 +1,4 @@
+import math
 import unicodedata
 
 import pytest
@@ -140,7 +141,7 @@ def _reference_creativity(generated, index):
             raise EmptyPoem(poem.id)
         copied = sum(1 for verse in verses if verse in index)
         per_poem.append(PoemNovelty(poem.id, copied, len(verses)))
-    score = sum(1.0 - novelty.copied_ratio for novelty in per_poem) / len(per_poem)
+    score = math.fsum(1.0 - novelty.copied_ratio for novelty in per_poem) / len(per_poem)
     return CreativityReport(tuple(per_poem), score)
 
 
@@ -180,3 +181,16 @@ def test_empty_verse_is_never_in_the_index(index):
     assert "" not in index
     assert "  …  " not in index
     assert "" not in VerseIndex(["", "…", "a"])
+
+
+def test_score_is_the_correctly_rounded_mean():
+    # shares 1 - 1/3, 1 - 2/7 and 1 - 3/9: a left-to-right float sum gives 0.6825396825396824
+    index = VerseIndex([f"câu cũ số {k}" for k in range(3)])
+    poems = []
+    for verses, copied in ((3, 1), (7, 2), (9, 3)):
+        lines = [f"câu cũ số {k}" for k in range(copied)]
+        lines += [f"câu mới số {k} của bài {verses}" for k in range(verses - copied)]
+        poems.append("\n".join(lines))
+    report = creativity_score(corpus_from_text("\n\n".join(poems) + "\n"), index)
+    assert [(n.copied_verses, n.total_verses) for n in report.per_poem] == [(1, 3), (2, 7), (3, 9)]
+    assert report.score == math.fsum([1 - 1 / 3, 1 - 2 / 7, 1 - 3 / 9]) / 3 == 0.6825396825396827

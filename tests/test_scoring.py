@@ -2,27 +2,36 @@ import json
 import math
 import random
 import re
+import unicodedata
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lucbat import (
     EmptyInput,
+    InvalidPairCount,
+    NotASyllable,
     OddLineCount,
+    Stanza,
     Tone,
     ToneClass,
     UnparseableToken,
     WrongSyllableCount,
     annotate_stanza,
+    default_rule_table,
     histogram,
+    normalize_verses,
+    parse_syllable,
     report_record,
+    rhymes_with,
     score_stanza,
     segment_stanza,
     split_quatrains,
     template,
 )
 from lucbat.scoring import MAX_BINS
-from lucbat.syllable import mark_rime
+from lucbat.syllable import _PUNCTUATION, mark_rime
 from helpers import (
     QUATRAIN_RHYME_MEMBERS,
     QUATRAIN_TONE_POSITIONS,
@@ -31,6 +40,7 @@ from helpers import (
     stanza_text,
     total_in_range,
 )
+from test_syllable import SYLLABLES
 
 
 class TestSegmentation:
@@ -379,3 +389,180 @@ class TestRecordLine:
         with pytest.raises(ValueError) as raised:
             report_record("p", 1, report)
         assert str(raised.value) == str(expected.value)
+
+
+def reference_segment_stanza(raw_poem):
+    """``segment_stanza`` as it was: joined normalized verses split on single spaces."""
+    lines = [line for line in normalize_verses(raw_poem) if line]
+    if not lines or len(lines) % 2 != 0:
+        raise OddLineCount(f"need an even number of lines, got {len(lines)}")
+    parsed_lines = []
+    for lineno, line in enumerate(lines, start=1):
+        expected = 6 if lineno % 2 == 1 else 8
+        tokens = line.split(" ")
+        if len(tokens) != expected:
+            raise WrongSyllableCount(lineno, expected, len(tokens))
+        parsed = []
+        for token in tokens:
+            try:
+                parsed.append(parse_syllable(token))
+            except NotASyllable as exc:
+                raise UnparseableToken(lineno, token, str(exc)) from exc
+        parsed_lines.append(tuple(parsed))
+    return Stanza(lines=tuple(parsed_lines), n_pairs=len(lines) // 2)
+
+
+def reference_score_stanza(stanza, table, w_rhyme=1.0, w_tone=1.0):
+    """``score_stanza`` as it was: a nested walk over ``template(n)``'s one-based positions."""
+    compiled = template(stanza.n_pairs)
+    lines = stanza.lines
+    rhyme_ok = tuple(
+        rhymes_with(lines[line - 1][word - 1], lines[a_line - 1][a_word - 1], table)
+        for (line, word), (a_line, a_word) in compiled.rhyme_pairs
+    )
+    actual_tones = tuple(
+        lines[line - 1][word - 1].tone_class for (line, word), _ in compiled.tone_slots
+    )
+    wrong_rhyme = rhyme_ok.count(False)
+    wrong_tone = sum(
+        actual is not expected
+        for (_, expected), actual in zip(compiled.tone_slots, actual_tones)
+    )
+    score = 100.0 * (
+        1.0
+        - w_rhyme * wrong_rhyme / compiled.rhyme_positions
+        - w_tone * wrong_tone / compiled.tone_positions
+    )
+    return wrong_rhyme, wrong_tone, score, rhyme_ok, actual_tones
+
+
+def _outcome(function, *args):
+    """The result, or the exception's type, text and error attributes."""
+    try:
+        return function(*args)
+    except Exception as exc:
+        return (type(exc), str(exc), *(getattr(exc, name, None)
+                                       for name in ("line", "token", "expected", "got")))
+
+
+_SPACES = [" ", "  ", "\t", "\u00a0", "\u2000", " \t\u00a0"]
+# loanwords, double tone marks and punctuation the normalizer keeps: none parses
+_BAD_TOKENS = ["pizza", "wifi", "email", "Facebook", "x3", "öl",
+               "\u00e1\u0300", "t\u1ea3\u0301", "ng\u01b0\u1eddi\u0303", "ta\u201c", "\u2014"]
+
+
+def noisy_word(rng):
+    """A vocabulary syllable in another case or Unicode form, maybe with punctuation."""
+    word = rng.choice([str.lower, str.upper, str.capitalize])(rng.choice(SYLLABLES))
+    if rng.random() < 0.5:
+        word = unicodedata.normalize("NFD", word)
+    if rng.random() < 0.2:
+        word += "".join(rng.choices(sorted(_PUNCTUATION), k=rng.randint(1, 3)))
+    return word
+
+
+@st.composite
+def noisy_stanzas(draw):
+    """Stanza text with blank and punctuation-only lines, and now and then a planted fault.
+
+    The faults: an odd verse count, a verse with a wrong syllable count, or a
+    token that does not parse.
+    """
+    rng = draw(st.randoms(use_true_random=True))
+    verses = rng.choice([2, 2, 4, 4, 4, 6, 8, 0, 1, 3])
+    lines = []
+    for index in range(verses):
+        size = (8 if index % 2 else 6) + (rng.choice([-1, 1, -6]) if rng.random() < 0.05 else 0)
+        words = [noisy_word(rng) for _ in range(size)]
+        if words and rng.random() < 0.05:
+            words[rng.randrange(len(words))] = rng.choice(_BAD_TOKENS)
+        lines.append(rng.choice(["", " ", "\t", "\u2000"])
+                     + "".join(word + rng.choice(_SPACES) for word in words))
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        lines.insert(rng.randint(0, len(lines)), rng.choice([
+            "",
+            "".join(rng.choices(_SPACES, k=rng.randint(1, 3))),
+            " ".join(rng.choices(sorted(_PUNCTUATION), k=rng.randint(1, 4))),
+        ]))
+    return rng.choice(["\n", "\r\n", "\n\n"]).join(lines)
+
+
+_TABLE = default_rule_table()
+_PARSED = [parse_syllable(token) for token in SYLLABLES]
+
+
+def _rhyme_key(syllable):
+    """Equal for two vocabulary syllables exactly when they rhyme."""
+    group = _TABLE.group_of(syllable.rime)
+    return ("group", group) if group is not None else ("rime", syllable.rime)
+
+
+_RHYMING = defaultdict(list)
+for _syllable in _PARSED:
+    _RHYMING[_rhyme_key(_syllable)].append(_syllable)
+_BY_CLASS = {tone_class: [s for s in _PARSED if s.tone_class is tone_class]
+             for tone_class in ToneClass}
+
+
+@st.composite
+def vocabulary_stanzas(draw):
+    """A stanza of 1-6 pairs of vocabulary syllables, tone and rhyme faults planted by choice."""
+    n = draw(st.integers(1, 6))
+    rng = draw(st.randoms(use_true_random=True))
+    words = {
+        (line, word): rng.choice(_PARSED)
+        for line in range(1, 2 * n + 1)
+        for word in range(1, (8 if line % 2 == 0 else 6) + 1)
+    }
+    compiled = template(n)
+    for position, expected in compiled.tone_slots:
+        fault = rng.random() < 0.3
+        wanted = next(c for c in ToneClass if c is not expected) if fault else expected
+        words[position] = rng.choice(_BY_CLASS[wanted])
+    for member, anchor in compiled.rhyme_pairs:
+        if rng.random() < 0.7:  # else keep the drawn syllable, which rarely rhymes
+            words[member] = rng.choice(_RHYMING[_rhyme_key(words[anchor])])
+    lines = tuple(
+        tuple(words[line, word] for word in range(1, (8 if line % 2 == 0 else 6) + 1))
+        for line in range(1, 2 * n + 1)
+    )
+    return Stanza(lines=lines, n_pairs=n)
+
+
+class TestSegmentAndScoreEquivalence:
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(noisy_stanzas())
+    def test_segment_stanza_matches_the_split_join_reference(self, text):
+        assert _outcome(segment_stanza, text) == _outcome(reference_segment_stanza, text)
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(stanza=vocabulary_stanzas(), w_rhyme=_WEIGHTS, w_tone=_WEIGHTS)
+    def test_score_stanza_matches_the_nested_walk(self, stanza, w_rhyme, w_tone):
+        report = score_stanza(stanza, _TABLE, w_rhyme=w_rhyme, w_tone=w_tone)
+        wrong_rhyme, wrong_tone, score, rhyme_ok, actual_tones = reference_score_stanza(
+            stanza, _TABLE, w_rhyme, w_tone)
+        assert report.rhyme_ok == rhyme_ok
+        assert report.actual_tones == actual_tones
+        assert (report.wrong_rhyme, report.wrong_tone) == (wrong_rhyme, wrong_tone)
+        assert report.score.hex() == score.hex()
+        assert report.n_pairs == stanza.n_pairs and report.stanza is stanza
+
+    @pytest.mark.parametrize("cut", [(1, 5), (2, 7), (3, 1), (4, 3)])
+    def test_hand_built_stanza_with_a_short_line_fails_as_before(self, kieu, table, cut):
+        line, keep = cut
+        lines = list(segment_stanza(kieu).lines)
+        lines[line - 1] = lines[line - 1][:keep]
+        stanza = Stanza(lines=tuple(lines), n_pairs=2)
+        assert _outcome(score_stanza, stanza, table) == _outcome(
+            reference_score_stanza, stanza, table)
+        assert _outcome(score_stanza, stanza, table)[0] is IndexError
+
+    @pytest.mark.parametrize("n_pairs", [True, 1.0, 2.0, 0, -1])
+    def test_bad_pair_count_fails_as_before(self, kieu, table, n_pairs):
+        lines = segment_stanza(kieu).lines
+        for n in (1, 2):  # fill the per-n caches first: True must not hit 1's entry
+            score_stanza(Stanza(lines=lines[: 2 * n], n_pairs=n), table)
+        stanza = Stanza(lines=lines, n_pairs=n_pairs)
+        assert _outcome(score_stanza, stanza, table) == _outcome(
+            reference_score_stanza, stanza, table)
+        assert _outcome(score_stanza, stanza, table)[0] is InvalidPairCount

@@ -1,4 +1,5 @@
 import itertools
+import random
 import unicodedata
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from lucbat import (
     NotASyllable,
     Tone,
     ToneClass,
+    default_rule_table,
     normalize_verse,
     normalize_verses,
     parse_syllable,
@@ -19,8 +21,14 @@ from lucbat.syllable import (
     ONSETS,
     PARSE_CACHE_SIZE,
     VOWELS,
+    Syllable,
+    _CODAS,
+    _CONSONANT_LETTERS,
     _PUNCTUATION,
+    _TONE_COMBINING,
     _nfc,
+    _split_onset,
+    _split_rime,
     mark_rime,
 )
 from conftest import KIEU
@@ -210,6 +218,7 @@ def test_scoring_a_file_twice_parses_each_distinct_token_once(tmp_path, capsys):
     path = tmp_path / "poems.txt"
     path.write_text(text, encoding="utf-8")
     distinct = {token for line in text.splitlines() for token in normalize_verse(line).split()}
+    default_rule_table()  # built once per process, parsing its rimes through the same memo
     parse_syllable.cache_clear()
     for _ in range(2):
         assert main(["score", str(path), "--format", "jsonl"]) == 0
@@ -281,3 +290,72 @@ def test_normalize_verses_examples():
     assert normalize_verses("Trăm NĂM,\r\n\n  …  \u2028Người ta!\n") == [
         "trăm năm", "", "", "người ta"]
     assert normalize_verses("ΑΣ\nΣΑ") == ["ας", "σα"]
+
+
+def _reference_parse_syllable(token):
+    """``parse_syllable``'s body before its checks became set and regex operations."""
+    if not token or any(ch.isspace() for ch in token):
+        raise NotASyllable(token, "empty or contains whitespace")
+    marks = []
+    kept = []
+    for ch in unicodedata.normalize("NFD", token.lower()):
+        tone = _TONE_COMBINING.get(ch)
+        if tone is not None:
+            marks.append(tone)
+        else:
+            kept.append(ch)
+    if len(marks) > 1:
+        raise MultipleToneMarks(token)
+    tone = marks[0] if marks else Tone.NGANG
+    base = _nfc("".join(kept))
+    if not base:
+        raise NotASyllable(token, "no letters")
+    for ch in base:
+        if ch.isdigit():
+            raise NotASyllable(token, "contains digits")
+        if ch not in VOWELS and ch not in _CONSONANT_LETTERS:
+            raise NotASyllable(token, f"non-Vietnamese character {ch!r}")
+    if not any(ch in VOWELS for ch in base):
+        raise NotASyllable(token, "no vowel nucleus")
+    split = _split_onset(base)
+    if split is None:
+        raise NotASyllable(token, "no vowel nucleus after onset")
+    onset, rime = split
+    _, coda = _split_rime(rime)
+    if coda and coda not in _CODAS:
+        raise NotASyllable(token, f"invalid coda {coda!r}")
+    return Syllable(
+        raw=token, normalized=onset + mark_rime(rime, tone), onset=onset, rime=rime,
+        tone=tone, tone_class=tone.tone_class,
+    )
+
+
+def _outcome(parse, token):
+    try:
+        return parse(token)
+    except NotASyllable as exc:
+        return type(exc), exc.token, exc.reason, str(exc)
+
+
+_MISS_LETTERS = sorted(
+    set(_LETTERS)
+    | {unicodedata.normalize("NFD", letter) for letter in _LETTERS}
+    | {letter.upper() for letter in _LETTERS}
+)
+# Tone-marked consonants, eth, digits, whitespace, a zero-width space, a foreign vowel
+# and bare tone and quality marks, beside the Vietnamese letters above.
+_MISS_OTHERS = list("ǹḿẁđĐðÐ0789 \t\u00a0\u200böÖ") + list(_TONE_MARKS + "\u0302\u0306\u031b")
+
+
+def test_parse_body_matches_the_per_character_reference():
+    rng = random.Random(1515)
+    parse = parse_syllable.__wrapped__  # the uncached body: every call is a miss
+    mismatches = []
+    for _ in range(100_000):
+        token = "".join(
+            rng.choice(_MISS_OTHERS) if rng.random() < 0.15 else rng.choice(_MISS_LETTERS)
+            for _ in range(rng.randint(0, 6))
+        )
+        if _outcome(parse, token) != _outcome(_reference_parse_syllable, token):
+            mismatches.append(token)
+    assert mismatches == []
