@@ -9,7 +9,8 @@ Subcommands:
     quatrains   split poems into quatrains, optionally seeded-shuffle
     losscheck   finite-difference verification of the semantic loss head
 
-Exit status: 0 success, 1 input/validation problem, 2 internal error.
+Exit status: 0 success, 1 input/validation problem, 2 internal error, 141
+(128 + SIGPIPE) when the reader of standard output goes away.
 All randomness is controlled by --seed; fixed inputs and seed give
 byte-identical outputs.
 """
@@ -20,6 +21,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring
 from typing import Optional, Sequence
@@ -51,13 +53,15 @@ from .syllable import LucBatError, decode_utf8
 
 USAGE_ERROR = 1
 INTERNAL_ERROR = 2
+# what a shell reports for a process that SIGPIPE ended, as for `lucbat score … | head -1`
+BROKEN_PIPE = 128 + 13
 # Weights near the float limit overflow the score to -inf, which JSON cannot carry;
 # 1e6 is far beyond any useful weight.
 MAX_WEIGHT = 1e6
 # losscheck flag: (argparse dest, least, most).  The check runs one batched forward pass
 # per chunk of semloss._FD_CHUNK parameters over stanzas * 2 pairs of up to len steps, and
-# P grows with dmodel * dhidden; at the caps (P=2880) it takes about 3 s on 2 vCPUs.
-# vocab only sizes the synthetic logits.
+# P grows with dmodel * dhidden; at the caps (P=2880, 4 stanzas) the command takes
+# 1.5-1.9 s on 2 vCPUs.  vocab only sizes the synthetic logits.
 LOSSCHECK_BOUNDS = {
     "seed": ("seed", 0, None),
     "dmodel": ("dmodel", 1, 16),
@@ -340,7 +344,12 @@ def _cmd_losscheck(args) -> int:
         if value < least or (most is not None and value > most):
             bound = f">= {least}" if value < least else f"<= {most}"
             raise LucBatError(f"--{flag} must be {bound}")
-    from .semloss import gradient_check  # numpy loads only for this command
+    try:
+        from .semloss import gradient_check  # numpy loads only for this command
+    except ImportError as exc:
+        if (exc.name or "").partition(".")[0] != "numpy":
+            raise
+        raise LucBatError("losscheck needs numpy (pip install numpy)") from exc
 
     report = gradient_check(
         seed=args.seed,
@@ -385,7 +394,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a reader that went away shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the final flush at exit writes the rest of the buffer to devnull, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return BROKEN_PIPE
     except (LucBatError, OSError) as exc:
         print(f"lucbat {args.command}: error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -17,17 +17,19 @@ of 1e-4.  The LSTM always starts from the zero state.
 The LSTM parameters are three stacks in gate order f, i, o, c: U (4h, d),
 W (4h, h) and b (4h,).  The packed parameter vector, whose order and block
 sizes only :func:`pack_parameters` and :func:`unpack_parameters` know, is
-W_q, W_k, W_v, U, W, b, each raveled row-major.  A (B, P) matrix holds B
-packed vectors, one per row.
+W_q, W_k, W_v, U, W, b, each raveled row-major.
 
 The forward and backward passes are batch-first: the private attention,
 recurrence and backward steps take every parameter block with a leading
 batch axis of B parameter sets, (B, d, d) … (B, 4h), and return (B, T, ·)
-arrays.  The public single-set functions pass B = 1.  :func:`gradient_check`
-evaluates its central differences in chunks of a few dozen parameters: a
-chunk of k parameters unpacks as 2k perturbed vectors (k bumped up, then the
-same k bumped down) and runs one batched forward per verse pair, so the
-check costs about 2P/2k batched passes instead of 2P serial ones.
+arrays.  The public single-set functions pass B = 1.  A forward pass
+broadcasts its blocks, so a block with a batch axis of 1 serves every set.
+:func:`gradient_check` evaluates its central differences in chunks of a few
+dozen parameters, each inside one block: a chunk of k parameters tiles that
+block as 2k perturbed copies (k bumped up, then the same k bumped down),
+passes the other five blocks as the base set, and runs one batched forward
+per verse pair.  So the check costs about 2P/2k batched passes instead of
+2P serial ones, and a chunk of U, W or b runs the attention once, at batch 1.
 
 Everything is float64; softmax uses max subtraction.  Token embeddings and
 language-model logits are supplied by the caller (or generated synthetically
@@ -88,10 +90,11 @@ class BadCheckSetting(LucBatError):
     or a dimension or count that is not an int of at least 1."""
 
 
-# Parameters k per batched finite-difference pass (2k perturbed vectors).  It bounds
-# the check's extra memory: losscheck's peak RSS at P=736 rose by 0.75 MB at 16,
-# 1.2 MB at 24 and 1.6 MB at 32, while 32 was only about 8 ms faster.
-_FD_CHUNK = 16
+# Parameters k per batched finite-difference pass (2k perturbed copies of one block).
+# It bounds the check's extra memory: at the losscheck caps (P=2880) the traced peak
+# is 2.2 MB at 16, 4.3 MB at 32 and 5.3 MB at 40, and 32 runs the check about 15% faster
+# than 16.
+_FD_CHUNK = 32
 # central-difference step and the largest relative error that passes
 _FD_STEP = 1e-5
 _TOLERANCE = 1e-4
@@ -204,26 +207,20 @@ def pack_parameters(attn: AttentionParams, lstm: LstmParams) -> np.ndarray:
 
 
 def unpack_parameters(vec: np.ndarray, d_model: int, d_hidden: int):
-    """Inverse of :func:`pack_parameters`; the blocks are copies, not views of ``vec``.
+    """Inverse of :func:`pack_parameters`: ``(AttentionParams, LstmParams)``.
 
-    A vector of P values gives ``(AttentionParams, LstmParams)``.  A (B, P)
-    matrix of B packed vectors gives the six blocks W_q, W_k, W_v, U, W, b,
-    each with a leading batch axis of length B.
+    ``vec`` must be a vector of P values; the blocks are copies, not views of it.
     """
-    # plain int offsets: the finite-difference check unpacks once per chunk
     d, g = d_model, 4 * d_hidden
     shapes = [(d, d)] * 3 + [(g, d), (g, d_hidden), (g,)]
     sizes = [math.prod(shape) for shape in shapes]
-    if vec.ndim not in (1, 2) or vec.shape[-1] != sum(sizes):
-        raise ShapeMismatch(f"expected {sum(sizes)} values per vector, got shape {vec.shape}")
+    if vec.shape != (sum(sizes),):
+        raise ShapeMismatch(f"expected a vector of {sum(sizes)} values, got shape {vec.shape}")
     vec = vec.copy()
-    batch = vec.shape[:-1]
     blocks, start = [], 0
     for shape, size in zip(shapes, sizes):
-        blocks.append(vec[..., start : start + size].reshape(batch + shape))
+        blocks.append(vec[start : start + size].reshape(shape))
         start += size
-    if batch:
-        return blocks
     return AttentionParams(*blocks[:3]), LstmParams(*blocks[3:])
 
 
@@ -236,8 +233,9 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
 def _attention(X, W_q, W_k, W_v, name: str = "X") -> tuple:
     """Attention forward of B parameter sets over one sequence: (X, Q, K, V, A, Y).
 
-    ``X`` is (T, d) and each projection (B, d, d); Q, K, V and Y = A V are
-    (B, T, d), and A = softmax(Q K^T / sqrt(d)) is (B, T, T).
+    ``X`` is (T, d) and each projection (B, d, d) or (1, d, d); Q, K and V
+    keep their projection's batch axis, and Y = A V (B, T, d) and
+    A = softmax(Q K^T / sqrt(d)) (B, T, T) take the broadcast one.
     """
     X = _as_matrix(X, name)
     d = W_q.shape[-1]
@@ -263,17 +261,19 @@ def self_attention(X, params: AttentionParams) -> np.ndarray:
 def _recurrence(Y: np.ndarray, U, W, b):
     """The gate recursion of :func:`lstm_forward` for B parameter sets from the zero state.
 
-    ``Y`` is (B, T, d) and ``U``, ``W``, ``b`` are (B, 4h, d), (B, 4h, h), (B, 4h).
-    The input projection Y U^T + b is computed once, then one batched
-    W h_prev per step.  Returns the activated gates (B, T, 4h), sigmoid on
-    the f, i, o rows and tanh on the candidate rows, and the hidden and cell
-    states (B, T, h).
+    ``Y`` is (B, T, d) and ``U``, ``W``, ``b`` are (B, 4h, d), (B, 4h, h), (B, 4h),
+    any of them with a batch axis of 1 in place of B.  The input projection
+    Y U^T + b is computed once, then one batched W h_prev per step.  Returns
+    the activated gates (B, T, 4h), sigmoid on the f, i, o rows and tanh on
+    the candidate rows, and the hidden and cell states (B, T, h).
     """
     if Y.shape[-1] != U.shape[-1]:
         raise ShapeMismatch(f"input width {Y.shape[-1]} != d_in {U.shape[-1]}")
     n = W.shape[-1]
-    h = c = np.zeros((len(W), n))
-    gates = Y @ U.swapaxes(1, 2) + b[:, None]
+    (batch,) = np.broadcast_shapes(*(len(x) for x in (Y, U, W, b)))
+    h = c = np.zeros((batch, n))
+    # a copy: the steps write each row's activated gates in place
+    gates = np.broadcast_to(Y @ U.swapaxes(1, 2) + b[:, None], (batch, Y.shape[1], 4 * n)).copy()
     hidden = np.empty(gates.shape[:2] + (n,))
     cell = np.empty_like(hidden)
     # one step per time-major view; f, i, o, g are views of the step's gates
@@ -494,23 +494,30 @@ class GradientCheckReport:
     tolerance: float
 
 
-def _central_differences(theta: np.ndarray, loss_at) -> np.ndarray:
+def _central_differences(blocks: Sequence[np.ndarray], loss_at) -> np.ndarray:
     """(loss(theta + s e_k) - loss(theta - s e_k)) / 2s for every k, s = ``_FD_STEP``.
 
-    ``loss_at`` maps a (B, P) matrix of parameter vectors to their B losses.
-    Each call takes one chunk of k parameters: rows 0..k-1 bump them up and
-    rows k..2k-1 bump the same ones down.
+    ``blocks`` are the base set's W_q, W_k, W_v, U, W, b, each with a batch
+    axis of 1, and theta their packed vector, whose order the result keeps.
+    ``loss_at`` maps six blocks that broadcast to a batch of B sets to their
+    B losses.  Each call takes one chunk of k parameters inside one block,
+    which it tiles 2k times: copies 0..k-1 bump them up and copies k..2k-1
+    bump the same ones down.  The other five blocks stay the base ones.
     """
-    fd = np.empty_like(theta)
-    for start in range(0, theta.size, _FD_CHUNK):
-        k = min(_FD_CHUNK, theta.size - start)
-        rows = np.arange(k)
-        bumped = np.tile(theta, (2 * k, 1))
-        bumped[rows, start + rows] += _FD_STEP
-        bumped[k + rows, start + rows] -= _FD_STEP
-        loss = loss_at(bumped)
-        fd[start : start + k] = (loss[:k] - loss[k:]) / (2.0 * _FD_STEP)
-    return fd
+    fd = []
+    for index, block in enumerate(blocks):
+        flat = block.ravel()
+        for start in range(0, flat.size, _FD_CHUNK):
+            k = min(_FD_CHUNK, flat.size - start)
+            rows = np.arange(k)
+            bumped = np.tile(flat, (2 * k, 1))
+            bumped[rows, start + rows] += _FD_STEP
+            bumped[k + rows, start + rows] -= _FD_STEP
+            chunk = [*blocks[:index], bumped.reshape((2 * k,) + block.shape[1:]),
+                     *blocks[index + 1 :]]
+            loss = loss_at(chunk)
+            fd.append((loss[:k] - loss[k:]) / (2.0 * _FD_STEP))
+    return np.concatenate(fd)
 
 
 def gradient_check(
@@ -536,17 +543,15 @@ def gradient_check(
         inst["stanza_pairs"], inst["logits"], inst["next_token_ids"],
         inst["attn"], inst["lstm"], mean_pair_loss=mean_pair_loss,
     )
-    theta = pack_parameters(inst["attn"], inst["lstm"])
 
-    def loss_at(vecs: np.ndarray) -> np.ndarray:
-        """ce plus the pair term for each row of ``vecs``, forward only."""
-        blocks = unpack_parameters(vecs, d_model, d_hidden)
+    def loss_at(blocks: Sequence[np.ndarray]) -> np.ndarray:
+        """ce plus the pair term for each parameter set of ``blocks``, forward only."""
         passes = _stanza_passes(inst["stanza_pairs"], blocks, mean_pair_loss)
         # (1, h) @ (h, 1) per row sums as diff @ diff does for one set
         squares = (w * (diff[:, None] @ diff[..., None])[:, 0, 0] for w, _, _, diff in passes)
-        return breakdown.ce + sum(squares, np.zeros(len(vecs)))
+        return breakdown.ce + sum(squares)
 
-    fd = _central_differences(theta, loss_at)
+    fd = _central_differences(_blocks(inst["attn"], inst["lstm"]), loss_at)
     analytic = breakdown.gradients
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-4)
     max_rel = float(np.max(np.abs(analytic - fd) / denom))
@@ -554,7 +559,7 @@ def gradient_check(
         seed=seed,
         d_model=d_model,
         d_hidden=d_hidden,
-        n_parameters=theta.size,
+        n_parameters=fd.size,
         max_relative_error=max_rel,
         ce=breakdown.ce,
         mse=breakdown.mse,

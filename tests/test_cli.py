@@ -407,6 +407,37 @@ def test_commands_in_one_process_print_what_each_prints_alone(tmp_path, monkeypa
     assert build_parser() is not build_parser()
 
 
+def test_reader_that_closes_early_ends_score_with_141_and_no_message(tmp_path):
+    # more output than a pipe buffers, so score is still writing when the reader goes
+    poems = write(tmp_path, "poems.txt", (KIEU + "\n\n") * 2000)
+    src = Path(lucbat.__file__).resolve().parent.parent
+    child = subprocess.Popen([sys.executable, "-m", "lucbat", "score", poems],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+    first = child.stdout.readline()
+    child.stdout.close()
+    stderr = child.stderr.read()
+    assert (child.wait(timeout=60), first, stderr) == (141, f"# {poems}:0 stanza 1\n".encode(), b"")
+
+
+def test_losscheck_without_numpy_exits_one():
+    src = Path(lucbat.__file__).resolve().parent.parent
+    probe = "\n".join([
+        "import importlib.abc, sys",
+        f"sys.path.insert(0, {str(src)!r})",
+        "class NoNumpy(importlib.abc.MetaPathFinder):",
+        "    def find_spec(self, name, path, target=None):",
+        "        if name.partition('.')[0] == 'numpy':",
+        "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)",
+        "sys.meta_path.insert(0, NoNumpy())",
+        "import lucbat.cli",
+        "sys.exit(lucbat.cli.main(['losscheck']))",
+    ])
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1, "", "lucbat losscheck: error: losscheck needs numpy (pip install numpy)\n")
+
+
 def test_invalid_utf8_on_stdin_exits_one():
     src = Path(lucbat.__file__).resolve().parent.parent
     for argv in (["score", "-"], ["report", "-"]):

@@ -12,7 +12,9 @@ Each case below ran once, in a directory holding only ``poems.txt``, to make
 ``data/golden/<case>/``: ``status``, ``stdout`` and ``stderr``, plus every
 file the command wrote.  The outputs come from the code as it was before
 segmentation and scoring took their single-pass forms, and that change kept
-them byte for byte.  Regenerate them only for a deliberate output change, and
+them byte for byte.  The ``losscheck`` cases, which ignore ``poems.txt``, come
+from the code as it was before the finite-difference check tiled one parameter
+block per chunk.  Regenerate them only for a deliberate output change, and
 say so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -36,6 +38,11 @@ CASES = {
     "quatrains-seed-3": ["quatrains", "poems.txt", "--seed", "3", "--out", "quatrains.txt"],
     "filter-stats": ["filter", "poems.txt", "--min-score", "60", "--out", "kept.txt",
                      "--stats", "stats.json"],
+    "losscheck": ["losscheck"],
+    "losscheck-bench-seed-1": ["losscheck", "--seed", "1", "--dmodel", "8", "--dhidden", "8",
+                               "--vocab", "7", "--len", "12", "--stanzas", "1"],
+    "losscheck-seed-2": ["losscheck", "--seed", "2", "--dmodel", "5", "--dhidden", "4",
+                         "--len", "9", "--stanzas", "3"],
 }
 
 

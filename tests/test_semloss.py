@@ -464,11 +464,11 @@ class TestGradientCheck:
     def test_unpack_rejects_a_wrong_length(self, delta):
         # P = 3 d^2 + 4h (d + h + 1) = 183 at d = 5, h = 3
         unpack_parameters(np.zeros(183), 5, 3)
-        unpack_parameters(np.zeros((2, 183)), 5, 3)
         with pytest.raises(ShapeMismatch):
             unpack_parameters(np.zeros(183 + delta), 5, 3)
-        with pytest.raises(ShapeMismatch):
-            unpack_parameters(np.zeros((2, 183 + delta)), 5, 3)
+        # a (B, P) matrix of packed vectors is not a vector either
+        with pytest.raises(ShapeMismatch, match=r"got shape \(2, 183\)"):
+            unpack_parameters(np.zeros((2, 183)), 5, 3)
         with pytest.raises(ShapeMismatch):
             unpack_parameters(np.zeros((1, 2, 183)), 5, 3)
 
@@ -504,6 +504,27 @@ def serial_differences(inst, d_model, d_hidden, step=1e-5):
     return fd
 
 
+def tiled_differences(inst, d_model, d_hidden, mean_pair_loss=False):
+    """The chunked differences as the check took them before it tiled one block per
+    chunk: each chunk tiles the whole packed vector, and every row unpacks all six blocks."""
+    ce = ce_loss(inst["logits"], inst["next_token_ids"])
+    theta = pack_parameters(inst["attn"], inst["lstm"])
+    fd = np.empty_like(theta)
+    for start in range(0, theta.size, semloss._FD_CHUNK):
+        k = min(semloss._FD_CHUNK, theta.size - start)
+        rows = np.arange(k)
+        bumped = np.tile(theta, (2 * k, 1))
+        bumped[rows, start + rows] += semloss._FD_STEP
+        bumped[k + rows, start + rows] -= semloss._FD_STEP
+        sets = (semloss._blocks(*unpack_parameters(row, d_model, d_hidden)) for row in bumped)
+        blocks = [np.concatenate(column) for column in zip(*sets)]
+        passes = semloss._stanza_passes(inst["stanza_pairs"], blocks, mean_pair_loss)
+        squares = (w * (diff[:, None] @ diff[..., None])[:, 0, 0] for w, _, _, diff in passes)
+        loss = ce + sum(squares, np.zeros(2 * k))
+        fd[start : start + k] = (loss[:k] - loss[k:]) / (2.0 * semloss._FD_STEP)
+    return fd
+
+
 class TestBatchedLossHead:
     @pytest.mark.parametrize("batch, d, h, length", [(1, 4, 3, 5), (3, 2, 5, 1), (7, 8, 8, 12)])
     def test_batched_rows_equal_single_sets(self, batch, d, h, length):
@@ -511,13 +532,15 @@ class TestBatchedLossHead:
         sets = [(AttentionParams.random(rng, d), LstmParams.random(rng, d, h))
                 for _ in range(batch)]
         x = rng.standard_normal((length, d))
-        stacked = np.stack([pack_parameters(attn, lstm) for attn, lstm in sets])
-        blocks = unpack_parameters(stacked, d, h)
+        # each block of every set, stacked along the batch axis of the (1, ·) blocks
+        blocks = [np.concatenate(column)
+                  for column in zip(*(semloss._blocks(attn, lstm) for attn, lstm in sets))]
         assert [block.shape[0] for block in blocks] == [batch] * 6
         vectors, cache = semloss._forward_pair(x, blocks)
         d_h_last = rng.standard_normal((batch, h))
         gradients = semloss._backward_pair(cache, d_h_last, blocks)
-        assert vectors.shape == (batch, h) and gradients.shape == stacked.shape
+        n_parameters = pack_parameters(*sets[0]).size
+        assert vectors.shape == (batch, h) and gradients.shape == (batch, n_parameters)
         for row, (attn, lstm) in enumerate(sets):
             assert np.allclose(vectors[row], contextual_vector(x, attn, lstm), rtol=0, atol=1e-12)
             one = semloss._blocks(attn, lstm)
@@ -540,28 +563,87 @@ class TestBatchedLossHead:
         expected = serial_differences(inst, BENCH_DIMS["d_model"], BENCH_DIMS["d_hidden"])
         assert np.max(np.abs(captured[0] - expected)) <= 1e-9
 
+    @pytest.mark.parametrize("dims, mean_pair_loss", [
+        (BENCH_DIMS, False),
+        (dict(d_model=5, d_hidden=4, max_len=9, n_stanzas=3), False),
+        (dict(d_model=3, d_hidden=5, max_len=4, n_stanzas=2), True),
+    ], ids=["bench", "three-stanzas", "mean-pair-loss"])
+    @pytest.mark.parametrize("seed", range(2))
+    def test_differences_are_bitwise_those_of_the_tiled_vector(
+            self, seed, dims, mean_pair_loss, monkeypatch):
+        # the untouched blocks broadcast from the base set; every row computes what
+        # it computed when each chunk tiled and unpacked the whole packed vector
+        captured = []
+        chunked = semloss._central_differences
+
+        def record(*args):
+            captured.append(chunked(*args))
+            return captured[-1]
+
+        monkeypatch.setattr(semloss, "_central_differences", record)
+        report = gradient_check(seed=seed, mean_pair_loss=mean_pair_loss, **dims)
+        inst = random_instance(seed, **dims)
+        d_model, d_hidden = inst["attn"].d_model, inst["lstm"].d_hidden
+        expected = tiled_differences(inst, d_model, d_hidden, mean_pair_loss)
+        assert np.array_equal(captured[0], expected)
+        assert report.passed and report.n_parameters == expected.size
+
     def test_one_batched_recurrence_per_chunk_and_pair(self, monkeypatch):
-        # one B=1 analytic pass and one batched pass per chunk, per pair; the
-        # serial check ran 2P + 1 recurrences per pair, 2946 here
-        calls = []
-        recurrence = semloss._recurrence
+        # one B=1 analytic pass, then per chunk one batched pass per pair that tiles
+        # exactly one block; the serial check ran 2P + 1 recurrences per pair, 2946
+        # at the benchmark dimensions.  At the defaults no block size is a multiple
+        # of the chunk.
+        calls = []  # (function, batch size of its output)
+        for name in ("_attention", "_recurrence"):
+            def record(*args, name=name, wrapped=getattr(semloss, name)):
+                blocks = args[1:4] if name == "_attention" else args
+                calls.append((name, max(len(block) for block in blocks)))
+                return wrapped(*args)
 
-        def count(*args):
-            calls.append(len(args[0]))
-            return recurrence(*args)
+            monkeypatch.setattr(semloss, name, record)
+        chunks = []  # (batch size of each block, calls of the chunk)
+        differences = semloss._central_differences
 
-        monkeypatch.setattr(semloss, "_recurrence", count)
-        report = gradient_check(seed=1, **BENCH_DIMS)
-        pairs = 2 * BENCH_DIMS["n_stanzas"]
-        chunks = math.ceil(report.n_parameters / semloss._FD_CHUNK)
-        assert len(calls) == chunks * pairs + pairs
-        assert 10 * len(calls) < pairs * (2 * report.n_parameters + 1)
-        assert calls.count(1) == pairs and max(calls) == 2 * semloss._FD_CHUNK
+        def per_chunk(blocks, loss_at):
+            def counted(chunk):
+                first = len(calls)
+                loss = loss_at(chunk)
+                chunks.append(([len(block) for block in chunk], calls[first:]))
+                return loss
+
+            return differences(blocks, counted)
+
+        monkeypatch.setattr(semloss, "_central_differences", per_chunk)
+        for dims in (BENCH_DIMS, {}):
+            calls.clear()
+            chunks.clear()
+            report = gradient_check(seed=1, **dims)
+            inst = random_instance(1, **dims)
+            pairs = 2 * len(inst["stanza_pairs"])
+            sizes = [block.size for block in semloss._blocks(inst["attn"], inst["lstm"])]
+            analytic = sorted(calls[: 2 * pairs])
+            assert analytic == [("_attention", 1)] * pairs + [("_recurrence", 1)] * pairs
+            assert len(chunks) == sum(math.ceil(size / semloss._FD_CHUNK) for size in sizes)
+            covered = [0] * 6
+            for batches, chunk_calls in chunks:
+                tiled = [index for index, batch in enumerate(batches) if batch > 1]
+                assert len(tiled) == 1, batches  # one tiled block: no chunk spans two
+                index, batch = tiled[0], max(batches)
+                assert batch % 2 == 0 and batch <= 2 * semloss._FD_CHUNK
+                covered[index] += batch // 2
+                attention_batch = batch if index < 3 else 1  # only W_q, W_k, W_v chunks
+                assert sorted(chunk_calls) == ([("_attention", attention_batch)] * pairs
+                                               + [("_recurrence", batch)] * pairs)
+            assert covered == sizes and sum(sizes) == report.n_parameters
+            recurrences = [batch for name, batch in calls if name == "_recurrence"]
+            assert len(recurrences) == len(chunks) * pairs + pairs
+            assert 10 * len(recurrences) < pairs * (2 * report.n_parameters + 1)
+            assert max(recurrences) == 2 * semloss._FD_CHUNK
 
     def test_peak_memory_at_the_largest_accepted_check(self):
         # every dimension at its losscheck cap; stanzas run one at a time, so one
-        # stanza reaches the same peak.  16 parameters per chunk peak at about
-        # 4.0 MB here, 24 at 5.9 MB.
+        # stanza reaches the same peak.  32 parameters per chunk peak at about
+        # 4.3 MB here, 40 at 5.3 MB.
         dims = {name: LOSSCHECK_BOUNDS[flag][2]
                 for flag, name in [("dmodel", "d_model"), ("dhidden", "d_hidden"),
                                    ("vocab", "vocab"), ("len", "max_len")]}
