@@ -49,7 +49,7 @@ from .scoring import (
     segment_stanza,
     split_quatrains,
 )
-from .syllable import LucBatError, decode_utf8
+from .syllable import LucBatError, _lines, decode_utf8
 
 USAGE_ERROR = 1
 INTERNAL_ERROR = 2
@@ -261,7 +261,7 @@ def _cmd_creativity(args) -> int:
 
 def _read_scores(text: str) -> list[float]:
     scores = []
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(_lines(text), start=1):
         line = line.strip()
         if not line:
             continue
@@ -349,7 +349,7 @@ def _cmd_losscheck(args) -> int:
     except ImportError as exc:
         if (exc.name or "").partition(".")[0] != "numpy":
             raise
-        raise LucBatError("losscheck needs numpy (pip install numpy)") from exc
+        raise LucBatError("losscheck needs numpy: pip install 'lucbat[loss]'") from exc
 
     report = gradient_check(
         seed=args.seed,

@@ -19,16 +19,16 @@ split (the tokens of :func:`~lucbat.syllable.normalize_verse`, without
 building the joined verse) and parses a line with one ``map`` over the
 memoized :func:`~lucbat.syllable.parse_syllable`.
 
-The template depends on n alone, so scoring walks the one compiled by
-:func:`lucbat.rules.template` for the stanza's n, restated once per n as
-zero-based indices into :attr:`Stanza.lines`.  A :class:`ScoreReport`
-keeps one rhyme verdict per rhyme pair and one tone class per tone slot of
-that template, in the template's order.
-:func:`report_record` writes a report as its JSONL line from fragments
-compiled once per n, filling in only the parts that vary.  The line is
-byte-identical to ``json.dumps(record, ensure_ascii=False, sort_keys=True,
-allow_nan=False)`` of the nested record dict, so the record format is
-unchanged.
+The template depends on n alone, so :func:`lucbat.rules.template` is
+compiled into one stanza shape per n (``_shape``): the rhyme pairs and tone
+slots as zero-based indices into :attr:`Stanza.lines`, the expected tone
+classes, the two denominators and the JSON fragments of every diagnostic.
+Its three readers share that one entry: :func:`score_stanza` walks the
+indices, keeping one rhyme verdict per rhyme pair and one tone class per
+tone slot in the template's order; :func:`report_record` fills the
+fragments in, so its JSONL line is byte-identical to ``json.dumps(record,
+ensure_ascii=False, sort_keys=True, allow_nan=False)`` of the nested record
+dict; and :func:`annotate_stanza` marks words at the same indices.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from json.encoder import encode_basestring
 from operator import is_not
 from typing import NamedTuple
 
-from .rules import Position, RuleTable, Template, template
+from .rules import Position, RuleTable, template
 from .syllable import (
     LucBatError,
     NotASyllable,
@@ -111,7 +111,7 @@ class ScoreReport(NamedTuple):
     """Score of one stanza.
 
     ``rhyme_ok`` and ``actual_tones`` line up with the ``rhyme_pairs`` and
-    ``tone_slots`` of ``template(n_pairs)``.
+    ``tone_slots`` of the :func:`~lucbat.rules.template` of ``n_pairs``.
     """
 
     n_pairs: int
@@ -145,13 +145,20 @@ def segment_stanza(raw_poem: str) -> Stanza:
     return Stanza(lines=tuple(parsed_lines), n_pairs=len(lines) // 2)
 
 
-@functools.lru_cache(maxsize=128)  # bounded like rules.template
-def _walk(n_pairs: int) -> tuple[Template, tuple, tuple, tuple, tuple]:
-    """``template(n_pairs)`` as zero-based ``(line, word)`` indices into ``Stanza.lines``.
+_JSON_BOOL = ("false", "true")
 
-    Returns (template, members, anchors, slots, expected): rhyme pair k
-    compares ``members[k]`` with ``anchors[k]``, and tone slot k is
-    ``slots[k]`` with expected class ``expected[k]``, in the template's order.
+
+@functools.lru_cache(maxsize=128)  # bounded like rules.template
+def _shape(n_pairs: int) -> tuple:
+    """``template(n_pairs)`` compiled for the three readers of a stanza's report.
+
+    Returns the plain tuple (members, anchors, slots, expected, rhyme_positions,
+    tone_positions, rhyme, tone, tail).  Rhyme pair k compares ``members[k]``
+    with ``anchors[k]``, and tone slot k is ``slots[k]`` with expected class
+    ``expected[k]``, all zero-based ``(line, word)`` indices into
+    ``Stanza.lines`` in the template's order.  ``rhyme[k][ok]`` is the JSON
+    text of rhyme pair k's diagnostic, ``tone[k][actual is LEVEL]`` tone slot
+    k's, and ``tail`` the text that follows the tone list up to the poem id.
     """
     compiled = template(n_pairs)
     members, anchors = (
@@ -160,7 +167,27 @@ def _walk(n_pairs: int) -> tuple[Template, tuple, tuple, tuple, tuple]:
     )
     slots = tuple((line - 1, word - 1) for (line, word), _ in compiled.tone_slots)
     expected = tuple(expected for _, expected in compiled.tone_slots)
-    return compiled, members, anchors, slots, expected
+    rhyme = tuple(
+        tuple(
+            f'{{"anchor": [{a_line}, {a_word}], "ok": {_JSON_BOOL[ok]}, '
+            f'"position": [{line}, {word}]}}'
+            for ok in (False, True)
+        )
+        for (line, word), (a_line, a_word) in compiled.rhyme_pairs
+    )
+    tone = tuple(
+        tuple(
+            f'{{"actual": {encode_basestring(actual.value)}, '
+            f'"expected": {encode_basestring(expected.value)}, '
+            f'"ok": {_JSON_BOOL[actual is expected]}, "position": [{line}, {word}]}}'
+            for actual in (ToneClass.OBLIQUE, ToneClass.LEVEL)
+        )
+        for (line, word), expected in compiled.tone_slots
+    )
+    return (
+        members, anchors, slots, expected, compiled.rhyme_positions, compiled.tone_positions,
+        rhyme, tone, f']}}, "n": {n_pairs}, "poem_id": ',
+    )
 
 
 def score_stanza(
@@ -174,7 +201,8 @@ def score_stanza(
     ``w_rhyme``/``w_tone`` rescale the two penalty terms; the defaults give
     the plain formula.
     """
-    compiled, members, anchors, slots, expected = _walk(stanza.n_pairs)
+    members, anchors, slots, expected, rhyme_positions, tone_positions, _, _, _ = _shape(
+        stanza.n_pairs)
     lines = stanza.lines
     rhyme_ok = tuple(map(
         table.compatible,
@@ -186,8 +214,8 @@ def score_stanza(
     wrong_tone = sum(map(is_not, actual_tones, expected))
     score = 100.0 * (
         1.0
-        - w_rhyme * wrong_rhyme / compiled.rhyme_positions
-        - w_tone * wrong_tone / compiled.tone_positions
+        - w_rhyme * wrong_rhyme / rhyme_positions
+        - w_tone * wrong_tone / tone_positions
     )
     return ScoreReport(
         n_pairs=stanza.n_pairs,
@@ -246,38 +274,6 @@ def histogram(scores: list[float], bin_width: float = 10.0) -> Histogram:
     return Histogram(bins=tuple(bins), below=below, above=above)
 
 
-_JSON_BOOL = ("false", "true")
-
-
-@functools.lru_cache(maxsize=128)
-def _record_fragments(n_pairs: int) -> tuple[tuple, tuple, str]:
-    """JSON text of every diagnostic of ``template(n_pairs)``, in each form it can take.
-
-    Returns (rhyme, tone, tail): ``rhyme[k][ok]`` is rhyme pair k's object,
-    ``tone[k][actual is LEVEL]`` tone slot k's, and ``tail`` the text that
-    follows the tone list up to the poem id.  Keys are in sorted order.
-    """
-    compiled = template(n_pairs)
-    rhyme = tuple(
-        tuple(
-            f'{{"anchor": [{a_line}, {a_word}], "ok": {_JSON_BOOL[ok]}, '
-            f'"position": [{line}, {word}]}}'
-            for ok in (False, True)
-        )
-        for (line, word), (a_line, a_word) in compiled.rhyme_pairs
-    )
-    tone = tuple(
-        tuple(
-            f'{{"actual": {encode_basestring(actual.value)}, '
-            f'"expected": {encode_basestring(expected.value)}, '
-            f'"ok": {_JSON_BOOL[actual is expected]}, "position": [{line}, {word}]}}'
-            for actual in (ToneClass.OBLIQUE, ToneClass.LEVEL)
-        )
-        for (line, word), expected in compiled.tone_slots
-    )
-    return rhyme, tone, f']}}, "n": {n_pairs}, "poem_id": '
-
-
 def report_record(poem_id: str, stanza_index: int, report: ScoreReport) -> str:
     """The JSONL scoring record of one stanza, as one line of JSON text.
 
@@ -290,7 +286,7 @@ def report_record(poem_id: str, stanza_index: int, report: ScoreReport) -> str:
     score = report.score
     if not math.isfinite(score):
         json.dumps(score, allow_nan=False)  # raises json's own ValueError
-    rhyme, tone, tail = _record_fragments(report.n_pairs)
+    _, _, _, _, _, _, rhyme, tone, tail = _shape(report.n_pairs)
     level = ToneClass.LEVEL
     return (
         f'{{"R": {int.__repr__(report.wrong_rhyme)}, "T": {int.__repr__(report.wrong_tone)}, '
@@ -310,23 +306,15 @@ def annotate_stanza(report: ScoreReport) -> str:
     Words failing a rhyme check get ``[R]``, a tone check ``[T]``; a final
     summary line carries the counts and the score.
     """
-    compiled = template(report.n_pairs)
-    bad_rhyme = {member for (member, _), ok in zip(compiled.rhyme_pairs, report.rhyme_ok) if not ok}
-    bad_tone = {
-        position for (position, expected), actual in zip(compiled.tone_slots, report.actual_tones)
-        if actual is not expected
-    }
-    out = []
-    for line_index, line in enumerate(report.stanza.lines, start=1):
-        words = []
-        for word_index, syllable in enumerate(line, start=1):
-            word = syllable.normalized
-            if (line_index, word_index) in bad_rhyme:
-                word += "[R]"
-            if (line_index, word_index) in bad_tone:
-                word += "[T]"
-            words.append(word)
-        out.append(" ".join(words))
+    members, _, slots, expected, _, _, _, _, _ = _shape(report.n_pairs)
+    words = [[syllable.normalized for syllable in line] for line in report.stanza.lines]
+    for (line, word), ok in zip(members, report.rhyme_ok):
+        if not ok:
+            words[line][word] += "[R]"
+    for (line, word), want, actual in zip(slots, expected, report.actual_tones):
+        if actual is not want:
+            words[line][word] += "[T]"
+    out = [" ".join(line) for line in words]
     out.append(
         f"n={report.n_pairs} R={report.wrong_rhyme} T={report.wrong_tone} "
         f"score={report.score:.3f}"

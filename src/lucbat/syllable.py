@@ -265,6 +265,15 @@ def normalize_verse(line: str) -> str:
     return " ".join(_PUNCTUATION_RUN.sub(" ", _nfc(line.lower())).split())
 
 
+def _lines(text: str) -> list[str]:
+    """``text.splitlines()`` breaking only at ``\\n``, ``\\r\\n`` and ``\\r``, as ``open()`` does.
+
+    U+2028, U+0085 and the other separators stay inside a line, as JSON strings hold them.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return lines if lines[-1] else lines[:-1]
+
+
 def _normalized_lines(text: str) -> list[str]:
     """The lines of ``text`` after the lowercase, NFC and punctuation steps.
 

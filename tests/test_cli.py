@@ -110,9 +110,11 @@ class TestScoreCommand:
         record = json.loads(capsys.readouterr().out.strip())
         assert record["R"] == 1
 
-    def test_records_are_written_from_the_compiled_template(self, tmp_path, capsys, monkeypatch):
-        # scored records come from per-template fragments, not json.dumps of a dict;
-        # only the error record still goes through json.dumps
+    @pytest.mark.parametrize("fmt", ["jsonl", "text"])
+    def test_records_are_written_from_the_compiled_template(self, tmp_path, capsys, monkeypatch,
+                                                             fmt):
+        # scored records come from the stanza shape compiled once per n, not json.dumps
+        # of a dict; only the error record still goes through json.dumps
         broken = perturb_quatrain(KIEU, tone_flips=[(1, 2)], rhyme_breaks=[(3, 6)])
         poems = [KIEU, broken, KIEU + "\n" + broken, "chỉ một dòng", broken + "\n" + KIEU]
         path = write(tmp_path, "poems.txt", "\n\n".join(poems) + "\n")
@@ -124,15 +126,23 @@ class TestScoreCommand:
             return dumps(*args, **kwargs)
 
         monkeypatch.setattr(json, "dumps", counting_dumps)
-        for compiled in (lucbat.template, scoring._walk, scoring._record_fragments):
+        for compiled in (lucbat.template, scoring._shape):
             compiled.cache_clear()
-        assert main(["score", path, "--format", "jsonl"]) == 1
-        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-        scored = [r for r in records if "score" in r]
-        assert len(scored) == 6 and len(records) == 7
-        assert dumps_calls == [r for r in records if "error" in r]
-        for compiled in (lucbat.template, scoring._walk, scoring._record_fragments):
-            assert compiled.cache_info().misses == len({r["n"] for r in scored})
+        assert main(["score", path, "--format", fmt]) == 1
+        out = capsys.readouterr().out
+        if fmt == "jsonl":
+            records = [json.loads(line) for line in out.splitlines()]
+            scored = [r for r in records if "score" in r]
+            assert len(scored) == 6 and len(records) == 7
+            assert dumps_calls == [r for r in records if "error" in r]
+            pair_counts = {r["n"] for r in scored}
+        else:
+            summaries = [line for line in out.splitlines() if line.startswith("n=")]
+            assert len(summaries) == 6 and out.count(": ERROR ") == 1
+            assert "[R]" in out and "[T]" in out
+            pair_counts = {line.split()[0] for line in summaries}
+        for compiled in (lucbat.template, scoring._shape):
+            assert compiled.cache_info().misses == len(pair_counts)
 
     def test_stdin(self, tmp_path, capsys, monkeypatch):
         import io
@@ -265,6 +275,23 @@ class TestReportCommand:
         assert summary["mean"] == 100.0
         top_bin = json.loads(lines[-2])
         assert top_bin["count"] == 1
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u0085", "\u2029"])
+    def test_reads_score_jsonl_of_a_path_holding_a_line_separator(self, tmp_path, capsys,
+                                                                  separator):
+        # JSON strings hold these unescaped; only \n, \r\n and \r end a record
+        broken = perturb_quatrain(KIEU, rhyme_breaks=[(2, 6)])
+        try:
+            poems = write(tmp_path, f"a{separator}b.txt", f"{KIEU}\n\n{broken}\n")
+        except (OSError, UnicodeError):
+            pytest.skip("the file system refuses the file name")
+        assert main(["score", poems, "--format", "jsonl"]) == 0
+        records = capsys.readouterr().out
+        assert separator in records and records.count("\n") == 2
+        scores = write(tmp_path, "scores.jsonl", records)
+        assert main(["report", scores, "--format", "jsonl"]) == 0
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert summary["n"] == 2 and summary["mean"] == 90.0
 
     def test_custom_bin_width(self, tmp_path, capsys):
         path = write(tmp_path, "scores.txt", "99\n")
@@ -435,7 +462,7 @@ def test_losscheck_without_numpy_exits_one():
     ])
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert (result.returncode, result.stdout, result.stderr) == (
-        1, "", "lucbat losscheck: error: losscheck needs numpy (pip install numpy)\n")
+        1, "", "lucbat losscheck: error: losscheck needs numpy: pip install 'lucbat[loss]'\n")
 
 
 def test_invalid_utf8_on_stdin_exits_one():

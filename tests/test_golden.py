@@ -14,7 +14,8 @@ file the command wrote.  The outputs come from the code as it was before
 segmentation and scoring took their single-pass forms, and that change kept
 them byte for byte.  The ``losscheck`` cases, which ignore ``poems.txt``, come
 from the code as it was before the finite-difference check tiled one parameter
-block per chunk.  Regenerate them only for a deliberate output change, and
+block per chunk, and the ``score-weights`` cases from the code as it was before
+scoring compiled one stanza shape per n.  Regenerate them only for a deliberate output change, and
 say so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -35,6 +36,8 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 CASES = {
     "score-jsonl": ["score", "poems.txt", "--format", "jsonl"],
     "score-text": ["score", "poems.txt"],
+    "score-weights-jsonl": ["score", "poems.txt", "--weights", "2,0.5", "--format", "jsonl"],
+    "score-weights-text": ["score", "poems.txt", "--weights", "2,0.5"],
     "quatrains-seed-3": ["quatrains", "poems.txt", "--seed", "3", "--out", "quatrains.txt"],
     "filter-stats": ["filter", "poems.txt", "--min-score", "60", "--out", "kept.txt",
                      "--stats", "stats.json"],

@@ -1,3 +1,4 @@
+import io
 import itertools
 import random
 import unicodedata
@@ -26,6 +27,7 @@ from lucbat.syllable import (
     _CONSONANT_LETTERS,
     _PUNCTUATION,
     _TONE_COMBINING,
+    _lines,
     _nfc,
     _split_onset,
     _split_rime,
@@ -283,6 +285,15 @@ _BLOCK_TEXT = st.lists(
 @given(_BLOCK_TEXT)
 def test_normalize_verses_is_normalize_verse_per_line(text):
     assert normalize_verses(text) == [normalize_verse(line) for line in text.splitlines()]
+
+
+@settings(max_examples=500, derandomize=True, database=None)
+@given(st.text(alphabet="a \n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029", max_size=40))
+def test_lines_end_at_universal_newlines_only(text):
+    # the lines open() reads in text mode
+    assert _lines(text) == [line.removesuffix("\n") for line in io.StringIO(text, newline=None)]
+    if not set(text) & set("\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
+        assert _lines(text) == text.splitlines()
 
 
 def test_normalize_verses_examples():
