@@ -114,7 +114,7 @@ def _parse_bin_width(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="lucbat", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="lucbat", description=__doc__.partition("\n")[0])
     parser.add_argument("--version", action="version", version=f"lucbat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -347,7 +347,7 @@ def _cmd_losscheck(args) -> int:
     try:
         from .semloss import gradient_check  # numpy loads only for this command
     except ImportError as exc:
-        if (exc.name or "").partition(".")[0] != "numpy":
+        if exc.name != "numpy":
             raise
         raise LucBatError("losscheck needs numpy: pip install 'lucbat[loss]'") from exc
 

@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .rules import RuleTable
 from .scoring import EmptyInput, OddLineCount, score_stanza, segment_stanza, split_quatrains
-from .syllable import LucBatError, decode_utf8, normalize_verse, normalize_verses
+from .syllable import LucBatError, _lines, decode_utf8, normalize_verse, normalize_verses
 
 __all__ = [
     "Poem",
@@ -37,7 +37,7 @@ class Poem(NamedTuple):
     text: str
 
     def lines(self) -> list[str]:
-        return [line.strip() for line in self.text.splitlines() if line.strip()]
+        return [line.strip() for line in _lines(self.text) if line.strip()]
 
 
 class Corpus:
@@ -56,7 +56,7 @@ def _split_blocks(text: str) -> list[str]:
     """Blank-line separated blocks, each with lines stripped and NFC-normalized."""
     blocks = []
     current: list[str] = []
-    for raw_line in text.splitlines():
+    for raw_line in _lines(text):
         line = unicodedata.normalize("NFC", raw_line.strip())
         if line:
             current.append(line)

@@ -26,7 +26,7 @@ import pkgutil
 from typing import Iterable, NamedTuple, Optional
 
 from .syllable import (
-    LucBatError, NotASyllable, Syllable, ToneClass, decode_utf8, parse_syllable, _nfc,
+    LucBatError, NotASyllable, Syllable, ToneClass, decode_utf8, parse_syllable, _lines, _nfc,
 )
 
 __all__ = [
@@ -181,7 +181,7 @@ def parse_rule_table(text: str, version: str = "custom") -> RuleTable:
     A ``# version:`` comment overrides the version label.
     """
     groups = []
-    for raw_line in text.splitlines():
+    for raw_line in _lines(text):
         line = raw_line.strip()
         if line.startswith("#"):
             body = line.lstrip("#").strip()
@@ -200,10 +200,10 @@ def parse_rule_table(text: str, version: str = "custom") -> RuleTable:
 
 
 def load_rule_table(path: str) -> RuleTable:
-    """Load and validate a rule-table file; bad UTF-8 raises ``InvalidEncoding``."""
+    """Load a rule-table file, less one leading BOM; bad UTF-8 raises ``InvalidEncoding``."""
     with open(path, "rb") as handle:
         text = decode_utf8(handle.read(), str(path))
-    return parse_rule_table(text, version=str(path))
+    return parse_rule_table(text.removeprefix("\ufeff"), version=str(path))
 
 
 @functools.cache

@@ -46,6 +46,7 @@ from .syllable import (
     NotASyllable,
     Syllable,
     ToneClass,
+    _lines,
     _normalized_lines,
     parse_syllable,
 )
@@ -230,7 +231,7 @@ def score_stanza(
 
 def split_quatrains(raw_poem: str) -> list[str]:
     """Split a poem into consecutive 4-line stanzas (lines stripped, blanks ignored)."""
-    lines = [line.strip() for line in raw_poem.splitlines() if line.strip()]
+    lines = [line.strip() for line in _lines(raw_poem) if line.strip()]
     if not lines or len(lines) % 4 != 0:
         raise OddLineCount(
             f"poem has {len(lines)} lines; quatrain split needs a multiple of 4"

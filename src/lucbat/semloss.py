@@ -42,7 +42,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
+try:
+    import numpy as np
+except ImportError as exc:
+    raise ImportError("semloss needs numpy: pip install 'lucbat[loss]'", name="numpy") from exc
 
 from .syllable import LucBatError
 

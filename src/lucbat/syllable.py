@@ -266,11 +266,11 @@ def normalize_verse(line: str) -> str:
 
 
 def _lines(text: str) -> list[str]:
-    """``text.splitlines()`` breaking only at ``\\n``, ``\\r\\n`` and ``\\r``, as ``open()`` does.
+    """The lines of ``text``, ended by ``\\n``, ``\\r\\n`` or ``\\r`` only, as ``open()`` ends them.
 
     U+2028, U+0085 and the other separators stay inside a line, as JSON strings hold them.
     """
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
     return lines if lines[-1] else lines[:-1]
 
 
@@ -279,17 +279,16 @@ def _normalized_lines(text: str) -> list[str]:
 
     Whitespace is left as it is: :func:`normalize_verses` collapses it, and
     ``segment_stanza`` splits each line on it directly.  No step moves a line
-    boundary: no boundary character is cased or case-ignorable, so
-    final-sigma lowercasing stops at it, each one is an NFC starter that
-    composes with nothing, and none is punctuation.
+    boundary: ``\\n`` and ``\\r`` are neither cased nor case-ignorable, compose
+    with nothing under NFC, and are not punctuation.
     """
-    return _PUNCTUATION_RUN.sub(" ", _nfc(text.lower())).splitlines()
+    return _lines(_PUNCTUATION_RUN.sub(" ", _nfc(text.lower())))
 
 
 def normalize_verses(text: str) -> list[str]:
-    """``[normalize_verse(line) for line in text.splitlines()]``, in one pass over ``text``.
+    """``[normalize_verse(line) for line in _lines(text)]``, in one pass over ``text``.
 
-    Blank lines stay in the list as ``""``, so indices match ``splitlines``.
+    Blank lines stay in the list as ``""``, so indices match ``_lines``.
     The lowercase, NFC and punctuation steps run once over the whole block
     (:func:`_normalized_lines`) instead of once per line.
     """

@@ -5,6 +5,18 @@ from lucbat.rules import EIGHT_LINE_TONES, SIX_LINE_TONES
 from lucbat.syllable import mark_rime
 
 
+# Source that makes every later ``import numpy`` fail, as on an install without the
+# ``loss`` extra; a subprocess runs it first.
+NO_NUMPY = "\n".join([
+    "import importlib.abc, sys",
+    "class NoNumpy(importlib.abc.MetaPathFinder):",
+    "    def find_spec(self, name, path, target=None):",
+    "        if name.partition('.')[0] == 'numpy':",
+    "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)",
+    "sys.meta_path.insert(0, NoNumpy())",
+])
+
+
 def replace_tone(syllable, tone):
     """Same onset and rime, different tone."""
     return parse_syllable(syllable.onset + mark_rime(syllable.rime, tone))

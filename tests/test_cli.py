@@ -16,8 +16,8 @@ from hypothesis import given, settings, strategies as st
 import lucbat
 from lucbat import PoemNovelty, build_verse_index, creativity_score, ingest, scoring
 from lucbat.cli import LOSSCHECK_BOUNDS, _novelty_record, _parser, build_parser, main
-from lucbat.syllable import _PUNCTUATION
-from helpers import perturb_quatrain
+from lucbat.syllable import _PUNCTUATION, _lines
+from helpers import NO_NUMPY, perturb_quatrain
 from conftest import KIEU
 
 
@@ -450,19 +450,33 @@ def test_reader_that_closes_early_ends_score_with_141_and_no_message(tmp_path):
 def test_losscheck_without_numpy_exits_one():
     src = Path(lucbat.__file__).resolve().parent.parent
     probe = "\n".join([
-        "import importlib.abc, sys",
+        NO_NUMPY,
         f"sys.path.insert(0, {str(src)!r})",
-        "class NoNumpy(importlib.abc.MetaPathFinder):",
-        "    def find_spec(self, name, path, target=None):",
-        "        if name.partition('.')[0] == 'numpy':",
-        "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)",
-        "sys.meta_path.insert(0, NoNumpy())",
         "import lucbat.cli",
         "sys.exit(lucbat.cli.main(['losscheck']))",
     ])
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert (result.returncode, result.stdout, result.stderr) == (
         1, "", "lucbat losscheck: error: losscheck needs numpy: pip install 'lucbat[loss]'\n")
+
+
+def test_semloss_names_without_numpy_raise_import_error_with_the_install_hint():
+    src = Path(lucbat.__file__).resolve().parent.parent
+    probe = "\n".join([
+        NO_NUMPY,
+        f"sys.path.insert(0, {str(src)!r})",
+        "import lucbat",
+        "for name in ('semloss', *lucbat._SEMLOSS_NAMES):",
+        "    try:",
+        "        getattr(lucbat, name)",
+        "    except ImportError as exc:",
+        "        print(name, exc)",
+    ])
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == "".join(
+        f"{name} semloss needs numpy: pip install 'lucbat[loss]'\n"
+        for name in ("semloss", *lucbat._SEMLOSS_NAMES))
 
 
 def test_invalid_utf8_on_stdin_exits_one():
@@ -553,6 +567,17 @@ def test_invalid_rime_in_rules_file_exits_one(tmp_path, capsys, argv, rime):
     assert captured.out == ""
     assert captured.err == f"lucbat {argv[0]}: error: bad rule table: invalid rime {rime!r}\n"
     assert not (tmp_path / "kept.txt").exists()
+
+
+def test_rules_file_saved_with_a_bom_scores_as_the_builtin_table(tmp_path, capsys):
+    builtin = (Path(lucbat.__file__).parent / "data" / "near_rhymes.txt").read_text("utf-8")
+    rules = write(tmp_path, "rules.txt", "\ufeff" + builtin)
+    broken = perturb_quatrain(KIEU, rhyme_breaks=[(2, 6)])
+    poems = write(tmp_path, "poems.txt", f"{KIEU}\n\n{broken}\n")
+    assert main(["score", poems, "--format", "jsonl"]) == 0
+    expected = capsys.readouterr()
+    assert main(["score", poems, "--format", "jsonl", "--rules", rules]) == 0
+    assert capsys.readouterr() == expected
 
 
 class TestArgumentErrors:
@@ -732,9 +757,11 @@ _LETTERS = "bcdđghklmnpqrstvx" + _VOWELS + "".join(
 )
 # a BOM, curly quotes, an em dash and a zero-width space
 _PROBE_CHARS = "\ufeff“”‘’—\u200b"
+# the newlines, and separators that end a line for str.splitlines but not for lucbat
+_LINE_CHARS = "\n\r\v\f\x85\u2028\u2029"
 _CHARS = st.sampled_from(
     _LETTERS + _LETTERS.upper() + _TONE_MARKS + "".join(sorted(_PUNCTUATION))
-    + _PROBE_CHARS + "0123456789\n"
+    + _PROBE_CHARS + "0123456789" + _LINE_CHARS
 )
 _SYLLABLE = st.sampled_from(KIEU.split())
 _LINE = st.lists(st.one_of(_SYLLABLE, st.text(_CHARS, min_size=1, max_size=6)), max_size=9)
@@ -790,8 +817,9 @@ def test_no_input_makes_a_command_exit_two(poems, corpus, weights, min_score, bi
             assert status in (0, 1), (argv, err.getvalue())
             return out.getvalue()
 
+        # JSON Lines ends a record at "\n" alone; JSON escapes "\r", so _lines agrees
         def json_lines(text):
-            for line in text.splitlines():
+            for line in _lines(text):
                 json.loads(line, parse_constant=_reject_constant)
 
         poem_file = work / "poems.txt"

@@ -12,10 +12,14 @@ from lucbat import (
     corpus_from_text,
     filter_by_score,
     ingest,
+    score_stanza,
+    segment_stanza,
     split_and_shuffle,
     split_into_quatrains,
+    split_quatrains,
     write_corpus,
 )
+from lucbat.cli import main
 from helpers import perturb_quatrain
 from conftest import KIEU
 
@@ -75,6 +79,46 @@ class TestIngest:
         (tmp_path / "notes.md").write_text("bỏ qua", encoding="utf-8")
         corpus = ingest([str(tmp_path)])
         assert [p.text for p in corpus.poems] == ["thơ một", "thơ hai"]
+
+
+# Separators that end a line for str.splitlines, but for lucbat are whitespace inside one:
+# lines end at "\n", "\r\n" and "\r" only, as open() ends them.
+_SEPARATORS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("separator", _SEPARATORS, ids=[f"U+{ord(c):04X}" for c in _SEPARATORS])
+class TestLineRule:
+    def test_separator_at_a_line_end_keeps_poem_ids_and_lines(self, tmp_path, separator):
+        # a U+0085 is what a cp1252 "…" becomes when the text is read as Latin-1
+        first = KIEU.replace("ghét nhau\n", f"ghét nhau{separator}\n")
+        path = write(tmp_path, "poems.txt", f"{first}\n\n{KIEU}\n")
+        corpus = ingest([path])
+        assert [poem.id for poem in corpus.poems] == [f"{path}:0", f"{path}:1"]
+        assert [poem.text for poem in corpus.poems] == [KIEU, KIEU]
+        assert [len(poem.lines()) for poem in corpus.poems] == [4, 4]
+
+    def test_separator_inside_a_verse_keeps_it_one_verse_that_scores_as_before(self, table,
+                                                                               separator):
+        for text in (KIEU, perturb_quatrain(KIEU, rhyme_breaks=[(2, 6)], tone_flips=[(1, 2)])):
+            six, eight, *rest = text.split("\n")
+            held = "\n".join([six.replace(" ", separator, 1),
+                              eight.replace(" ", f" {separator}", 2), *rest])
+            [poem] = corpus_from_text(held).poems
+            assert len(poem.lines()) == 4
+            [quatrain] = split_quatrains(poem.text)
+            stanza = segment_stanza(quatrain)
+            assert [len(line) for line in stanza.lines] == [6, 8, 6, 8]
+            assert score_stanza(stanza, table) == score_stanza(segment_stanza(text), table)
+
+    def test_quatrains_output_holding_a_separator_reads_back_as_the_same_poems(self, tmp_path,
+                                                                               separator):
+        held = KIEU.replace(" trong ", f"{separator}trong ", 1)
+        path = write(tmp_path, "poems.txt", f"{held}\n{KIEU}\n\n{held}\n")
+        out = tmp_path / "q.txt"
+        assert main(["quatrains", path, "--out", str(out)]) == 0
+        quatrains, _ = split_into_quatrains(ingest([path]))
+        assert [poem.text for poem in quatrains.poems] == [held, KIEU, held]
+        assert [poem.text for poem in ingest([str(out)]).poems] == [held, KIEU, held]
 
 
 class TestSplitAndShuffle:

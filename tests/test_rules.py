@@ -203,6 +203,21 @@ class TestRuleTableLoading:
         t = parse_rule_table("au âu  # folk staple\n")
         assert t.compatible("au", "âu")
 
+    def test_line_separator_inside_a_group_line_is_whitespace(self):
+        t = parse_rule_table("au\u2028âu\x85\nai\fay ây\u2029\n")
+        assert len(t.groups) == 2
+        assert t.compatible("au", "âu") and t.compatible("ai", "ay")
+        assert not t.compatible("âu", "ai")
+
+    def test_load_file_drops_one_leading_bom(self, tmp_path):
+        path = tmp_path / "rules.txt"
+        path.write_text("\ufeff# version: test\nom ôm ơm\n", encoding="utf-8")
+        from lucbat import load_rule_table
+
+        t = load_rule_table(str(path))
+        assert t.version == "test"
+        assert t.compatible("om", "ơm")
+
     def test_load_file(self, tmp_path):
         path = tmp_path / "rules.txt"
         path.write_text("# version: test\nom ôm ơm\n", encoding="utf-8")

@@ -1,3 +1,4 @@
+import ast
 import io
 import itertools
 import random
@@ -17,6 +18,7 @@ from lucbat import (
     normalize_verses,
     parse_syllable,
 )
+from lucbat import syllable
 from lucbat.cli import main
 from lucbat.syllable import (
     ONSETS,
@@ -262,7 +264,8 @@ def test_normalize_verse_matches_reference_and_is_idempotent(line):
     assert normalize_verse(once) == once
 
 
-# Every boundary str.splitlines splits on; "\r\n" is one boundary, not two.
+# Every boundary str.splitlines splits on; "\r\n" is one boundary, not two.  _lines ends a
+# line at the first three only and leaves the others inside it.
 _LINE_BOUNDARIES = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
                     "\u2028", "\u2029"]
 # Σ lowercases to σ or ς by context, İ to two code points.
@@ -284,7 +287,7 @@ _BLOCK_TEXT = st.lists(
 @settings(max_examples=500, derandomize=True, database=None)
 @given(_BLOCK_TEXT)
 def test_normalize_verses_is_normalize_verse_per_line(text):
-    assert normalize_verses(text) == [normalize_verse(line) for line in text.splitlines()]
+    assert normalize_verses(text) == [normalize_verse(line) for line in _lines(text)]
 
 
 @settings(max_examples=500, derandomize=True, database=None)
@@ -299,8 +302,22 @@ def test_lines_end_at_universal_newlines_only(text):
 def test_normalize_verses_examples():
     assert normalize_verses("") == []
     assert normalize_verses("Trăm NĂM,\r\n\n  …  \u2028Người ta!\n") == [
-        "trăm năm", "", "", "người ta"]
+        "trăm năm", "", "người ta"]
     assert normalize_verses("ΑΣ\nΣΑ") == ["ας", "σα"]
+    assert normalize_verses("trăm\x85năm\u2029\ntrong\fcõi") == ["trăm năm", "trong cõi"]
+
+
+def test_no_module_splits_lines_but_by_the_syllable_line_rule():
+    # str.splitlines also ends a line at U+2028, U+0085 and five more separators
+    src = Path(syllable.__file__).parent
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "splitlines"
+    ]
+    assert calls == []
 
 
 def _reference_parse_syllable(token):
