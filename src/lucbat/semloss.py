@@ -19,11 +19,11 @@ W (4h, h) and b (4h,).  The packed parameter vector, whose order and block
 sizes only :func:`pack_parameters` and :func:`unpack_parameters` know, is
 W_q, W_k, W_v, U, W, b, each raveled row-major.
 
-The forward and backward passes are batch-first: the private attention,
-recurrence and backward steps take every parameter block with a leading
-batch axis of B parameter sets, (B, d, d) … (B, 4h), and return (B, T, ·)
-arrays.  The public single-set functions pass B = 1.  A forward pass
-broadcasts its blocks, so a block with a batch axis of 1 serves every set.
+Only the forward steps are batched: the private attention and recurrence
+take every parameter block with a leading batch axis of B parameter sets,
+(B, d, d) … (B, 4h), and return (B, T, ·) arrays.  The public single-set
+functions pass B = 1.  A forward pass broadcasts its blocks, so a block with a
+batch axis of 1 serves every set.  The backward pass takes one set.
 :func:`gradient_check` evaluates its central differences in chunks of a few
 dozen parameters, each inside one block: a chunk of k parameters tiles that
 block as 2k perturbed copies (k bumped up, then the same k bumped down),
@@ -188,16 +188,6 @@ class LstmParams:
         n = 4 * d_hidden
         return cls(*(0.5 * rng.standard_normal(shape) for shape in [(n, d_in), (n, d_hidden), n]))
 
-    @classmethod
-    def zeros(cls, d_in: int, d_hidden: int):
-        n = 4 * d_hidden
-        return cls(np.zeros((n, d_in)), np.zeros((n, d_hidden)), np.zeros(n))
-
-
-def _pack(*blocks: np.ndarray) -> np.ndarray:
-    """Ravel batched blocks W_q, W_k, W_v, U, W, b (or their gradients) into (B, P)."""
-    return np.concatenate([block.reshape(len(block), -1) for block in blocks], axis=1)
-
 
 def _blocks(attn: AttentionParams, lstm: LstmParams) -> list[np.ndarray]:
     """One parameter set as a batch of one: W_q, W_k, W_v, U, W, b, each (1, ·)."""
@@ -206,7 +196,7 @@ def _blocks(attn: AttentionParams, lstm: LstmParams) -> list[np.ndarray]:
 
 def pack_parameters(attn: AttentionParams, lstm: LstmParams) -> np.ndarray:
     """Flatten both parameter sets into one vector: W_q, W_k, W_v, U, W, b."""
-    return _pack(*_blocks(attn, lstm))[0]
+    return np.concatenate([block.ravel() for block in _blocks(attn, lstm)])
 
 
 def unpack_parameters(vec: np.ndarray, d_model: int, d_hidden: int):
@@ -356,15 +346,18 @@ class LossBreakdown:
     gradients: np.ndarray
 
 
-def _backward_pair(cache: tuple, d_h_last: np.ndarray,
-                   blocks: Sequence[np.ndarray]) -> np.ndarray:
-    """Packed parameter gradients (B, P) of one pair given d(loss)/d(h_last) (B, h)."""
-    (X, Q, K, V, A, Y), (gates, hidden, cell) = cache
-    U, W = blocks[3], blocks[4]
+def _backward_pair(cache: tuple, d_h_last: np.ndarray, U: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Packed parameter gradients (P,) of one pair given d(loss)/d(h_last) (h,).
+
+    ``cache`` is the pair's :func:`_forward_pair` cache for one parameter set,
+    whose LSTM stacks are ``U`` and ``W``.
+    """
+    (X, *attended), states = cache
+    Q, K, V, A, Y, gates, hidden, cell = (x[0] for x in (*attended, *states))
     n = W.shape[-1]
-    zero = np.zeros((len(gates), 1, n))
-    h_prev = np.concatenate([zero, hidden[:, :-1]], axis=1)
-    c_prev = np.concatenate([zero, cell[:, :-1]], axis=1)
+    zero = np.zeros((1, n))
+    h_prev = np.concatenate([zero, hidden[:-1]])
+    c_prev = np.concatenate([zero, cell[:-1]])
     tanh_c = np.tanh(cell)
     # derivative of each activation with respect to its pre-activation
     slope = gates * (1.0 - gates)
@@ -372,42 +365,40 @@ def _backward_pair(cache: tuple, d_h_last: np.ndarray,
     d_pre = np.empty_like(gates)
     dh = d_h_last
     dc = np.zeros_like(dh)
-    # time-major views, last step first
-    steps = (x.swapaxes(0, 1)[::-1] for x in (gates, c_prev, tanh_c, 1.0 - tanh_c**2, slope, d_pre))
+    # last step first
+    steps = (x[::-1] for x in (gates, c_prev, tanh_c, 1.0 - tanh_c**2, slope, d_pre))
     for a, c_prev_t, tanh_c_t, d_tanh_t, slope_t, d_pre_t in zip(*steps):
-        f, i, o, g = a.reshape(len(a), 4, n).swapaxes(0, 1)
+        f, i, o, g = a.reshape(4, n)
         dc = dc + dh * o * d_tanh_t
-        terms = np.concatenate([dc * c_prev_t, dc * g, dh * tanh_c_t, dc * i], axis=1)
+        terms = np.concatenate([dc * c_prev_t, dc * g, dh * tanh_c_t, dc * i])
         np.multiply(terms, slope_t, out=d_pre_t)
-        dh = (d_pre_t[:, None] @ W)[:, 0]
+        dh = d_pre_t @ W
         dc = dc * f
     # attention backward
     dY = d_pre @ U
-    dA = dY @ V.swapaxes(1, 2)
+    dA = dY @ V.T
     dS = A * (dA - (dA * A).sum(axis=-1, keepdims=True))
     scale = 1.0 / np.sqrt(X.shape[1])
-    d_pre_T = d_pre.swapaxes(1, 2)
-    return _pack(
-        X.T @ (dS @ K * scale), X.T @ (dS.swapaxes(1, 2) @ Q * scale),
-        X.T @ (A.swapaxes(1, 2) @ dY), d_pre_T @ Y, d_pre_T @ h_prev, d_pre.sum(axis=1),
+    gradients = (
+        X.T @ (dS @ K * scale), X.T @ (dS.T @ Q * scale), X.T @ (A.T @ dY),
+        d_pre.T @ Y, d_pre.T @ h_prev, d_pre.sum(axis=0),
     )
+    return np.concatenate([block.ravel() for block in gradients])
 
 
-def _stanza_passes(stanza_pairs: Sequence[Sequence[np.ndarray]],
-                   blocks: Sequence[np.ndarray], mean_pair_loss: bool):
-    """Yield (weight, first-pair cache, second-pair cache, E_prev - E_next) per stanza.
+def _stanza_passes(stanza_pairs: Sequence[Sequence[np.ndarray]], blocks: Sequence[np.ndarray]):
+    """Yield (first-pair cache, second-pair cache, E_prev - E_next) per stanza.
 
     ``blocks`` hold B parameter sets, so each difference is (B, h).  Each
-    stanza needs exactly two pairs; ``mean_pair_loss`` weights each by 1/d_hidden.
+    stanza needs exactly two pairs.
     """
-    weight = 1.0 / blocks[4].shape[-1] if mean_pair_loss else 1.0
     for index, pairs in enumerate(stanza_pairs):
         if len(pairs) != 2:
             raise MissingPair(
                 f"stanza {index}: expected exactly 2 verse pairs, got {len(pairs)}"
             )
         (e_prev, prev), (e_next, nxt) = (_forward_pair(x, blocks, "pair") for x in pairs)
-        yield weight, prev, nxt, e_prev - e_next
+        yield prev, nxt, e_prev - e_next
 
 
 def custom_loss(
@@ -416,15 +407,13 @@ def custom_loss(
     next_token_ids: Sequence[int],
     attn: AttentionParams,
     lstm: LstmParams,
-    mean_pair_loss: bool = False,
 ) -> LossBreakdown:
     """Combined loss over a block, with analytic parameter gradients.
 
     ``stanza_pairs`` holds, per stanza, exactly two token-embedding
     sequences (the first and second six-eight pair).  The pair term is the
     componentwise sum of squared differences between each stanza's two
-    contextual vectors; ``mean_pair_loss`` divides each stanza's term by
-    d_hidden instead.  ``logits``/``next_token_ids`` supply the block's
+    contextual vectors.  ``logits``/``next_token_ids`` supply the block's
     cross-entropy term, which is constant in the attention/LSTM parameters.
     """
     if lstm.d_in != attn.d_model:
@@ -435,10 +424,10 @@ def custom_loss(
     mse = 0.0
     blocks = _blocks(attn, lstm)
     gradients = np.zeros_like(pack_parameters(attn, lstm))
-    for weight, prev, nxt, diff in _stanza_passes(stanza_pairs, blocks, mean_pair_loss):
-        mse += weight * float(diff[0] @ diff[0])
-        gradients += _backward_pair(prev, 2.0 * weight * diff, blocks)[0]
-        gradients += _backward_pair(nxt, -2.0 * weight * diff, blocks)[0]
+    for prev, nxt, (diff,) in _stanza_passes(stanza_pairs, blocks):
+        mse += float(diff @ diff)
+        gradients += _backward_pair(prev, 2.0 * diff, lstm.U, lstm.W)
+        gradients += _backward_pair(nxt, -2.0 * diff, lstm.U, lstm.W)
     return LossBreakdown(ce=ce, mse=mse, total=ce + mse, gradients=gradients)
 
 
@@ -530,7 +519,6 @@ def gradient_check(
     vocab: int = 7,
     max_len: int = 6,
     n_stanzas: int = 2,
-    mean_pair_loss: bool = False,
 ) -> GradientCheckReport:
     """Compare analytic gradients against central finite differences.
 
@@ -542,16 +530,14 @@ def gradient_check(
     any work.
     """
     inst = random_instance(seed, d_model, d_hidden, vocab, max_len, n_stanzas)
-    breakdown = custom_loss(
-        inst["stanza_pairs"], inst["logits"], inst["next_token_ids"],
-        inst["attn"], inst["lstm"], mean_pair_loss=mean_pair_loss,
-    )
+    breakdown = custom_loss(inst["stanza_pairs"], inst["logits"], inst["next_token_ids"],
+                            inst["attn"], inst["lstm"])
 
     def loss_at(blocks: Sequence[np.ndarray]) -> np.ndarray:
         """ce plus the pair term for each parameter set of ``blocks``, forward only."""
-        passes = _stanza_passes(inst["stanza_pairs"], blocks, mean_pair_loss)
+        passes = _stanza_passes(inst["stanza_pairs"], blocks)
         # (1, h) @ (h, 1) per row sums as diff @ diff does for one set
-        squares = (w * (diff[:, None] @ diff[..., None])[:, 0, 0] for w, _, _, diff in passes)
+        squares = ((diff[:, None] @ diff[..., None])[:, 0, 0] for _, _, diff in passes)
         return breakdown.ce + sum(squares)
 
     fd = _central_differences(_blocks(inst["attn"], inst["lstm"]), loss_at)

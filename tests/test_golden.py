@@ -21,7 +21,11 @@ ignore the inputs, come from the code as it was before the finite-difference
 check tiled one parameter block per chunk, the ``score-weights`` cases from the
 code as it was before scoring compiled one stanza shape per n, and the
 ``quatrains``, ``creativity``, ``report`` and ``score-stdin`` cases from the code
-as it was before every reader split lines at newlines only.  Regenerate them
+as it was before every reader split lines at newlines only.  The exit-1 cases
+(a missing file, ``bad.txt`` with a byte that is not UTF-8, ``empty.txt``, a
+``losscheck`` dimension over its cap) pin each command's status and stderr, and
+come from the code as it was before the loss head's backward pass lost its
+batch axis.  Regenerate them
 only for a deliberate output change, and say so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -63,6 +67,13 @@ CASES = {
                                "--vocab", "7", "--len", "12", "--stanzas", "1"],
     "losscheck-seed-2": ["losscheck", "--seed", "2", "--dmodel", "5", "--dhidden", "4",
                          "--len", "9", "--stanzas", "3"],
+    "score-missing-file": ["score", "missing.txt"],
+    "filter-bad-utf8": ["filter", "bad.txt", "--min-score", "60", "--out", "kept.txt"],
+    "quatrains-bad-utf8": ["quatrains", "bad.txt", "--out", "q.txt"],
+    "creativity-empty-generated": ["creativity", "--generated", "empty.txt",
+                                   "--corpus", "corpus.txt"],
+    "report-empty": ["report", "empty.txt"],
+    "losscheck-dmodel-over-cap": ["losscheck", "--dmodel", "17"],
 }
 
 
@@ -72,6 +83,8 @@ INPUTS = {
     "poems.txt": "poems.txt",
     "corpus.txt": "corpus.txt",
     "scores.jsonl": "score-jsonl/stdout",
+    "bad.txt": "bad.txt",
+    "empty.txt": "empty.txt",
 }
 
 

@@ -121,7 +121,7 @@ class TestSelfAttention:
 class TestLstmForward:
     def test_zero_parameters_stay_at_zero(self):
         x = np.random.default_rng(0).standard_normal((5, 4))
-        params = LstmParams.zeros(4, 3)
+        params = LstmParams(np.zeros((12, 4)), np.zeros((12, 3)), np.zeros(12))
         hidden, cell = lstm_forward(x, params)
         assert np.all(hidden == 0.0)
         assert np.all(cell == 0.0)
@@ -196,7 +196,7 @@ class TestLstmForward:
         assert np.all(cell == cell[0])
 
     def test_shape_mismatch(self):
-        params = LstmParams.zeros(4, 3)
+        params = LstmParams(np.zeros((12, 4)), np.zeros((12, 3)), np.zeros(12))
         with pytest.raises(ShapeMismatch):
             lstm_forward(np.zeros((2, 5)), params)
         with pytest.raises(ShapeMismatch):
@@ -245,7 +245,8 @@ class TestContextualVector:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((1, 4))
         attn = AttentionParams.random(rng, 4)
-        out = contextual_vector(x, attn, LstmParams.zeros(4, 3))
+        lstm = LstmParams(np.zeros((12, 4)), np.zeros((12, 3)), np.zeros(12))
+        out = contextual_vector(x, attn, lstm)
         assert np.all(out == 0.0)
 
     def test_deterministic(self):
@@ -368,18 +369,6 @@ class TestCustomLoss:
         assert out.mse >= 0.0
         assert out.total == out.ce + out.mse
 
-    def test_mean_variant_rescales_pair_term(self):
-        inst = random_instance(6, d_hidden=4)
-        plain = custom_loss(
-            inst["stanza_pairs"], inst["logits"], inst["next_token_ids"],
-            inst["attn"], inst["lstm"],
-        )
-        mean = custom_loss(
-            inst["stanza_pairs"], inst["logits"], inst["next_token_ids"],
-            inst["attn"], inst["lstm"], mean_pair_loss=True,
-        )
-        assert mean.mse == pytest.approx(plain.mse / 4)
-
     def test_missing_pair(self):
         inst = random_instance(0)
         bad = [inst["stanza_pairs"][0][:1]]
@@ -425,10 +414,6 @@ class TestGradientCheck:
         report = gradient_check(seed=seed)
         assert report.passed, f"max rel err {report.max_relative_error}"
         assert report.max_relative_error <= 1e-4
-
-    def test_mean_variant(self):
-        report = gradient_check(seed=17, mean_pair_loss=True)
-        assert report.passed
 
     @pytest.mark.parametrize("seed, d, h", [(0, 4, 3), (3, 2, 5), (8, 8, 8)])
     def test_packed_layout_and_random_stream(self, seed, d, h):
@@ -504,7 +489,7 @@ def serial_differences(inst, d_model, d_hidden, step=1e-5):
     return fd
 
 
-def tiled_differences(inst, d_model, d_hidden, mean_pair_loss=False):
+def tiled_differences(inst, d_model, d_hidden):
     """The chunked differences as the check took them before it tiled one block per
     chunk: each chunk tiles the whole packed vector, and every row unpacks all six blocks."""
     ce = ce_loss(inst["logits"], inst["next_token_ids"])
@@ -518,8 +503,8 @@ def tiled_differences(inst, d_model, d_hidden, mean_pair_loss=False):
         bumped[k + rows, start + rows] -= semloss._FD_STEP
         sets = (semloss._blocks(*unpack_parameters(row, d_model, d_hidden)) for row in bumped)
         blocks = [np.concatenate(column) for column in zip(*sets)]
-        passes = semloss._stanza_passes(inst["stanza_pairs"], blocks, mean_pair_loss)
-        squares = (w * (diff[:, None] @ diff[..., None])[:, 0, 0] for w, _, _, diff in passes)
+        passes = semloss._stanza_passes(inst["stanza_pairs"], blocks)
+        squares = ((diff[:, None] @ diff[..., None])[:, 0, 0] for _, _, diff in passes)
         loss = ce + sum(squares, np.zeros(2 * k))
         fd[start : start + k] = (loss[:k] - loss[k:]) / (2.0 * semloss._FD_STEP)
     return fd
@@ -536,16 +521,10 @@ class TestBatchedLossHead:
         blocks = [np.concatenate(column)
                   for column in zip(*(semloss._blocks(attn, lstm) for attn, lstm in sets))]
         assert [block.shape[0] for block in blocks] == [batch] * 6
-        vectors, cache = semloss._forward_pair(x, blocks)
-        d_h_last = rng.standard_normal((batch, h))
-        gradients = semloss._backward_pair(cache, d_h_last, blocks)
-        n_parameters = pack_parameters(*sets[0]).size
-        assert vectors.shape == (batch, h) and gradients.shape == (batch, n_parameters)
+        vectors, _ = semloss._forward_pair(x, blocks)
+        assert vectors.shape == (batch, h)
         for row, (attn, lstm) in enumerate(sets):
             assert np.allclose(vectors[row], contextual_vector(x, attn, lstm), rtol=0, atol=1e-12)
-            one = semloss._blocks(attn, lstm)
-            single = semloss._backward_pair(semloss._forward_pair(x, one)[1], d_h_last[row:row + 1], one)
-            assert np.allclose(gradients[row], single[0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_differences_match_the_serial_loop(self, seed, monkeypatch):
@@ -563,14 +542,11 @@ class TestBatchedLossHead:
         expected = serial_differences(inst, BENCH_DIMS["d_model"], BENCH_DIMS["d_hidden"])
         assert np.max(np.abs(captured[0] - expected)) <= 1e-9
 
-    @pytest.mark.parametrize("dims, mean_pair_loss", [
-        (BENCH_DIMS, False),
-        (dict(d_model=5, d_hidden=4, max_len=9, n_stanzas=3), False),
-        (dict(d_model=3, d_hidden=5, max_len=4, n_stanzas=2), True),
-    ], ids=["bench", "three-stanzas", "mean-pair-loss"])
+    @pytest.mark.parametrize("dims", [
+        BENCH_DIMS, dict(d_model=5, d_hidden=4, max_len=9, n_stanzas=3),
+    ], ids=["bench", "three-stanzas"])
     @pytest.mark.parametrize("seed", range(2))
-    def test_differences_are_bitwise_those_of_the_tiled_vector(
-            self, seed, dims, mean_pair_loss, monkeypatch):
+    def test_differences_are_bitwise_those_of_the_tiled_vector(self, seed, dims, monkeypatch):
         # the untouched blocks broadcast from the base set; every row computes what
         # it computed when each chunk tiled and unpacked the whole packed vector
         captured = []
@@ -581,10 +557,10 @@ class TestBatchedLossHead:
             return captured[-1]
 
         monkeypatch.setattr(semloss, "_central_differences", record)
-        report = gradient_check(seed=seed, mean_pair_loss=mean_pair_loss, **dims)
+        report = gradient_check(seed=seed, **dims)
         inst = random_instance(seed, **dims)
         d_model, d_hidden = inst["attn"].d_model, inst["lstm"].d_hidden
-        expected = tiled_differences(inst, d_model, d_hidden, mean_pair_loss)
+        expected = tiled_differences(inst, d_model, d_hidden)
         assert np.array_equal(captured[0], expected)
         assert report.passed and report.n_parameters == expected.size
 
