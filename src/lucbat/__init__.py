@@ -27,8 +27,7 @@ _SEMLOSS_NAMES = (
     "AttentionParams", "BadCheckSetting", "DegenerateSequence",
     "GradientCheckReport", "IdOutOfRange", "LossBreakdown", "LstmParams",
     "MissingPair", "ShapeMismatch", "attention_weights", "ce_loss",
-    "contextual_vector", "custom_loss", "gradient_check", "lstm_forward",
-    "pack_parameters", "random_instance", "self_attention", "unpack_parameters",
+    "contextual_vector", "custom_loss", "gradient_check", "random_instance",
 )
 
 

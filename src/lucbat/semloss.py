@@ -15,15 +15,16 @@ with respect to the attention and LSTM parameters are computed analytically
 of 1e-4.  The LSTM always starts from the zero state.
 
 The LSTM parameters are three stacks in gate order f, i, o, c: U (4h, d),
-W (4h, h) and b (4h,).  The packed parameter vector, whose order and block
-sizes only :func:`pack_parameters` and :func:`unpack_parameters` know, is
-W_q, W_k, W_v, U, W, b, each raveled row-major.
+W (4h, h) and b (4h,).  The gradients come as one packed vector of P =
+3d^2 + 4h(d + h + 1) values, :attr:`LossBreakdown.gradients`, in the order
+:func:`_blocks` gives: W_q, W_k, W_v, U, W, b, each raveled row-major.
 
 Only the forward steps are batched: the private attention and recurrence
 take every parameter block with a leading batch axis of B parameter sets,
-(B, d, d) … (B, 4h), and return (B, T, ·) arrays.  The public single-set
-functions pass B = 1.  A forward pass broadcasts its blocks, so a block with a
-batch axis of 1 serves every set.  The backward pass takes one set.
+(B, d, d) … (B, 4h), and return (B, T, ·) arrays.  :func:`attention_weights`,
+:func:`contextual_vector` and :func:`custom_loss` pass B = 1.  A forward pass
+broadcasts its blocks, so a block with a batch axis of 1 serves every set.
+The backward pass takes one set.
 :func:`gradient_check` evaluates its central differences in chunks of a few
 dozen parameters, each inside one block: a chunk of k parameters tiles that
 block as 2k perturbed copies (k bumped up, then the same k bumped down),
@@ -38,7 +39,6 @@ for checking); no trained model is involved.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,14 +59,10 @@ __all__ = [
     "DegenerateSequence",
     "MissingPair",
     "BadCheckSetting",
-    "self_attention",
     "attention_weights",
-    "lstm_forward",
     "contextual_vector",
     "ce_loss",
     "custom_loss",
-    "pack_parameters",
-    "unpack_parameters",
     "random_instance",
     "gradient_check",
 ]
@@ -175,10 +171,6 @@ class LstmParams:
             raise ShapeMismatch(f"U, W, b must be (4h, d), (4h, h), (4h,); got {U}, {W}, {b}")
 
     @property
-    def d_hidden(self) -> int:
-        return self.U.shape[0] // 4
-
-    @property
     def d_in(self) -> int:
         return self.U.shape[1]
 
@@ -192,29 +184,6 @@ class LstmParams:
 def _blocks(attn: AttentionParams, lstm: LstmParams) -> list[np.ndarray]:
     """One parameter set as a batch of one: W_q, W_k, W_v, U, W, b, each (1, ·)."""
     return [block[None] for block in (attn.W_q, attn.W_k, attn.W_v, lstm.U, lstm.W, lstm.b)]
-
-
-def pack_parameters(attn: AttentionParams, lstm: LstmParams) -> np.ndarray:
-    """Flatten both parameter sets into one vector: W_q, W_k, W_v, U, W, b."""
-    return np.concatenate([block.ravel() for block in _blocks(attn, lstm)])
-
-
-def unpack_parameters(vec: np.ndarray, d_model: int, d_hidden: int):
-    """Inverse of :func:`pack_parameters`: ``(AttentionParams, LstmParams)``.
-
-    ``vec`` must be a vector of P values; the blocks are copies, not views of it.
-    """
-    d, g = d_model, 4 * d_hidden
-    shapes = [(d, d)] * 3 + [(g, d), (g, d_hidden), (g,)]
-    sizes = [math.prod(shape) for shape in shapes]
-    if vec.shape != (sum(sizes),):
-        raise ShapeMismatch(f"expected a vector of {sum(sizes)} values, got shape {vec.shape}")
-    vec = vec.copy()
-    blocks, start = [], 0
-    for shape, size in zip(shapes, sizes):
-        blocks.append(vec[start : start + size].reshape(shape))
-        start += size
-    return AttentionParams(*blocks[:3]), LstmParams(*blocks[3:])
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
@@ -246,19 +215,16 @@ def attention_weights(X, params: AttentionParams) -> np.ndarray:
     return _attention(X, params.W_q[None], params.W_k[None], params.W_v[None])[4][0]
 
 
-def self_attention(X, params: AttentionParams) -> np.ndarray:
-    """Unmasked single-head scaled dot-product attention over the sequence."""
-    return _attention(X, params.W_q[None], params.W_k[None], params.W_v[None])[5][0]
-
-
 def _recurrence(Y: np.ndarray, U, W, b):
-    """The gate recursion of :func:`lstm_forward` for B parameter sets from the zero state.
+    """The LSTM gate recursion for B parameter sets from the zero state.
 
-    ``Y`` is (B, T, d) and ``U``, ``W``, ``b`` are (B, 4h, d), (B, 4h, h), (B, 4h),
-    any of them with a batch axis of 1 in place of B.  The input projection
-    Y U^T + b is computed once, then one batched W h_prev per step.  Returns
-    the activated gates (B, T, 4h), sigmoid on the f, i, o rows and tanh on
-    the candidate rows, and the hidden and cell states (B, T, h).
+    Per step: f/i/o = sigmoid(U x + W h_prev + b); candidate = tanh(...);
+    c = f*c_prev + i*candidate; h = o*tanh(c), with h and c zero before the
+    first step.  ``Y`` is (B, T, d) and ``U``, ``W``, ``b`` are (B, 4h, d),
+    (B, 4h, h), (B, 4h), any of them with a batch axis of 1 in place of B.  The
+    input projection Y U^T + b is computed once, then one batched W h_prev per
+    step.  Returns the activated gates (B, T, 4h), sigmoid on the f, i, o rows
+    and tanh on the candidate rows, and the hidden and cell states (B, T, h).
     """
     if Y.shape[-1] != U.shape[-1]:
         raise ShapeMismatch(f"input width {Y.shape[-1]} != d_in {U.shape[-1]}")
@@ -278,20 +244,6 @@ def _recurrence(Y: np.ndarray, U, W, b):
         c = np.add(f * c, i * g, out=c_t)
         h = np.multiply(o, np.tanh(c), out=h_t)
     return gates, hidden, cell
-
-
-def lstm_forward(X, params: LstmParams) -> tuple[np.ndarray, np.ndarray]:
-    """Run the gate recursion over the rows of ``X`` from the zero state.
-
-    Per step: f/i/o = sigmoid(U x + W h_prev + b); candidate = tanh(...);
-    c = f*c_prev + i*candidate; h = o*tanh(c), with h and c zero before the
-    first step.  Returns the stacked hidden and cell states, each of shape
-    (T, d_hidden).
-    """
-    X = _as_matrix(X, "X")
-    stacks = (block[None] for block in (params.U, params.W, params.b))
-    _, hidden, cell = _recurrence(X[None], *stacks)
-    return hidden[0], cell[0]
 
 
 def _forward_pair(X, blocks: Sequence[np.ndarray], name: str = "X") -> tuple:
@@ -423,7 +375,7 @@ def custom_loss(
     ce = ce_loss(logits, next_token_ids)
     mse = 0.0
     blocks = _blocks(attn, lstm)
-    gradients = np.zeros_like(pack_parameters(attn, lstm))
+    gradients = np.zeros(sum(block.size for block in blocks))
     for prev, nxt, (diff,) in _stanza_passes(stanza_pairs, blocks):
         mse += float(diff @ diff)
         gradients += _backward_pair(prev, 2.0 * diff, lstm.U, lstm.W)

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib
 import io
@@ -693,6 +694,24 @@ class TestArgumentErrors:
 
     def test_semloss_names_match_the_lazy_table(self):
         assert set(lucbat._SEMLOSS_NAMES) == set(lucbat.semloss.__all__)
+
+    def test_every_export_has_a_caller_outside_the_tests(self):
+        # a public name must be used by the package, a demo or the benchmark; the
+        # package's re-export table is not a use.  Reads the sources, imports nothing.
+        root = Path(__file__).resolve().parent.parent
+        sources = [path for folder in ("src", "demos", "perfbench")
+                   for path in sorted((root / folder).rglob("*.py"))
+                   if path != root / "src" / "lucbat" / "__init__.py"]
+        used = set()
+        for path in sources:
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                    used.update(alias.name for alias in node.names)
+        assert [name for name in lucbat.__all__ if name not in used] == []
 
     def test_package_exports_are_declared_by_their_modules(self):
         undeclared = [

@@ -18,11 +18,7 @@ from lucbat import (
     contextual_vector,
     custom_loss,
     gradient_check,
-    lstm_forward,
-    pack_parameters,
     random_instance,
-    self_attention,
-    unpack_parameters,
 )
 from lucbat import semloss
 from lucbat.cli import LOSSCHECK_BOUNDS
@@ -34,6 +30,30 @@ BENCH_DIMS = dict(d_model=8, d_hidden=8, vocab=7, max_len=12, n_stanzas=1)
 
 def sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x))
+
+
+def attention_output(x, params):
+    """The attention output (T, d) of one parameter set."""
+    return semloss._attention(x, params.W_q[None], params.W_k[None], params.W_v[None])[5][0]
+
+
+def lstm_states(x, params):
+    """The hidden and cell states (T, h) of one parameter set over the rows of ``x``."""
+    _, hidden, cell = semloss._recurrence(x[None], params.U[None], params.W[None], params.b[None])
+    return hidden[0], cell[0]
+
+
+def packed(attn, lstm):
+    """One parameter set as one vector, in the order of ``semloss._blocks``."""
+    return np.concatenate([block.ravel() for block in semloss._blocks(attn, lstm)])
+
+
+def unpacked(vec, attn, lstm):
+    """A vector laid out as ``packed(attn, lstm)`` as (AttentionParams, LstmParams) views of it."""
+    shapes = [block.shape[1:] for block in semloss._blocks(attn, lstm)]
+    ends = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+    blocks = [piece.reshape(shape) for piece, shape in zip(np.split(vec, ends), shapes)]
+    return AttentionParams(*blocks[:3]), LstmParams(*blocks[3:])
 
 
 class TestSigmoid:
@@ -51,7 +71,7 @@ class TestSelfAttention:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((1, 4))
         params = AttentionParams.random(rng, 4)
-        out = self_attention(x, params)
+        out = attention_output(x, params)
         assert np.allclose(out, x @ params.W_v, atol=1e-12)
 
     def test_zero_logits_give_uniform_mixing(self):
@@ -60,7 +80,7 @@ class TestSelfAttention:
         params = AttentionParams(
             W_q=np.zeros((3, 3)), W_k=np.zeros((3, 3)), W_v=np.eye(3)
         )
-        out = self_attention(x, params)
+        out = attention_output(x, params)
         assert np.allclose(out, np.tile(x.mean(axis=0), (5, 1)), atol=1e-12)
 
     def test_matches_step_by_step_recomputation(self):
@@ -86,7 +106,7 @@ class TestSelfAttention:
             weights = [w / norm for w in weights]
             for j in range(d):
                 expected[i][j] = sum(weights[r] * v[r][j] for r in range(t))
-        assert np.allclose(self_attention(x, params), expected, atol=1e-12)
+        assert np.allclose(attention_output(x, params), expected, atol=1e-12)
 
     def test_rows_are_convex_combinations(self):
         rng = np.random.default_rng(11)
@@ -108,21 +128,21 @@ class TestSelfAttention:
     def test_shape_mismatch(self):
         params = AttentionParams.random(np.random.default_rng(0), 4)
         with pytest.raises(ShapeMismatch):
-            self_attention(np.zeros((3, 5)), params)
+            attention_output(np.zeros((3, 5)), params)
         with pytest.raises(ShapeMismatch):
-            self_attention(np.full((2, 4), np.nan), params)
+            attention_output(np.full((2, 4), np.nan), params)
 
     def test_empty_sequence_rejected(self):
         params = AttentionParams.random(np.random.default_rng(0), 4)
         with pytest.raises(ShapeMismatch):
-            self_attention(np.zeros((0, 4)), params)
+            attention_output(np.zeros((0, 4)), params)
 
 
 class TestLstmForward:
     def test_zero_parameters_stay_at_zero(self):
         x = np.random.default_rng(0).standard_normal((5, 4))
         params = LstmParams(np.zeros((12, 4)), np.zeros((12, 3)), np.zeros(12))
-        hidden, cell = lstm_forward(x, params)
+        hidden, cell = lstm_states(x, params)
         assert np.all(hidden == 0.0)
         assert np.all(cell == 0.0)
 
@@ -139,7 +159,7 @@ class TestLstmForward:
             b=np.array([0.1, -0.2, 0.0, 0.05, -0.1, 0.1, 0.05, -0.05]),
         )
         x = np.array([[1.0, -1.0]])
-        hidden, cell = lstm_forward(x, params)
+        hidden, cell = lstm_states(x, params)
         # hand evaluation of the gate equations
         f = [sigmoid(0.2 - 0.1 + 0.1), sigmoid(0.0 - 0.3 - 0.2)]
         i = [sigmoid(0.4 + 0.0 + 0.0), sigmoid(0.1 - 0.2 + 0.05)]
@@ -154,7 +174,7 @@ class TestLstmForward:
         rng = np.random.default_rng(5)
         params = LstmParams.random(rng, 2, 2)
         x = rng.standard_normal((2, 2))
-        hidden, cell = lstm_forward(x, params)
+        hidden, cell = lstm_states(x, params)
         # per-gate blocks in gate order f, i, o, c
         (U_f, U_i, U_o, U_c), (W_f, W_i, W_o, W_c), (b_f, b_i, b_o, b_c) = (
             np.split(stack, 4) for stack in (params.U, params.W, params.b)
@@ -176,7 +196,7 @@ class TestLstmForward:
         for _ in range(5):
             x = rng.standard_normal((8, 3))
             params = LstmParams.random(rng, 3, 4)
-            hidden, _ = lstm_forward(x, params)
+            hidden, _ = lstm_states(x, params)
             assert np.all(np.abs(hidden) < 1.0)
 
     def test_memory_carry_with_saturated_gates(self):
@@ -190,7 +210,7 @@ class TestLstmForward:
         U_c[:, 1:] = [[0.4, -0.3], [0.2, 0.5]]
         b = np.concatenate([np.full(2, 40.0), np.full(2, -40.0), np.zeros(4)])
         params = LstmParams(np.concatenate([U_f, U_i, U_o, U_c]), np.zeros((8, 2)), b)
-        _, cell = lstm_forward(x, params)
+        _, cell = lstm_states(x, params)
         assert np.allclose(cell[0], np.tanh(U_c @ x[0]), rtol=0, atol=1e-15)
         assert np.all(cell[0] != 0.0)
         assert np.all(cell == cell[0])
@@ -198,9 +218,11 @@ class TestLstmForward:
     def test_shape_mismatch(self):
         params = LstmParams(np.zeros((12, 4)), np.zeros((12, 3)), np.zeros(12))
         with pytest.raises(ShapeMismatch):
-            lstm_forward(np.zeros((2, 5)), params)
+            lstm_states(np.zeros((2, 5)), params)
+        # the attention rejects an empty sequence before the recurrence sees it
+        attn = AttentionParams.random(np.random.default_rng(0), 4)
         with pytest.raises(ShapeMismatch):
-            lstm_forward(np.zeros((0, 4)), params)
+            contextual_vector(np.zeros((0, 4)), attn, params)
 
 
 class TestParameterBlocks:
@@ -236,7 +258,7 @@ class TestParameterBlocks:
         attn = AttentionParams(*(np.eye(3) for _ in range(3)))
         U, W, b = np.ones((8, 3)), np.ones((8, 2)), np.ones(8)
         lstm = LstmParams(U, W, b)
-        assert attn.d_model == 3 and (lstm.d_in, lstm.d_hidden) == (3, 2)
+        assert attn.d_model == 3 and (lstm.d_in, lstm.W.shape[1]) == (3, 2)
         assert lstm.U is U and lstm.W is W and lstm.b is b
 
 
@@ -263,7 +285,7 @@ class TestContextualVector:
         x = rng.standard_normal((6, 4))
         attn = AttentionParams.random(rng, 4)
         lstm = LstmParams.random(rng, 4, 5)
-        hidden, _ = lstm_forward(self_attention(x, attn), lstm)
+        hidden, _ = lstm_states(attention_output(x, attn), lstm)
         assert np.array_equal(contextual_vector(x, attn, lstm), hidden[-1])
 
     def test_components_strictly_inside_unit_box(self):
@@ -433,46 +455,19 @@ class TestGradientCheck:
             [attn.W_q.ravel(), attn.W_k.ravel(), attn.W_v.ravel()]
             + [gate.ravel() for gate in drawn]
         )
-        assert np.array_equal(pack_parameters(attn, lstm), expected)
-
-    def test_parameter_packing_round_trip(self):
-        rng = np.random.default_rng(21)
-        attn = AttentionParams.random(rng, 5)
-        lstm = LstmParams.random(rng, 5, 3)
-        vec = pack_parameters(attn, lstm)
-        attn2, lstm2 = unpack_parameters(vec, 5, 3)
-        assert np.array_equal(attn.W_q, attn2.W_q)
-        assert np.array_equal(np.split(lstm.W, 4)[3], np.split(lstm2.W, 4)[3])
-        assert np.array_equal(vec, pack_parameters(attn2, lstm2))
-
-    @pytest.mark.parametrize("delta", [-1, 1])
-    def test_unpack_rejects_a_wrong_length(self, delta):
-        # P = 3 d^2 + 4h (d + h + 1) = 183 at d = 5, h = 3
-        unpack_parameters(np.zeros(183), 5, 3)
-        with pytest.raises(ShapeMismatch):
-            unpack_parameters(np.zeros(183 + delta), 5, 3)
-        # a (B, P) matrix of packed vectors is not a vector either
-        with pytest.raises(ShapeMismatch, match=r"got shape \(2, 183\)"):
-            unpack_parameters(np.zeros((2, 183)), 5, 3)
-        with pytest.raises(ShapeMismatch):
-            unpack_parameters(np.zeros((1, 2, 183)), 5, 3)
-
-    def test_unpacked_blocks_do_not_alias_the_vector(self):
-        rng = np.random.default_rng(4)
-        vec = pack_parameters(AttentionParams.random(rng, 4), LstmParams.random(rng, 4, 3))
-        attn, lstm = unpack_parameters(vec, 4, 3)
-        before = pack_parameters(attn, lstm)
-        vec[:] = 7.0
-        assert np.array_equal(pack_parameters(attn, lstm), before)
+        assert np.array_equal(packed(attn, lstm), expected)
+        pair = np.ones((2, d))
+        gradients = custom_loss([[pair, pair]], np.zeros((2, 3)), [1], attn, lstm).gradients
+        assert gradients.size == expected.size == 3 * d * d + 4 * h * (d + h + 1)
 
 
-def serial_differences(inst, d_model, d_hidden, step=1e-5):
+def serial_differences(inst, step=1e-5):
     """The finite-difference loop of the serial check: one forward per perturbed vector."""
     ce = ce_loss(inst["logits"], inst["next_token_ids"])
-    theta = pack_parameters(inst["attn"], inst["lstm"])
+    theta = packed(inst["attn"], inst["lstm"])
 
     def loss_at(vec):
-        attn, lstm = unpack_parameters(vec, d_model, d_hidden)
+        attn, lstm = unpacked(vec, inst["attn"], inst["lstm"])
         total = 0.0
         for first, second in inst["stanza_pairs"]:
             diff = contextual_vector(first, attn, lstm) - contextual_vector(second, attn, lstm)
@@ -489,11 +484,11 @@ def serial_differences(inst, d_model, d_hidden, step=1e-5):
     return fd
 
 
-def tiled_differences(inst, d_model, d_hidden):
+def tiled_differences(inst):
     """The chunked differences as the check took them before it tiled one block per
     chunk: each chunk tiles the whole packed vector, and every row unpacks all six blocks."""
     ce = ce_loss(inst["logits"], inst["next_token_ids"])
-    theta = pack_parameters(inst["attn"], inst["lstm"])
+    theta = packed(inst["attn"], inst["lstm"])
     fd = np.empty_like(theta)
     for start in range(0, theta.size, semloss._FD_CHUNK):
         k = min(semloss._FD_CHUNK, theta.size - start)
@@ -501,7 +496,7 @@ def tiled_differences(inst, d_model, d_hidden):
         bumped = np.tile(theta, (2 * k, 1))
         bumped[rows, start + rows] += semloss._FD_STEP
         bumped[k + rows, start + rows] -= semloss._FD_STEP
-        sets = (semloss._blocks(*unpack_parameters(row, d_model, d_hidden)) for row in bumped)
+        sets = (semloss._blocks(*unpacked(row, inst["attn"], inst["lstm"])) for row in bumped)
         blocks = [np.concatenate(column) for column in zip(*sets)]
         passes = semloss._stanza_passes(inst["stanza_pairs"], blocks)
         squares = ((diff[:, None] @ diff[..., None])[:, 0, 0] for _, _, diff in passes)
@@ -539,7 +534,7 @@ class TestBatchedLossHead:
         report = gradient_check(seed=seed, **BENCH_DIMS)
         assert report.n_parameters == 736 and report.passed
         inst = random_instance(seed, **BENCH_DIMS)
-        expected = serial_differences(inst, BENCH_DIMS["d_model"], BENCH_DIMS["d_hidden"])
+        expected = serial_differences(inst)
         assert np.max(np.abs(captured[0] - expected)) <= 1e-9
 
     @pytest.mark.parametrize("dims", [
@@ -559,8 +554,7 @@ class TestBatchedLossHead:
         monkeypatch.setattr(semloss, "_central_differences", record)
         report = gradient_check(seed=seed, **dims)
         inst = random_instance(seed, **dims)
-        d_model, d_hidden = inst["attn"].d_model, inst["lstm"].d_hidden
-        expected = tiled_differences(inst, d_model, d_hidden)
+        expected = tiled_differences(inst)
         assert np.array_equal(captured[0], expected)
         assert report.passed and report.n_parameters == expected.size
 
