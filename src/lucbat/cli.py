@@ -113,7 +113,9 @@ def _parse_bin_width(text: str) -> float:
     return width
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once: ``main`` reuses it, and parsing leaves no state in it."""
     parser = _Parser(prog="lucbat", description=__doc__.partition("\n")[0])
     parser.add_argument("--version", action="version", version=f"lucbat {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -382,15 +384,9 @@ _COMMANDS = {
 }
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` reuses: parsing leaves no state in it."""
-    return build_parser()
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import lucbat
 from lucbat import PoemNovelty, build_verse_index, creativity_score, ingest, scoring
-from lucbat.cli import LOSSCHECK_BOUNDS, _novelty_record, _parser, build_parser, main
+from lucbat.cli import LOSSCHECK_BOUNDS, _novelty_record, build_parser, main
 from lucbat.syllable import _PUNCTUATION, _lines
 from helpers import NO_NUMPY, perturb_quatrain
 from conftest import KIEU
@@ -431,8 +431,7 @@ def test_commands_in_one_process_print_what_each_prints_alone(tmp_path, monkeypa
             status = main(argv)
         assert (status, out.getvalue(), err.getvalue()) == (
             alone.returncode, alone.stdout.decode("utf-8"), alone.stderr.decode("utf-8"))
-    assert _parser() is _parser()
-    assert build_parser() is not build_parser()
+    assert build_parser() is build_parser()
 
 
 def test_reader_that_closes_early_ends_score_with_141_and_no_message(tmp_path):

@@ -1,7 +1,10 @@
+import re
 import unicodedata
 from collections import Counter
+from itertools import groupby
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lucbat import (
     Corpus,
@@ -119,6 +122,46 @@ class TestLineRule:
         quatrains, _ = split_into_quatrains(ingest([path]))
         assert [poem.text for poem in quatrains.poems] == [held, KIEU, held]
         assert [poem.text for poem in ingest([str(out)]).poems] == [held, KIEU, held]
+
+
+_VERSES = ["trăm năm trong cõi người ta", "mệnh trời", "Chữ TÀI, chữ mệnh"]
+# blank, whitespace-only, NFD (some padded) and separator-holding lines
+_LINE = st.one_of(
+    st.sampled_from(["", " ", "\t", " \t ", *_SEPARATORS]),
+    st.sampled_from(_VERSES),
+    st.builds(lambda pad, verse: pad + unicodedata.normalize("NFD", verse) + pad,
+              st.sampled_from(["", "  ", "\t"]), st.sampled_from(_VERSES)),
+    st.builds(lambda a, sep, b: a + sep + b,
+              st.sampled_from(_VERSES), st.sampled_from(_SEPARATORS), st.sampled_from(_VERSES)),
+)
+
+
+def _joined(lines_and_ends, ended):
+    """Each line followed by its ending; the last character is dropped unless ``ended``."""
+    text = "".join(line + end for line, end in lines_and_ends)
+    return text if ended else text[:-1]
+
+
+_TEXT = st.builds(_joined, st.lists(st.tuples(_LINE, st.sampled_from(["\n", "\r\n", "\r"])),
+                                    max_size=12), st.booleans())
+
+
+@settings(max_examples=200, derandomize=True, database=None)
+@given(_TEXT)
+def test_text_and_file_readers_give_the_same_poems_and_ordinals(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "readers.txt"
+    path.write_bytes(text.encode("utf-8"))
+    from_text = corpus_from_text(text, "s").poems
+    texts = [poem.text for poem in from_text]
+    assert [poem.id for poem in from_text] == [f"s:{k}" for k in range(len(texts))]
+    lines = [unicodedata.normalize("NFC", line.strip()) for line in re.split("\r\n|\r|\n", text)]
+    assert texts == ["\n".join(run) for verses, run in groupby(lines, bool) if verses]
+    from_file = ingest([str(path)]).poems
+    assert [(poem.id, poem.text) for poem in from_file] == [
+        (f"{path}:{k}", poem_text) for k, poem_text in enumerate(texts)]
+    twice = ingest([str(path), str(path)]).poems
+    assert [(poem.id, poem.text) for poem in twice] == [
+        (f"{path}:{k}", poem_text) for k, poem_text in enumerate(texts * 2)]
 
 
 class TestSplitAndShuffle:

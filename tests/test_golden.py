@@ -12,6 +12,11 @@ the other tone-mark placement), whose outputs are due to change.
 golden verses verbatim, in upper case with punctuation, and in NFD, beside
 verses that appear nowhere in ``poems.txt``.
 
+``data/golden/rules.txt`` is a near-rhyme table for ``score --rules``: it starts
+with a BOM and a ``# version:`` line, and it holds the built-in groups with
+"ương" moved into the "an"/"ang" group, so "vương" and "thường" rhyme with
+"vàng" and some ``poems.txt`` verdicts differ from the built-in table's.
+
 Each case below ran once, in a directory holding only the ``INPUTS`` and with
 ``poems.txt`` on standard input, to make ``data/golden/<case>/``: ``status``,
 ``stdout`` and ``stderr``, plus every file the command wrote.  The outputs come
@@ -25,7 +30,8 @@ as it was before every reader split lines at newlines only.  The exit-1 cases
 (a missing file, ``bad.txt`` with a byte that is not UTF-8, ``empty.txt``, a
 ``losscheck`` dimension over its cap) pin each command's status and stderr, and
 come from the code as it was before the loss head's backward pass lost its
-batch axis.  Regenerate them
+batch axis.  The ``score-rules-jsonl`` case comes from the code as it was before
+``ingest`` and ``corpus_from_text`` shared one block reader.  Regenerate them
 only for a deliberate output change, and say so in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -52,6 +58,7 @@ CASES = {
     "score-weights-jsonl": ["score", "poems.txt", "--weights", "2,0.5", "--format", "jsonl"],
     "score-weights-text": ["score", "poems.txt", "--weights", "2,0.5"],
     "score-stdin": ["score", "-"],
+    "score-rules-jsonl": ["score", "poems.txt", "--rules", "rules.txt", "--format", "jsonl"],
     "quatrains-seed-3": ["quatrains", "poems.txt", "--seed", "3", "--out", "quatrains.txt"],
     "quatrains": ["quatrains", "poems.txt", "--out", "q.txt"],
     "filter-stats": ["filter", "poems.txt", "--min-score", "60", "--out", "kept.txt",
@@ -85,6 +92,7 @@ INPUTS = {
     "scores.jsonl": "score-jsonl/stdout",
     "bad.txt": "bad.txt",
     "empty.txt": "empty.txt",
+    "rules.txt": "rules.txt",
 }
 
 
