@@ -247,16 +247,16 @@ def _cmd_creativity(args) -> int:
     generated = ingest([args.generated])
     index = build_verse_index(ingest([args.corpus]))
     report = creativity_score(generated, index)
+    # the per-poem lines in one write: print makes two per line, each a system call when
+    # standard output is unbuffered
     if args.format == "jsonl":
-        for novelty in report.per_poem:
-            print(_novelty_record(novelty))
+        sys.stdout.write("".join(_novelty_record(novelty) + "\n" for novelty in report.per_poem))
         _emit({"creativity": report.score, "poems": len(report.per_poem)})
     else:
-        for novelty in report.per_poem:
-            print(
-                f"{novelty.poem_id}: {novelty.copied_verses}/{novelty.total_verses} "
-                f"verses copied"
-            )
+        sys.stdout.write("".join(
+            f"{novelty.poem_id}: {novelty.copied_verses}/{novelty.total_verses} verses copied\n"
+            for novelty in report.per_poem
+        ))
         print(f"C = {report.score}")
     return 0
 

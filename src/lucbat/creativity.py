@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .corpus import Corpus, VerseIndex
+from .corpus import Corpus, VerseIndex, _batches
 from .syllable import LucBatError
 
 __all__ = [
@@ -52,18 +52,20 @@ def creativity_score(generated: Corpus, index: VerseIndex) -> CreativityReport:
     """Score a generated corpus against a training verse index.
 
     Repeated verses count once per occurrence: the ratio is over verse
-    slots, not distinct verses.
+    slots, not distinct verses.  Poems are counted a batch at a time, with
+    one :meth:`VerseIndex.copied_counts` call per batch of their lines.
     """
     if not generated.poems:
         raise EmptyGeneratedSet("generated corpus is empty")
     per_poem = []
-    for poem in generated.poems:
-        verses = poem.lines()
-        if not verses:
-            raise EmptyPoem(poem.id)
-        copied = index.count_copied(poem.text)
-        per_poem.append(
-            PoemNovelty(poem_id=poem.id, copied_verses=copied, total_verses=len(verses))
+    for batch in _batches(generated.poems):
+        verses = [poem.lines() for poem in batch]
+        for poem, lines in zip(batch, verses):
+            if not lines:
+                raise EmptyPoem(poem.id)
+        per_poem.extend(
+            PoemNovelty(poem_id=poem.id, copied_verses=copied, total_verses=len(lines))
+            for poem, copied, lines in zip(batch, index.copied_counts(verses), verses)
         )
     # fsum: correctly rounded, so the score does not depend on the Python version
     score = math.fsum(1.0 - novelty.copied_ratio for novelty in per_poem) / len(per_poem)

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import lucbat
 from lucbat import PoemNovelty, build_verse_index, creativity_score, ingest, scoring
 from lucbat.cli import LOSSCHECK_BOUNDS, _novelty_record, build_parser, main
+from lucbat.corpus import _BATCH
 from lucbat.syllable import _PUNCTUATION, _lines
 from helpers import NO_NUMPY, perturb_quatrain
 from conftest import KIEU
@@ -255,6 +256,39 @@ class TestCreativityCommand:
                                    ensure_ascii=False, sort_keys=True, allow_nan=False))
         assert result.stdout.decode("utf-8").split("\n") == expected + [""]
 
+    @pytest.mark.parametrize("fmt", ["text", "jsonl"])
+    def test_a_batch_of_poems_takes_one_normalize_call_and_all_poems_one_write(
+            self, tmp_path, monkeypatch, fmt):
+        n = 2 * _BATCH + 1
+        generated = write(tmp_path, "gen.txt", "".join(
+            f"{KIEU.splitlines()[k % 4]}\ncâu mới thứ {k}\n\n" for k in range(n)))
+        corpus = write(tmp_path, "corpus.txt", "".join(f"{KIEU}\ncâu cũ thứ {k}\n\n"
+                                                        for k in range(n)))
+        calls = []
+        normalize_verses = lucbat.corpus.normalize_verses
+        monkeypatch.setattr(lucbat.corpus, "normalize_verses",
+                            lambda text: calls.append(text) or normalize_verses(text))
+        index = build_verse_index(ingest([corpus]))
+        assert 0 < len(calls) <= math.ceil(n / _BATCH)
+        calls.clear()
+        creativity_score(ingest([generated]), index)
+        assert 0 < len(calls) <= math.ceil(n / _BATCH)
+
+        writes = []
+
+        class Stdout(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", Stdout())
+        assert main(["creativity", "--generated", generated, "--corpus", corpus,
+                     "--format", fmt]) == 0
+        assert writes[0].count("\n") == n
+        assert writes[0].startswith(f"{{\"copied_ratio\": 0.5," if fmt == "jsonl" else
+                                    f"{generated}:0: 1/2 verses copied\n")
+        assert "".join(writes[1:]).count("\n") == 1
+
 
 class TestReportCommand:
     def test_plain_floats(self, tmp_path, capsys):
@@ -445,6 +479,22 @@ def test_reader_that_closes_early_ends_score_with_141_and_no_message(tmp_path):
     child.stdout.close()
     stderr = child.stderr.read()
     assert (child.wait(timeout=60), first, stderr) == (141, f"# {poems}:0 stanza 1\n".encode(), b"")
+
+
+def test_reader_that_closes_early_ends_creativity_with_141_and_no_message(tmp_path):
+    # the per-poem lines go out in one write, larger than a pipe buffers
+    generated = write(tmp_path, "gen.txt", (KIEU + "\n\n") * 2000)
+    corpus = write(tmp_path, "corpus.txt", KIEU + "\n")
+    src = Path(lucbat.__file__).resolve().parent.parent
+    child = subprocess.Popen([sys.executable, "-m", "lucbat", "creativity", "--generated",
+                              generated, "--corpus", corpus, "--format", "jsonl"],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             env={**os.environ, "PYTHONPATH": str(src)})
+    first = child.stdout.readline()
+    child.stdout.close()
+    stderr = child.stderr.read()
+    record = _novelty_record(PoemNovelty(f"{generated}:0", 4, 4))
+    assert (child.wait(timeout=60), first, stderr) == (141, f"{record}\n".encode(), b"")
 
 
 def test_losscheck_without_numpy_exits_one():

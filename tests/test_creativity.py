@@ -16,6 +16,7 @@ from lucbat import (
     corpus_from_text,
     creativity_score,
 )
+from lucbat.corpus import _BATCH
 
 TRAINING = """\
 trăm năm trong cõi người ta
@@ -165,9 +166,40 @@ def test_creativity_score_equals_per_verse_reference(training, generated):
         assert creativity_score(generated, index) == expected
 
 
+# Two full batches and one poem more, cycling through a few drawn texts.  Each poem ends in
+# a verse of its own, so an index that skipped a batch misses one.
+_THREE_BATCHES = st.lists(_POEM_TEXT, min_size=1, max_size=8).map(
+    lambda texts: Corpus(tuple(Poem(id=f"p:{i}", text=f"{texts[i % len(texts)]}bài thứ {i}")
+                               for i in range(2 * _BATCH + 1))))
+
+
+@settings(max_examples=20, derandomize=True, database=None)
+@given(_THREE_BATCHES)
+def test_index_built_across_batches_equals_one_built_a_verse_at_a_time(corpus):
+    expected = VerseIndex(line for poem in corpus.poems for line in poem.lines())
+    assert build_verse_index(corpus)._verses == expected._verses
+
+
+@settings(max_examples=20, derandomize=True, database=None)
+@given(training=_THREE_BATCHES, generated=_THREE_BATCHES)
+def test_creativity_score_across_batches_equals_per_verse_reference(training, generated):
+    index = build_verse_index(training)
+    assert creativity_score(generated, index) == _reference_creativity(generated, index)
+
+
+def test_first_empty_poem_is_raised_from_a_later_batch(index):
+    texts = ["mây trôi lặng lẽ qua đồi\n"] * (2 * _BATCH + 1)
+    for k in (_BATCH + 3, _BATCH + 7, 2 * _BATCH):
+        texts[k] = " \n\t\n"
+    generated = Corpus(tuple(Poem(f"p:{i}", text) for i, text in enumerate(texts)))
+    with pytest.raises(EmptyPoem) as raised:
+        creativity_score(generated, index)
+    assert raised.value.poem_id == f"p:{_BATCH + 3}"
+
+
 def test_count_copied_skips_blank_and_punctuation_only_lines(index):
     text = "Trăm năm trong cõi người ta!\n\n   \n…\r\nTRĂM NĂM TRONG CÕI NGƯỜI TA\nmới"
-    assert index.count_copied(text) == 2
+    assert index.copied_counts([Poem("x", text).lines()]) == [2]
 
 
 def test_a_verse_with_a_line_break_stays_one_verse():
