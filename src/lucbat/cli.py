@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .corpus import (
+    FilterStats,
     build_verse_index,
     corpus_from_text,
     filter_by_score,
@@ -214,19 +215,36 @@ def _cmd_filter(args) -> int:
     corpus = ingest([args.input])
     kept, stats = filter_by_score(corpus, table, args.min_score)
     write_corpus(kept, args.out)
-    payload = {
-        "kept_count": stats.kept_count,
-        "dropped_count": stats.dropped_count,
-        "mean_score_kept": stats.mean_score_kept,
-        "dropped": [{"poem_id": pid, "reason": reason} for pid, reason in stats.dropped],
-    }
-    text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2, allow_nan=False)
+    text = _stats_text(stats)
     if args.stats:
         with open(args.stats, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     else:
         print(text)
     return 0
+
+
+def _stats_text(stats: FilterStats) -> str:
+    """``filter``'s stats as ``json.dumps(..., sort_keys=True, indent=2)`` writes them, from text.
+
+    ``indent`` sends ``json`` to its pure-Python encoder: on 587 dropped entries the
+    payload and its dump took 1.7-1.8 ms, this 0.15-0.21 ms (2 vCPUs, Python 3.11).
+    """
+    mean = stats.mean_score_kept
+    if mean is not None and not math.isfinite(mean):
+        raise ValueError(f"Out of range float values are not JSON compliant: {mean!r}")
+    entries = [
+        f'    {{\n      "poem_id": {encode_basestring(poem_id)},\n'
+        f'      "reason": {encode_basestring(reason)}\n    }}'
+        for poem_id, reason in stats.dropped
+    ]
+    dropped = "[\n" + ",\n".join(entries) + "\n  ]" if entries else "[]"
+    return (
+        f'{{\n  "dropped": {dropped},\n'
+        f'  "dropped_count": {int.__repr__(stats.dropped_count)},\n'
+        f'  "kept_count": {int.__repr__(stats.kept_count)},\n'
+        f'  "mean_score_kept": {"null" if mean is None else float.__repr__(mean)}\n}}'
+    )
 
 
 def _novelty_record(novelty: PoemNovelty) -> str:

@@ -198,9 +198,9 @@ def filter_by_score(
 
 # Poems per normalize_verses call in build_verse_index and creativity_score.  On the
 # creativity benchmark's input (seed 1, best of 61, 2 vCPUs), indexing 4,000 quatrains took
-# 39.9 ms a poem at a time and 28.8-32.3 ms in batches of 64, 256, 1,024 or all 4,000;
-# scoring 2,000 took 26.8 ms against 20.1-20.6 ms.  The join, lower, NFC and punctuation
-# steps each copy their batch, so a bounded batch keeps that memory small on a large corpus.
+# 22.0-24.7 ms a poem at a time, 18.6-19.4 ms in batches of 64 and 13.1-16.2 ms in batches
+# of 256, 1,024 or all 4,000; scoring 2,000 took 22.0-23.2 ms against 13.3-17.8 ms.  Each
+# step copies its batch, so a bounded batch keeps that memory small on a large corpus.
 _BATCH = 256
 
 

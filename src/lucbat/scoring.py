@@ -13,11 +13,11 @@ Only non-anchor chain members can be "wrong": the anchor defines the rhyme
 its chain is checked against, so at most 2n of the 3n-1 rhyme positions are
 penalizable.
 
-Segmentation lowercases, NFC-composes and drops punctuation over the
-whole stanza in one pass, takes each line's tokens with one whitespace
-split (the tokens of :func:`~lucbat.syllable.normalize_verse`, without
-building the joined verse) and parses a line with one ``map`` over the
-memoized :func:`~lucbat.syllable.parse_syllable`.
+Segmentation takes the canonical verse of every line of the stanza from
+one :func:`~lucbat.syllable.normalize_verses` pass (lowercase, NFC,
+punctuation and whitespace to single spaces), takes each verse's tokens
+with one ``str.split`` and parses a line with one ``map`` over the memoized
+:func:`~lucbat.syllable.parse_syllable`.
 
 The template depends on n alone, so :func:`lucbat.rules.template` is
 compiled into one stanza shape per n (``_shape``): the rhyme pairs and tone
@@ -47,7 +47,7 @@ from .syllable import (
     Syllable,
     ToneClass,
     _lines,
-    _normalized_lines,
+    normalize_verses,
     parse_syllable,
 )
 
@@ -127,11 +127,11 @@ class ScoreReport(NamedTuple):
 def segment_stanza(raw_poem: str) -> Stanza:
     """Tokenize and validate a stanza.
 
-    Lines are normalized (case, punctuation, Unicode form) in one pass over
-    the stanza and split on whitespace; blank lines are dropped.  Line
+    Lines are normalized (case, punctuation, whitespace, Unicode form) in one
+    pass over the stanza and split on spaces; blank lines are dropped.  Line
     lengths must alternate 6, 8, 6, 8, ...
     """
-    lines = [tokens for tokens in map(str.split, _normalized_lines(raw_poem)) if tokens]
+    lines = [tokens for tokens in map(str.split, normalize_verses(raw_poem)) if tokens]
     if not lines or len(lines) % 2 != 0:
         raise OddLineCount(f"need an even number of lines, got {len(lines)}")
     parsed_lines = []

@@ -12,6 +12,11 @@ Parsing works on the NFC-composed, lowercased form.  The tone mark is lifted
 off during NFD decomposition, the remaining letters are segmented by
 longest-match against the onset inventory, and the canonical spelling is
 rebuilt by re-placing the tone mark on the main vowel of the rime.
+
+Verses are compared in a canonical form: lowercased, NFC-composed, each
+punctuation mark and whitespace character a space, space runs collapsed, ends
+stripped.  :func:`normalize_verses` makes it for every line of a block with a few
+``str.replace`` passes over the whole block; :func:`normalize_verse` is its one-line form.
 """
 
 from __future__ import annotations
@@ -122,9 +127,12 @@ ONSETS = frozenset(
 _CODAS = frozenset(["c", "ch", "m", "n", "ng", "nh", "p", "t"])
 
 _PUNCTUATION = set(".,!?;:'\"…()-–")
-# One regex pass: str.translate looks each character up in a dict on non-ASCII text and
-# is barely faster than a per-character generator.
-_PUNCTUATION_RUN = re.compile("[" + re.escape("".join(sorted(_PUNCTUATION))) + "]+")
+# Every character that str.split() splits on, except "\n", "\r" and the space: the C0
+# separators, U+0085 and the Zs, Zl and Zp characters.  None of them is printable.
+_WHITESPACE = (
+    "\t\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005"
+    "\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"
+)
 
 # Bound on memoized parses.  Real text has a few thousand distinct syllables, but any
 # vowel run parses as a nucleus, so adversarial input could otherwise grow the cache
@@ -255,16 +263,6 @@ def parse_syllable(token: str) -> Syllable:
     )
 
 
-def normalize_verse(line: str) -> str:
-    """Canonical verse form: NFC, lowercased, punctuation dropped, spaces collapsed.
-
-    Idempotent, and confluent over Unicode forms: composed and decomposed
-    spellings of the same verse normalize identically.  This is the one-line
-    form; :func:`normalize_verses` applies it to every line of a block.
-    """
-    return " ".join(_PUNCTUATION_RUN.sub(" ", _nfc(line.lower())).split())
-
-
 def _lines(text: str) -> list[str]:
     """The lines of ``text``, ended by ``\\n``, ``\\r\\n`` or ``\\r`` only, as ``open()`` ends them.
 
@@ -274,22 +272,36 @@ def _lines(text: str) -> list[str]:
     return lines if lines[-1] else lines[:-1]
 
 
-def _normalized_lines(text: str) -> list[str]:
-    """The lines of ``text`` after the lowercase, NFC and punctuation steps.
+def normalize_verse(line: str) -> str:
+    """Canonical verse form: NFC, lowercased, punctuation and whitespace to single spaces.
 
-    Whitespace is left as it is: :func:`normalize_verses` collapses it, and
-    ``segment_stanza`` splits each line on it directly.  No step moves a line
-    boundary: ``\\n`` and ``\\r`` are neither cased nor case-ignorable, compose
-    with nothing under NFC, and are not punctuation.
+    Idempotent, and confluent over Unicode forms: composed and decomposed
+    spellings of the same verse normalize identically.  This is the one-line
+    form of :func:`normalize_verses`: a line break inside ``line`` becomes a
+    space, so the result is always one verse.
     """
-    return _lines(_PUNCTUATION_RUN.sub(" ", _nfc(text.lower())))
+    return " ".join(filter(None, normalize_verses(line)))
 
 
 def normalize_verses(text: str) -> list[str]:
-    """``[normalize_verse(line) for line in _lines(text)]``, in one pass over ``text``.
+    """``[normalize_verse(line) for line in _lines(text)]``, blank lines included as ``""``.
 
-    Blank lines stay in the list as ``""``, so indices match ``_lines``.
-    The lowercase, NFC and punctuation steps run once over the whole block
-    (:func:`_normalized_lines`) instead of once per line.
+    Each step runs once over the whole text, and the lines are split off only at the end.
+    No step moves a line boundary: ``\\n`` and ``\\r`` are neither cased nor
+    case-ignorable, compose with nothing under NFC, and are in neither ``_PUNCTUATION``
+    nor ``_WHITESPACE``.
     """
-    return [" ".join(line.split()) for line in _normalized_lines(text)]
+    s = _nfc(text.lower())
+    # str.replace per character found: a regex sub was slower, and str.translate looks
+    # each character up in a dict on non-ASCII text
+    for ch in _PUNCTUATION:
+        if ch in s:
+            s = s.replace(ch, " ")
+    # the space is the only printable whitespace, so printable lines need no scan per character
+    if not s.replace("\n", " ").isprintable():
+        for ch in _WHITESPACE:
+            if ch in s:
+                s = s.replace(ch, " ")
+    while "  " in s:
+        s = s.replace("  ", " ")
+    return [*map(str.strip, _lines(s))]

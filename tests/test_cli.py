@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lucbat
-from lucbat import PoemNovelty, build_verse_index, creativity_score, ingest, scoring
-from lucbat.cli import LOSSCHECK_BOUNDS, _novelty_record, build_parser, main
+from lucbat import FilterStats, PoemNovelty, build_verse_index, creativity_score, ingest, scoring
+from lucbat.cli import LOSSCHECK_BOUNDS, _novelty_record, _stats_text, build_parser, main
 from lucbat.corpus import _BATCH
 from lucbat.syllable import _PUNCTUATION, _lines
 from helpers import NO_NUMPY, perturb_quatrain
@@ -173,6 +173,32 @@ class TestFilterCommand:
         assert stats["mean_score_kept"] == 100.0
         kept_text = out.read_text("utf-8")
         assert "trăm năm trong cõi người ta" in kept_text.lower()
+
+    @pytest.mark.parametrize("stats", [
+        FilterStats(3, 0, 91.25),
+        FilterStats(0, 0, None),
+        FilterStats(0, 2, None, (("a:0/q0", "line 1: expected 6 syllables, got 5"),
+                                 ("a:1/q0", "score 40.000 < 60.0"))),
+        FilterStats(1, 4, 1e16, (('q"uote:0/q0', "r"), ("back\\slash:1/q0", 'cannot parse "x\\"'),
+                                 ("line\u2028sep:2/q0", "tab\there"),
+                                 ("Trăm năm.txt:3/q0", "line 2: cannot parse 'ó' (không)"))),
+    ])
+    def test_stats_text_is_json_dumps_of_the_payload(self, stats):
+        payload = {
+            "kept_count": stats.kept_count,
+            "dropped_count": stats.dropped_count,
+            "mean_score_kept": stats.mean_score_kept,
+            "dropped": [{"poem_id": pid, "reason": reason} for pid, reason in stats.dropped],
+        }
+        assert _stats_text(stats) == json.dumps(
+            payload, ensure_ascii=False, sort_keys=True, indent=2, allow_nan=False)
+
+    @pytest.mark.parametrize("mean", [math.inf, -math.inf, math.nan])
+    def test_stats_text_refuses_a_non_finite_mean_as_json_dumps_does(self, mean):
+        with pytest.raises(ValueError):
+            json.dumps(mean, allow_nan=False)
+        with pytest.raises(ValueError):
+            _stats_text(FilterStats(1, 0, mean))
 
     def test_filtered_output_rescored_passes(self, tmp_path, capsys):
         broken = perturb_quatrain(KIEU, tone_flips=[(1, 2)])

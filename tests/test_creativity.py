@@ -17,6 +17,7 @@ from lucbat import (
     creativity_score,
 )
 from lucbat.corpus import _BATCH
+from lucbat.syllable import _lines, normalize_verse
 
 TRAINING = """\
 trăm năm trong cõi người ta
@@ -185,6 +186,29 @@ def test_index_built_across_batches_equals_one_built_a_verse_at_a_time(corpus):
 def test_creativity_score_across_batches_equals_per_verse_reference(training, generated):
     index = build_verse_index(training)
     assert creativity_score(generated, index) == _reference_creativity(generated, index)
+
+
+# Lines for the ends of every poem, so that each place where one batch's text ends and the
+# next one's begins holds them: punctuation-only, led by an ideographic space, ended by a tab.
+_EDGE_LINES = ("…!", "\u3000Trăm năm trong cõi người ta", "chữ tài chữ mệnh khéo là ghét nhau\t")
+
+
+def _edge_corpus(shift):
+    return Corpus(tuple(
+        Poem(f"p:{i}", f"{_EDGE_LINES[(i + shift) % 3]}\nbài thứ {i * shift}\n"
+                       f"{_EDGE_LINES[(i + shift + 1) % 3]}")
+        for i in range(2 * _BATCH + 1)))
+
+
+def test_batch_edges_match_the_per_verse_reference():
+    training, generated = _edge_corpus(1), _edge_corpus(2)
+    index = build_verse_index(training)
+    expected = {normalize_verse(line) for poem in training.poems for line in _lines(poem.text)}
+    assert index._verses == expected - {""}
+    assert {"trăm năm trong cõi người ta", "chữ tài chữ mệnh khéo là ghét nhau"} <= index._verses
+    lines = [poem.lines() for poem in generated.poems]
+    assert index.copied_counts(lines) == [
+        sum(normalize_verse(line) in expected - {""} for line in verses) for verses in lines]
 
 
 def test_first_empty_poem_is_raised_from_a_later_batch(index):

@@ -2,6 +2,8 @@ import ast
 import io
 import itertools
 import random
+import re
+import sys
 import unicodedata
 from pathlib import Path
 
@@ -29,6 +31,7 @@ from lucbat.syllable import (
     _CONSONANT_LETTERS,
     _PUNCTUATION,
     _TONE_COMBINING,
+    _WHITESPACE,
     _lines,
     _nfc,
     _split_onset,
@@ -297,6 +300,63 @@ def test_lines_end_at_universal_newlines_only(text):
     assert _lines(text) == [line.removesuffix("\n") for line in io.StringIO(text, newline=None)]
     if not set(text) & set("\v\f\x1c\x1d\x1e\x85\u2028\u2029"):
         assert _lines(text) == text.splitlines()
+
+
+# Every character that str.split() splits on.
+_ALL_WHITESPACE = [ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace()]
+
+
+def test_whitespace_table_is_every_space_but_the_line_ends_and_the_space():
+    assert _WHITESPACE == "".join(ch for ch in _ALL_WHITESPACE if ch not in "\n\r ")
+    # normalize_verses skips the table's scans for printable text, which is sound only so
+    assert " ".isprintable()
+    assert not any(ch.isprintable() for ch in _WHITESPACE)
+
+
+# The regex and per-line split-join that normalize_verses' str.replace pass replaced.
+_PUNCTUATION_RUN = re.compile("[" + re.escape("".join(sorted(_PUNCTUATION))) + "]+")
+
+
+def _reference_normalize_verses(text):
+    return [" ".join(line.split()) for line in _lines(_PUNCTUATION_RUN.sub(" ", _nfc(text.lower())))]
+
+
+def _reference_normalize_verse_regex(line):
+    return " ".join(_PUNCTUATION_RUN.sub(" ", _nfc(line.lower())).split())
+
+
+_REPLACE_PASS_TEXT = st.lists(
+    st.sampled_from(
+        _ALL_WHITESPACE
+        + ["\r\n", "\n…!\n", "\n(–)\n", "\n, ; :\n"]  # punctuation-only lines
+        + _LETTERS[::7]
+        + [unicodedata.normalize("NFD", letter) for letter in _LETTERS[::5]]
+        + [letter.upper() for letter in _LETTERS[::11]]
+        + sorted(_PUNCTUATION)
+        + ["Σ", "İ"]
+    ),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=1000, derandomize=True, database=None)
+@given(_REPLACE_PASS_TEXT)
+def test_replace_pass_matches_the_regex_and_split_join_reference(text):
+    assert normalize_verses(text) == _reference_normalize_verses(text)
+    assert normalize_verse(text) == _reference_normalize_verse_regex(text)
+
+
+@pytest.mark.parametrize("text, verses, verse", [
+    ("!", [""], ""),
+    ("", [], ""),
+    ("a\n", ["a"], "a"),
+    (" \r\n…", ["", ""], ""),
+    ("\u3000a\t", ["a"], "a"),
+    ("A ,\n\u2028b\r\n\n", ["a", "b", ""], "a b"),
+])
+def test_replace_pass_examples(text, verses, verse):
+    assert normalize_verses(text) == verses == _reference_normalize_verses(text)
+    assert normalize_verse(text) == verse == _reference_normalize_verse_regex(text)
 
 
 def test_normalize_verses_examples():
