@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lucbat
-from lucbat import FilterStats, PoemNovelty, build_verse_index, creativity_score, ingest, scoring
-from lucbat.cli import LOSSCHECK_BOUNDS, _novelty_record, _stats_text, build_parser, main
+from lucbat import PoemNovelty, build_verse_index, creativity_score, ingest, scoring
+from lucbat.cli import LOSSCHECK_BOUNDS, _novelty_record, build_parser, main
 from lucbat.corpus import _BATCH
 from lucbat.syllable import _PUNCTUATION, _lines
 from helpers import NO_NUMPY, perturb_quatrain
@@ -174,32 +174,6 @@ class TestFilterCommand:
         kept_text = out.read_text("utf-8")
         assert "trăm năm trong cõi người ta" in kept_text.lower()
 
-    @pytest.mark.parametrize("stats", [
-        FilterStats(3, 0, 91.25),
-        FilterStats(0, 0, None),
-        FilterStats(0, 2, None, (("a:0/q0", "line 1: expected 6 syllables, got 5"),
-                                 ("a:1/q0", "score 40.000 < 60.0"))),
-        FilterStats(1, 4, 1e16, (('q"uote:0/q0', "r"), ("back\\slash:1/q0", 'cannot parse "x\\"'),
-                                 ("line\u2028sep:2/q0", "tab\there"),
-                                 ("Trăm năm.txt:3/q0", "line 2: cannot parse 'ó' (không)"))),
-    ])
-    def test_stats_text_is_json_dumps_of_the_payload(self, stats):
-        payload = {
-            "kept_count": stats.kept_count,
-            "dropped_count": stats.dropped_count,
-            "mean_score_kept": stats.mean_score_kept,
-            "dropped": [{"poem_id": pid, "reason": reason} for pid, reason in stats.dropped],
-        }
-        assert _stats_text(stats) == json.dumps(
-            payload, ensure_ascii=False, sort_keys=True, indent=2, allow_nan=False)
-
-    @pytest.mark.parametrize("mean", [math.inf, -math.inf, math.nan])
-    def test_stats_text_refuses_a_non_finite_mean_as_json_dumps_does(self, mean):
-        with pytest.raises(ValueError):
-            json.dumps(mean, allow_nan=False)
-        with pytest.raises(ValueError):
-            _stats_text(FilterStats(1, 0, mean))
-
     def test_filtered_output_rescored_passes(self, tmp_path, capsys):
         broken = perturb_quatrain(KIEU, tone_flips=[(1, 2)])
         path = write(tmp_path, "poems.txt", KIEU + "\n\n" + broken + "\n")
@@ -353,6 +327,27 @@ class TestReportCommand:
         assert main(["report", scores, "--format", "jsonl"]) == 0
         summary = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert summary["n"] == 2 and summary["mean"] == 90.0
+
+    @pytest.mark.parametrize("scores", ["floats", "score-jsonl"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_a_leading_bom_is_dropped(self, tmp_path, capsys, monkeypatch, scores, source):
+        # as from a --rules table; poem text keeps its BOM
+        data = (b"95\n100\n82\n" if scores == "floats"
+                else (Path(__file__).parent / "data/golden/score-jsonl/stdout").read_bytes())
+
+        def report(data):
+            if source == "stdin":
+                stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+                monkeypatch.setattr("sys.stdin", stdin)
+                status = main(["report", "-"])
+            else:
+                (tmp_path / "scores").write_bytes(data)
+                status = main(["report", str(tmp_path / "scores")])
+            return status, capsys.readouterr()
+
+        plain = report(data)
+        assert plain[0] == 0 and plain[1].err == ""
+        assert report(b"\xef\xbb\xbf" + data) == plain
 
     def test_custom_bin_width(self, tmp_path, capsys):
         path = write(tmp_path, "scores.txt", "99\n")

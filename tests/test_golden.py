@@ -31,15 +31,25 @@ as it was before every reader split lines at newlines only.  The exit-1 cases
 ``losscheck`` dimension over its cap) pin each command's status and stderr, and
 come from the code as it was before the loss head's backward pass lost its
 batch axis.  The ``score-rules-jsonl`` case comes from the code as it was before
-``ingest`` and ``corpus_from_text`` shared one block reader.  Regenerate them
-only for a deliberate output change, and say so in CHANGES.md:
+``ingest`` and ``corpus_from_text`` shared one block reader, and the
+``filter-stdout`` case, which prints the stats, from the code as it was before
+``filter --stats`` went back to ``json.dumps``.  Regenerate them only for a
+deliberate output change, and say so in CHANGES.md.  With case names, the script
+writes only those cases; with none, it rewrites every case:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py [case ...]
+
+The golden cases and the demos also state which functions have a caller outside
+the tests: ``NEVER_ENTERED`` lists every ``def`` in ``src/lucbat`` that none of
+them enters, and why it stays.
 """
 
+import ast
 import contextlib
 import io
+import json
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -50,6 +60,7 @@ import pytest
 import lucbat
 from lucbat.cli import main
 from helpers import NO_NUMPY
+from test_demos import DEMOS
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 CASES = {
@@ -63,6 +74,7 @@ CASES = {
     "quatrains": ["quatrains", "poems.txt", "--out", "q.txt"],
     "filter-stats": ["filter", "poems.txt", "--min-score", "60", "--out", "kept.txt",
                      "--stats", "stats.json"],
+    "filter-stdout": ["filter", "poems.txt", "--min-score", "60", "--out", "kept.txt"],
     "creativity-text": ["creativity", "--generated", "poems.txt", "--corpus", "corpus.txt"],
     "creativity-jsonl": ["creativity", "--generated", "poems.txt", "--corpus", "corpus.txt",
                          "--format", "jsonl"],
@@ -126,6 +138,53 @@ def expected_outputs(case):
     return {path.name: path.read_bytes() for path in (GOLDEN / case).iterdir()}
 
 
+def run_every_case_and_demo(workdir):
+    """Run each case of ``CASES``, then each demo, in a directory of its own under ``workdir``."""
+    for case, argv in CASES.items():
+        (workdir / case).mkdir()
+        run_case(argv, workdir / case)
+    cwd = os.getcwd()
+    for demo in DEMOS:
+        (workdir / demo.stem).mkdir()
+        os.chdir(workdir / demo.stem)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                runpy.run_path(str(demo), run_name="__main__")
+        finally:
+            os.chdir(cwd)
+
+
+def package_functions(package):
+    """``<module>.<qualname>`` of every ``def`` in the package's modules."""
+    def qualnames(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield prefix + child.name
+                yield from qualnames(child, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                yield from qualnames(child, f"{prefix}{child.name}.")
+            else:
+                yield from qualnames(child, prefix)
+
+    return {
+        f"{path.stem}.{name}"
+        for path in sorted(package.glob("*.py"))
+        for name in qualnames(ast.parse(path.read_text(encoding="utf-8")), "")
+    }
+
+
+# Every def in src/lucbat that no golden case and no demo enters, and why it stays
+NEVER_ENTERED = {
+    "cli._Parser.error",  # usage errors: tests/test_cli.py::TestArgumentErrors
+    "corpus.VerseIndex.__init__",  # the per-verse index that creativity tests and C4 check against
+    "creativity.EmptyPoem.__init__",  # a hand-made poem with no verses; ingest never yields one
+    "rules.RuleTable.__repr__",  # shows a table in a traceback or a debugger
+    "rules.RuleTable.group_of",  # perfbench/derive.py
+    "rules.rhymes_with",  # perfbench/layers.py; ROADMAP item 12b
+    "scoring.Stanza.syllable_at",  # perfbench/layers.py; ROADMAP item 12b
+}
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_output_is_byte_identical_to_the_golden_files(case, tmp_path):
     assert run_case(CASES[case], tmp_path) == expected_outputs(case)
@@ -152,12 +211,40 @@ def test_text_cases_without_numpy_are_byte_identical_to_the_golden_files(tmp_pat
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(text_cases)
 
 
+def test_only_the_listed_functions_have_no_caller_in_a_golden_case_or_a_demo(tmp_path):
+    # a fresh interpreter, profiled before lucbat loads: in this one, a cached parser or
+    # rule table would hide the calls that build it
+    pytest.importorskip("numpy")  # the losscheck cases and demo 05 need it
+    package = Path(lucbat.__file__).resolve().parent
+    probe = "\n".join([
+        "import json, pathlib, sys",
+        f"sys.path[:0] = [{str(package.parent)!r}, {str(Path(__file__).parent)!r}]",
+        "entered = set()",
+        "sys.setprofile(lambda frame, event, arg: event == 'call' and entered.add(frame.f_code))",
+        "import test_golden",
+        f"test_golden.run_every_case_and_demo(pathlib.Path({str(tmp_path)!r}))",
+        "sys.setprofile(None)",
+        "print(json.dumps(sorted({(code.co_filename, code.co_qualname) for code in entered})))",
+    ])
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    entered = {
+        f"{Path(filename).stem}.{qualname}"
+        for filename, qualname in json.loads(result.stdout)
+        if Path(filename).parent == package
+    }
+    assert package_functions(package) - entered == NEVER_ENTERED
+
+
 if __name__ == "__main__":
     import tempfile
 
-    for case, argv in CASES.items():
+    unknown = [case for case in sys.argv[1:] if case not in CASES]
+    if unknown:
+        sys.exit(f"unknown case: {', '.join(unknown)}; the cases are {', '.join(CASES)}")
+    for case in sys.argv[1:] or CASES:
         with tempfile.TemporaryDirectory() as workdir:
-            outputs = run_case(argv, Path(workdir))
+            outputs = run_case(CASES[case], Path(workdir))
         shutil.rmtree(GOLDEN / case, ignore_errors=True)
         (GOLDEN / case).mkdir()
         for name, data in outputs.items():
