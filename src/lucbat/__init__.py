@@ -7,22 +7,20 @@ head (self-attention + LSTM contextual vectors).
 
 Each module's ``__all__`` is its public surface; the package re-exports
 them all, and names outside them stay importable from their modules only.
-The semantic-loss names (``gradient_check``, ``LstmParams`` and the rest of
-``lucbat.semloss``) load lazily, on first access, so that importing the
-package for text work does not import numpy.
+Every module loads on first use: ``lucbat.parse_syllable`` imports
+``lucbat.syllable``, and ``lucbat.gradient_check`` imports ``lucbat.semloss``
+and numpy.  So a command imports only what it runs, and the text commands
+never import numpy.  A resolved name is stored in the package, so the next
+access is a plain attribute lookup.
 """
 
 __version__ = "0.1.0"
 
 import importlib
 
-from . import corpus, creativity, rules, scoring, syllable
-from .syllable import *
-from .rules import *
-from .scoring import *
-from .corpus import *
-from .creativity import *
-
+# in the order of __all__; no module exports a name another one does
+_TEXT_MODULES = ("syllable", "rules", "scoring", "corpus", "creativity")
+# semloss's __all__, listed here so that reading the package's __all__ leaves numpy out
 _SEMLOSS_NAMES = (
     "AttentionParams", "BadCheckSetting", "DegenerateSequence",
     "GradientCheckReport", "IdOutOfRange", "LossBreakdown", "LstmParams",
@@ -31,20 +29,30 @@ _SEMLOSS_NAMES = (
 )
 
 
+def _module(name):
+    return importlib.import_module(f".{name}", __name__)
+
+
 def __getattr__(name):
-    """Import ``lucbat.semloss`` (and numpy) only when one of its names is used."""
-    if name == "semloss" or name in _SEMLOSS_NAMES:
-        semloss = importlib.import_module(".semloss", __name__)
-        return semloss if name == "semloss" else getattr(semloss, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """Import the module that owns ``name`` on first access, and keep what it resolves."""
+    if name in _TEXT_MODULES or name == "semloss":
+        value = _module(name)
+    elif name in _SEMLOSS_NAMES:
+        value = getattr(_module("semloss"), name)
+    elif name == "__all__":
+        value = ["__version__",
+                 *(export for module in _TEXT_MODULES for export in _module(module).__all__),
+                 *_SEMLOSS_NAMES]
+    else:
+        owner = next((module for module in map(_module, _TEXT_MODULES)
+                      if name in module.__all__), None)
+        if owner is None:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+        value = getattr(owner, name)
+    globals()[name] = value
+    return value
 
 
-__all__ = [
-    "__version__",
-    *syllable.__all__,
-    *rules.__all__,
-    *scoring.__all__,
-    *corpus.__all__,
-    *creativity.__all__,
-    *_SEMLOSS_NAMES,  # lazy
-]
+def __dir__():
+    """The names loaded so far and every export, loaded or not."""
+    return sorted({*globals(), *(globals().get("__all__") or __getattr__("__all__"))})

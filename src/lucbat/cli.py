@@ -24,32 +24,14 @@ import math
 import os
 import sys
 from json.encoder import encode_basestring
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
-from .corpus import (
-    build_verse_index,
-    corpus_from_text,
-    filter_by_score,
-    ingest,
-    split_and_shuffle,
-    split_into_quatrains,
-    write_corpus,
-)
-from .creativity import PoemNovelty, creativity_score
 from .rules import RuleTable, default_rule_table, load_rule_table
-from .scoring import (
-    HISTOGRAM_HI,
-    MAX_BINS,
-    EmptyInput,
-    annotate_stanza,
-    histogram,
-    report_record,
-    score_stanza,
-    segment_stanza,
-    split_quatrains,
-)
 from .syllable import LucBatError, _lines, decode_utf8
+
+if TYPE_CHECKING:
+    from .creativity import PoemNovelty
 
 USAGE_ERROR = 1
 INTERNAL_ERROR = 2
@@ -102,6 +84,8 @@ def _parse_weights(text: str) -> tuple[float, float]:
 
 
 def _parse_bin_width(text: str) -> float:
+    from .scoring import MAX_BINS, histogram
+
     width = _finite(text)
     try:
         histogram([0.0], bin_width=width)  # histogram owns the bin-count rule
@@ -143,7 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("input", help="scores: one float per line, or jsonl "
                                         "records with a 'score' field ('-' for stdin)")
     p_report.add_argument("--bins", type=_parse_bin_width, default=10.0,
-                          help=f"bin width (at most {MAX_BINS} bins over [0, 100])")
+                          # scoring.MAX_BINS, written out so that building the parser
+                          # leaves scoring unloaded
+                          help="bin width (at most 1000 bins over [0, 100])")
     p_report.add_argument("--format", choices=("text", "jsonl"), default="text")
 
     p_quat = sub.add_parser("quatrains", help="split poems into quatrains")
@@ -178,6 +164,11 @@ def _emit(record: dict) -> None:
 
 
 def _cmd_score(args) -> int:
+    from .corpus import corpus_from_text, ingest
+    from .scoring import (
+        annotate_stanza, report_record, score_stanza, segment_stanza, split_quatrains,
+    )
+
     table = _load_table(args.rules)
     w_rhyme, w_tone = args.weights
     if args.input == "-":
@@ -210,6 +201,8 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_filter(args) -> int:
+    from .corpus import filter_by_score, ingest, write_corpus
+
     table = _load_table(args.rules)
     corpus = ingest([args.input])
     kept, stats = filter_by_score(corpus, table, args.min_score)
@@ -240,6 +233,9 @@ def _novelty_record(novelty: PoemNovelty) -> str:
 
 
 def _cmd_creativity(args) -> int:
+    from .corpus import build_verse_index, ingest
+    from .creativity import creativity_score
+
     generated = ingest([args.generated])
     index = build_verse_index(ingest([args.corpus]))
     report = creativity_score(generated, index)
@@ -286,6 +282,8 @@ def _read_scores(text: str) -> list[float]:
 
 
 def _cmd_report(args) -> int:
+    from .scoring import HISTOGRAM_HI, EmptyInput, histogram
+
     # less one leading BOM, as load_rule_table reads a table; poem text keeps its BOM
     scores = _read_scores(_read_text(args.input).removeprefix("\ufeff"))
     if not scores:
@@ -321,6 +319,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_quatrains(args) -> int:
+    from .corpus import ingest, split_and_shuffle, split_into_quatrains, write_corpus
+
     corpus = ingest([args.input])
     if args.seed is not None:
         quatrains, excluded = split_and_shuffle(corpus, args.seed)

@@ -22,7 +22,6 @@ grammar that reads the verses.
 from __future__ import annotations
 
 import functools
-import pkgutil
 from typing import Iterable, NamedTuple, Optional
 
 from .syllable import (
@@ -209,6 +208,9 @@ def load_rule_table(path: str) -> RuleTable:
 @functools.cache
 def default_rule_table() -> RuleTable:
     """The table shipped with the package (see ``data/near_rhymes.txt``), parsed once."""
-    # pkgutil, not importlib.resources: on Python 3.12+ the latter imports inspect and tempfile
+    # pkgutil, not importlib.resources: on Python 3.12+ the latter imports inspect and tempfile;
+    # imported here, so that commands which never read the table do not load it
+    import pkgutil
+
     text = pkgutil.get_data("lucbat", "data/near_rhymes.txt").decode("utf-8")
     return parse_rule_table(text, version="builtin")

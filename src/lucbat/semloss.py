@@ -32,6 +32,11 @@ passes the other five blocks as the base set, and runs one batched forward
 per verse pair.  So the check costs about 2P/2k batched passes instead of
 2P serial ones, and a chunk of U, W or b runs the attention once, at batch 1.
 
+:class:`AttentionParams` and :class:`LstmParams` are slotted classes that
+check their blocks' shapes when built, and :class:`LossBreakdown` and
+:class:`GradientCheckReport` are named tuples, so ``losscheck`` never loads
+``dataclasses``.
+
 Everything is float64; softmax uses max subtraction.  Token embeddings and
 language-model logits are supplied by the caller (or generated synthetically
 for checking); no trained model is involved.
@@ -39,8 +44,7 @@ for checking); no trained model is involved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 try:
     import numpy as np
@@ -128,18 +132,16 @@ def _shapes(*blocks) -> list[tuple]:
     return [block.shape for block in blocks]
 
 
-@dataclass(frozen=True)
 class AttentionParams:
     """Square query/key/value projections for one attention head."""
 
-    W_q: np.ndarray
-    W_k: np.ndarray
-    W_v: np.ndarray
+    __slots__ = ("W_q", "W_k", "W_v")
 
-    def __post_init__(self):
-        W_q, W_k, W_v = _shapes(self.W_q, self.W_k, self.W_v)
-        if len(W_q) != 2 or W_q[0] != W_q[1] or W_k != W_q or W_v != W_q:
-            raise ShapeMismatch(f"W_q, W_k, W_v must be (d, d); got {W_q}, {W_k}, {W_v}")
+    def __init__(self, W_q: np.ndarray, W_k: np.ndarray, W_v: np.ndarray):
+        q, k, v = _shapes(W_q, W_k, W_v)
+        if len(q) != 2 or q[0] != q[1] or k != q or v != q:
+            raise ShapeMismatch(f"W_q, W_k, W_v must be (d, d); got {q}, {k}, {v}")
+        self.W_q, self.W_k, self.W_v = W_q, W_k, W_v
 
     @property
     def d_model(self) -> int:
@@ -151,7 +153,6 @@ class AttentionParams:
         return cls(*(0.5 * rng.standard_normal((d_model, d_model)) for _ in range(3)))
 
 
-@dataclass(frozen=True)
 class LstmParams:
     """LSTM parameters stacked in gate order f, i, o, c.
 
@@ -161,14 +162,13 @@ class LstmParams:
     as given, not copied.
     """
 
-    U: np.ndarray
-    W: np.ndarray
-    b: np.ndarray
+    __slots__ = ("U", "W", "b")
 
-    def __post_init__(self):
-        U, W, b = _shapes(self.U, self.W, self.b)
-        if len(U) != 2 or U[0] % 4 or W != (U[0], U[0] // 4) or b != U[:1]:
-            raise ShapeMismatch(f"U, W, b must be (4h, d), (4h, h), (4h,); got {U}, {W}, {b}")
+    def __init__(self, U: np.ndarray, W: np.ndarray, b: np.ndarray):
+        u, w, bias = _shapes(U, W, b)
+        if len(u) != 2 or u[0] % 4 or w != (u[0], u[0] // 4) or bias != u[:1]:
+            raise ShapeMismatch(f"U, W, b must be (4h, d), (4h, h), (4h,); got {u}, {w}, {bias}")
+        self.U, self.W, self.b = U, W, b
 
     @property
     def d_in(self) -> int:
@@ -288,8 +288,7 @@ def ce_loss(logits, next_token_ids: Sequence[int]) -> float:
     return total / (m - 1)
 
 
-@dataclass(frozen=True)
-class LossBreakdown:
+class LossBreakdown(NamedTuple):
     """ce + mse = total; gradients are with respect to the packed parameters."""
 
     ce: float
@@ -425,8 +424,7 @@ def random_instance(
     }
 
 
-@dataclass(frozen=True)
-class GradientCheckReport:
+class GradientCheckReport(NamedTuple):
     seed: int
     d_model: int
     d_hidden: int

@@ -355,6 +355,11 @@ class TestReportCommand:
         out = capsys.readouterr().out
         assert "[  90.0,  100.0]" in out
 
+    def test_help_states_the_bin_cap_of_histogram(self, capsys):
+        # the help writes the cap out, so that building the parser leaves scoring unloaded
+        assert main(["report", "--help"]) == 0
+        assert f"at most {scoring.MAX_BINS} bins over [0, 100]" in capsys.readouterr().out
+
     def test_empty_scores_exit_one(self, tmp_path, capsys):
         path = write(tmp_path, "scores.txt", "\n")
         assert main(["report", path]) == 1
@@ -827,6 +832,69 @@ class TestArgumentErrors:
         assert unreported <= {"semloss.import_ms"}
 
 
+class TestStartUp:
+    @pytest.mark.parametrize("argv, unloaded, last_line", [
+        (["--version"], ["lucbat.corpus", "lucbat.scoring", "lucbat.creativity",
+                         "lucbat.semloss", "numpy", "pkgutil"], "lucbat 0.1.0"),
+        (["losscheck", "--seed", "0"], ["lucbat.corpus", "lucbat.scoring",
+                                        "lucbat.creativity", "dataclasses"], ": PASS"),
+    ], ids=["version", "losscheck"])
+    def test_a_command_loads_only_the_modules_it_runs(self, argv, unloaded, last_line):
+        src = Path(lucbat.__file__).resolve().parent.parent
+        probe = "\n".join([
+            "import sys",
+            "preloaded = set(sys.modules)",  # some hosts' site imports more than others
+            f"sys.path.insert(0, {str(src)!r})",
+            "import contextlib, io, runpy",
+            f"sys.argv = ['lucbat', *{argv!r}]",
+            "with contextlib.redirect_stdout(io.StringIO()) as out:",
+            "    try:",
+            "        runpy.run_module('lucbat', run_name='__main__', alter_sys=True)",
+            "    except SystemExit as exit:",
+            "        status = exit.code",
+            f"print(sorted(set({unloaded!r}) & (set(sys.modules) - preloaded)), status)",
+            "print(out.getvalue())",
+        ])
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, check=True)
+        assert result.stdout.startswith("[] 0\n")
+        assert result.stdout.rstrip().endswith(last_line)
+
+    def test_every_export_resolves_to_its_module_once(self):
+        pytest.importorskip("numpy")  # the semloss names load numpy
+        src = Path(lucbat.__file__).resolve().parent.parent
+        probe = "\n".join([
+            f"import json, sys; sys.path.insert(0, {str(src)!r})",
+            "import lucbat",
+            "modules = ('syllable', 'rules', 'scoring', 'corpus', 'creativity', 'semloss')",
+            "owners = {name: module for module in modules",
+            "          for name in getattr(lucbat, module).__all__}",
+            "exports = lucbat.__all__",
+            "cached_early = [name for name in exports if name in vars(lucbat)]",
+            "uncached, foreign = [], []",
+            "for name in exports[1:]:",
+            "    value = getattr(lucbat, name)",
+            "    if vars(lucbat).get(name) is not value:",
+            "        uncached.append(name)",
+            "    if value is not getattr(getattr(lucbat, owners[name]), name):",
+            "        foreign.append(name)",
+            "namespace = {}",
+            "exec('from lucbat import *', namespace)",
+            "print(json.dumps({",
+            "    'cached_early': cached_early, 'uncached': uncached, 'foreign': foreign,",
+            "    'exports': sorted(exports), 'owned': sorted(['__version__', *owners]),",
+            "    'star': sorted(set(namespace) - {'__builtins__'}),",
+            "    'undir': sorted(set(exports) - set(dir(lucbat))),",
+            "}))",
+        ])
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, check=True)
+        found = json.loads(result.stdout)
+        assert found["exports"] == found["owned"] == found["star"]
+        assert (found["cached_early"], found["uncached"], found["foreign"], found["undir"]) == (
+            ["__version__"], [], [], [])
+
+
 # Field order of each public record.  A named tuple unpacks and compares in this order,
 # so a reordered field would change callers' results without an error.
 _RECORD_FIELDS = {
@@ -841,6 +909,9 @@ _RECORD_FIELDS = {
     "FilterStats": ("kept_count", "dropped_count", "mean_score_kept", "dropped"),
     "PoemNovelty": ("poem_id", "copied_verses", "total_verses"),
     "CreativityReport": ("per_poem", "score"),
+    "LossBreakdown": ("ce", "mse", "total", "gradients"),
+    "GradientCheckReport": ("seed", "d_model", "d_hidden", "n_parameters", "max_relative_error",
+                            "ce", "mse", "passed", "tolerance"),
 }
 
 
