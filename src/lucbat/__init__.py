@@ -35,7 +35,8 @@ def _module(name):
 
 def __getattr__(name):
     """Import the module that owns ``name`` on first access, and keep what it resolves."""
-    if name in _TEXT_MODULES or name == "semloss":
+    # `from lucbat import cli` looks the name up here before it imports the submodule
+    if name in _TEXT_MODULES or name in ("semloss", "cli"):
         value = _module(name)
     elif name in _SEMLOSS_NAMES:
         value = getattr(_module("semloss"), name)

@@ -37,9 +37,6 @@ USAGE_ERROR = 1
 INTERNAL_ERROR = 2
 # what a shell reports for a process that SIGPIPE ended, as for `lucbat score … | head -1`
 BROKEN_PIPE = 128 + 13
-# Weights near the float limit overflow the score to -inf, which JSON cannot carry;
-# 1e6 is far beyond any useful weight.
-MAX_WEIGHT = 1e6
 # losscheck flag: (argparse dest, least, most).  The check runs one batched forward pass
 # per chunk of semloss._FD_CHUNK parameters over stanzas * 2 pairs of up to len steps, and
 # P grows with dmodel * dhidden; at the caps (P=2880, 4 stanzas) the command takes
@@ -73,16 +70,6 @@ def _finite(text: str) -> float:
     return value
 
 
-def _parse_weights(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected wR,wT, got {text!r}")
-    w_rhyme, w_tone = (_finite(p) for p in parts)
-    if not (0 < w_rhyme <= MAX_WEIGHT and 0 < w_tone <= MAX_WEIGHT):
-        raise argparse.ArgumentTypeError(f"weights must be positive and at most {MAX_WEIGHT:g}")
-    return w_rhyme, w_tone
-
-
 def _parse_bin_width(text: str) -> float:
     from .scoring import MAX_BINS, histogram
 
@@ -108,8 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("input", help="poem file, blank-line separated ('-' for stdin)")
     p_score.add_argument("--rules", help="near-rhyme table file (default: built-in)")
     p_score.add_argument("--format", choices=("text", "jsonl"), default="text")
-    p_score.add_argument("--weights", type=_parse_weights, default=(1.0, 1.0),
-                         metavar="wR,wT", help="penalty weights (default 1.0,1.0)")
 
     p_filter = sub.add_parser("filter", help="drop quatrains below a score threshold")
     p_filter.add_argument("input", help="quatrain file")
@@ -170,7 +155,6 @@ def _cmd_score(args) -> int:
     )
 
     table = _load_table(args.rules)
-    w_rhyme, w_tone = args.weights
     if args.input == "-":
         corpus = corpus_from_text(_read_text("-"), source="stdin")
     else:
@@ -180,7 +164,7 @@ def _cmd_score(args) -> int:
     for poem in corpus.poems:
         try:
             reports = [
-                score_stanza(segment_stanza(quatrain), table, w_rhyme=w_rhyme, w_tone=w_tone)
+                score_stanza(segment_stanza(quatrain), table)
                 for quatrain in split_quatrains(poem.text)
             ]
         except LucBatError as error:

@@ -7,7 +7,7 @@ The template score of a stanza with n six-eight pairs is
 where R counts rhyme-chain members that fail against their chain's anchor
 and T counts templated positions with the wrong tone class.  A flawless
 stanza scores 100; the value is reported unclamped, so badly broken input
-can go negative.  Optional weights scale the two penalty terms.
+can go negative.
 
 Only non-anchor chain members can be "wrong": the anchor defines the rhyme
 its chain is checked against, so at most 2n of the 3n-1 rhyme positions are
@@ -34,7 +34,6 @@ dict; and :func:`annotate_stanza` marks words at the same indices.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from json.encoder import encode_basestring
 from operator import is_not
@@ -191,17 +190,8 @@ def _shape(n_pairs: int) -> tuple:
     )
 
 
-def score_stanza(
-    stanza: Stanza,
-    table: RuleTable,
-    w_rhyme: float = 1.0,
-    w_tone: float = 1.0,
-) -> ScoreReport:
-    """Count violations and apply the template formula.
-
-    ``w_rhyme``/``w_tone`` rescale the two penalty terms; the defaults give
-    the plain formula.
-    """
+def score_stanza(stanza: Stanza, table: RuleTable) -> ScoreReport:
+    """Count violations and apply the template formula."""
     members, anchors, slots, expected, rhyme_positions, tone_positions, _, _, _ = _shape(
         stanza.n_pairs)
     lines = stanza.lines
@@ -213,11 +203,7 @@ def score_stanza(
     actual_tones = tuple([lines[line][word].tone_class for line, word in slots])
     wrong_rhyme = rhyme_ok.count(False)
     wrong_tone = sum(map(is_not, actual_tones, expected))
-    score = 100.0 * (
-        1.0
-        - w_rhyme * wrong_rhyme / rhyme_positions
-        - w_tone * wrong_tone / tone_positions
-    )
+    score = 100.0 * (1.0 - wrong_rhyme / rhyme_positions - wrong_tone / tone_positions)
     return ScoreReport(
         n_pairs=stanza.n_pairs,
         wrong_rhyme=wrong_rhyme,
@@ -280,13 +266,12 @@ def report_record(poem_id: str, stanza_index: int, report: ScoreReport) -> str:
 
     The keys, in sorted order: ``R``, ``T``, ``diagnostics`` (``rhyme`` and
     ``tone`` lists, one object per rhyme pair and tone slot of the template),
-    ``n``, ``poem_id``, ``score`` and ``stanza_index``.  A non-finite score
-    raises the ``ValueError`` that ``json.dumps(..., allow_nan=False)``
-    raises.
+    ``n``, ``poem_id``, ``score`` and ``stanza_index``.
+
+    The score is finite, so ``float.__repr__`` writes it as ``json.dumps``
+    would: at most 2n of the 3n-1 rhyme positions can be wrong and T is at
+    most 7n, so a score from :func:`score_stanza` lies in [-100, 100].
     """
-    score = report.score
-    if not math.isfinite(score):
-        json.dumps(score, allow_nan=False)  # raises json's own ValueError
     _, _, _, _, _, _, rhyme, tone, tail = _shape(report.n_pairs)
     level = ToneClass.LEVEL
     return (
@@ -297,7 +282,8 @@ def report_record(poem_id: str, stanza_index: int, report: ScoreReport) -> str:
         + ", ".join([forms[actual is level] for forms, actual in zip(tone, report.actual_tones)])
         + tail
         + encode_basestring(poem_id)
-        + f', "score": {float.__repr__(score)}, "stanza_index": {int.__repr__(stanza_index)}}}'
+        + f', "score": {float.__repr__(report.score)}, '
+        f'"stanza_index": {int.__repr__(stanza_index)}}}'
     )
 
 

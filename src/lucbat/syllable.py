@@ -153,7 +153,6 @@ class Syllable(NamedTuple):
     ``Syllable`` directly.
     """
 
-    raw: str
     normalized: str
     onset: str
     rime: str
@@ -258,8 +257,7 @@ def parse_syllable(token: str) -> Syllable:
         raise NotASyllable(token, f"invalid coda {coda!r}")
     normalized = onset + mark_rime(rime, tone)
     return Syllable(
-        raw=token, normalized=normalized, onset=onset, rime=rime, tone=tone,
-        tone_class=tone.tone_class,
+        normalized=normalized, onset=onset, rime=rime, tone=tone, tone_class=tone.tone_class,
     )
 
 

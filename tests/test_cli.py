@@ -62,13 +62,6 @@ class TestScoreCommand:
         assert len(lines) == 2
         assert "error" in json.loads(lines[1])
 
-    def test_weights_flag(self, tmp_path, capsys):
-        broken = perturb_quatrain(KIEU, rhyme_breaks=[(2, 6)])
-        path = write(tmp_path, "poems.txt", broken + "\n")
-        assert main(["score", path, "--format", "jsonl", "--weights", "0.5,1.0"]) == 0
-        record = json.loads(capsys.readouterr().out.strip())
-        assert record["score"] == pytest.approx(100 * (1 - 0.5 / 5))
-
     def test_error_record_keeps_poem_order(self, tmp_path, capsys):
         broken = perturb_quatrain(KIEU, rhyme_breaks=[(2, 6)])
         path = write(tmp_path, "poems.txt", f"{KIEU}\n\nchỉ một dòng\n\n{broken}\n")
@@ -678,12 +671,14 @@ class TestArgumentErrors:
         assert main(["score", path, "--jobs", "2"]) == 1
         assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
+    def test_weights_flag_is_gone(self, tmp_path, capsys):
+        path = write(tmp_path, "poems.txt", KIEU + "\n")
+        assert main(["score", path, "--weights", "1,1"]) == 1
+        assert "unrecognized arguments: --weights" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["score", "{poems}", "--weights", "nan,1"], "finite"),
-            (["score", "{poems}", "--weights", "1,inf"], "finite"),
-            (["score", "{poems}", "--weights", "1e308,1"], "at most 1e+06"),
             (["filter", "{poems}", "--min-score", "nan", "--out", "{out}"], "finite"),
             (["report", "{scores}", "--bins", "nan"], "finite"),
             (["report", "{scores}", "--bins", "inf"], "finite"),
@@ -698,8 +693,8 @@ class TestArgumentErrors:
             (["losscheck", "--len", "33"], "--len must be <= 32"),
             (["losscheck", "--stanzas", "5"], "--stanzas must be <= 4"),
         ],
-        ids=["weights-nan", "weights-inf", "weights-huge", "min-score-nan", "bins-nan",
-             "bins-inf", "bins-tiny", "bins-zero", "losscheck-seed-negative",
+        ids=["min-score-nan", "bins-nan", "bins-inf", "bins-tiny", "bins-zero",
+             "losscheck-seed-negative",
              "losscheck-dmodel-over-cap", "losscheck-dmodel-huge", "losscheck-dhidden-over-cap",
              "losscheck-vocab-over-cap", "losscheck-vocab-huge", "losscheck-len-over-cap",
              "losscheck-stanzas-over-cap"],
@@ -860,6 +855,20 @@ class TestStartUp:
         assert result.stdout.startswith("[] 0\n")
         assert result.stdout.rstrip().endswith(last_line)
 
+    def test_importing_cli_leaves_the_text_pipeline_unloaded(self):
+        src = Path(lucbat.__file__).resolve().parent.parent
+        probe = "\n".join([
+            "import sys",
+            "preloaded = set(sys.modules)",  # some hosts' site imports more than others
+            f"sys.path.insert(0, {str(src)!r})",
+            "from lucbat import cli",
+            "unloaded = {'lucbat.corpus', 'lucbat.creativity', 'lucbat.scoring'}",
+            "print(sorted(unloaded & (set(sys.modules) - preloaded)), cli.__name__)",
+        ])
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                                text=True, check=True)
+        assert result.stdout == "[] lucbat.cli\n"
+
     def test_every_export_resolves_to_its_module_once(self):
         pytest.importorskip("numpy")  # the semloss names load numpy
         src = Path(lucbat.__file__).resolve().parent.parent
@@ -898,7 +907,7 @@ class TestStartUp:
 # Field order of each public record.  A named tuple unpacks and compares in this order,
 # so a reordered field would change callers' results without an error.
 _RECORD_FIELDS = {
-    "Syllable": ("raw", "normalized", "onset", "rime", "tone", "tone_class"),
+    "Syllable": ("normalized", "onset", "rime", "tone", "tone_class"),
     "RhymeChain": ("positions",),
     "Template": ("n_pairs", "rhyme_pairs", "tone_slots", "rhyme_positions", "tone_positions"),
     "Stanza": ("lines", "n_pairs"),
@@ -962,10 +971,6 @@ _FILE_TEXT = st.lists(
 _NUMBER = st.sampled_from(["1", "0.5", "50", "99.99", "100", "1e6", "1e308", "1e999", "1e-9",
                            "5e-324", "0", "-0.0", "-1", "-1e308", "inf", "-inf", "nan", "",
                            "abc", "1,", "0x10"])
-# one draw in three is a pair of accepted weights, so weighted records get scored too
-_WEIGHT = st.sampled_from(["1", "0.5", "2", "1e-9", "1e6"])
-_WEIGHTS = st.one_of(st.tuples(_WEIGHT, _WEIGHT).map(",".join),
-                     st.tuples(_NUMBER, _NUMBER).map(",".join), _NUMBER)
 # losscheck flags: small values within the caps, or one past a cap
 _LOSSCHECK_ARGS = st.tuples(*(
     st.sampled_from([least, least + 1] + ([] if most is None else [most + 1]))
@@ -979,10 +984,9 @@ def _reject_constant(name):
 
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
-@given(poems=_FILE_TEXT, corpus=_FILE_TEXT, weights=_WEIGHTS, min_score=_NUMBER,
-       bins=_NUMBER, losscheck_args=_LOSSCHECK_ARGS)
-def test_no_input_makes_a_command_exit_two(poems, corpus, weights, min_score, bins,
-                                           losscheck_args):
+@given(poems=_FILE_TEXT, corpus=_FILE_TEXT, min_score=_NUMBER, bins=_NUMBER,
+       losscheck_args=_LOSSCHECK_ARGS)
+def test_no_input_makes_a_command_exit_two(poems, corpus, min_score, bins, losscheck_args):
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         (work / "poems.txt").write_text(poems, encoding="utf-8")
@@ -1004,11 +1008,8 @@ def test_no_input_makes_a_command_exit_two(poems, corpus, weights, min_score, bi
         run("score", poem_file)
         scores = run("score", poem_file, "--format", "jsonl")
         json_lines(scores)
-        weighted = run("score", poem_file, "--format", "jsonl", f"--weights={weights}")
-        json_lines(weighted)
         # plain scores below, inside and above [0, 100] give report something to bin
-        (work / "scores.jsonl").write_text(scores + weighted + "-3.5\n95\n100\n1e308\n",
-                                           encoding="utf-8")
+        (work / "scores.jsonl").write_text(scores + "-3.5\n95\n100\n1e308\n", encoding="utf-8")
         for threshold in ("50", min_score):
             stats = run("filter", poem_file, f"--min-score={threshold}", "--out",
                         work / "kept.txt")

@@ -23,10 +23,9 @@ Each case below ran once, in a directory holding only the ``INPUTS`` and with
 from the code as it was before segmentation and scoring took their single-pass
 forms, and that change kept them byte for byte.  The ``losscheck`` cases, which
 ignore the inputs, come from the code as it was before the finite-difference
-check tiled one parameter block per chunk, the ``score-weights`` cases from the
-code as it was before scoring compiled one stanza shape per n, and the
-``quatrains``, ``creativity``, ``report`` and ``score-stdin`` cases from the code
-as it was before every reader split lines at newlines only.  The exit-1 cases
+check tiled one parameter block per chunk, and the ``quatrains``,
+``creativity``, ``report`` and ``score-stdin`` cases from the code as it was
+before every reader split lines at newlines only.  The exit-1 cases
 (a missing file, ``bad.txt`` with a byte that is not UTF-8, ``empty.txt``, a
 ``losscheck`` dimension over its cap) pin each command's status and stderr, and
 come from the code as it was before the loss head's backward pass lost its
@@ -66,8 +65,6 @@ GOLDEN = Path(__file__).parent / "data" / "golden"
 CASES = {
     "score-jsonl": ["score", "poems.txt", "--format", "jsonl"],
     "score-text": ["score", "poems.txt"],
-    "score-weights-jsonl": ["score", "poems.txt", "--weights", "2,0.5", "--format", "jsonl"],
-    "score-weights-text": ["score", "poems.txt", "--weights", "2,0.5"],
     "score-stdin": ["score", "-"],
     "score-rules-jsonl": ["score", "poems.txt", "--rules", "rules.txt", "--format", "jsonl"],
     "quatrains-seed-3": ["quatrains", "poems.txt", "--seed", "3", "--out", "quatrains.txt"],
