@@ -5,7 +5,7 @@ Subcommands:
     score       template-score poems (one record per quatrain)
     filter      keep quatrains scoring at least a threshold
     creativity  verse-overlap creativity of generated poems vs a corpus
-    report      histogram a stream of scores
+    report      histogram a stream of scores into the ten deciles of [0, 100]
     quatrains   split poems into quatrains, optionally seeded-shuffle
     losscheck   finite-difference verification of the semantic loss head
 
@@ -70,20 +70,6 @@ def _finite(text: str) -> float:
     return value
 
 
-def _parse_bin_width(text: str) -> float:
-    from .scoring import MAX_BINS, histogram
-
-    width = _finite(text)
-    try:
-        histogram([0.0], bin_width=width)  # histogram owns the bin-count rule
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"bin width must be positive and give at most {MAX_BINS} bins over [0, 100], "
-            f"got {text!r}"
-        ) from None
-    return width
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once: ``main`` reuses it, and parsing leaves no state in it."""
@@ -108,13 +94,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_creat.add_argument("--corpus", required=True, help="training corpus file")
     p_creat.add_argument("--format", choices=("text", "jsonl"), default="text")
 
-    p_report = sub.add_parser("report", help="histogram a stream of scores")
+    p_report = sub.add_parser("report", help="histogram scores into the deciles of [0, 100]")
     p_report.add_argument("input", help="scores: one float per line, or jsonl "
                                         "records with a 'score' field ('-' for stdin)")
-    p_report.add_argument("--bins", type=_parse_bin_width, default=10.0,
-                          # scoring.MAX_BINS, written out so that building the parser
-                          # leaves scoring unloaded
-                          help="bin width (at most 1000 bins over [0, 100])")
     p_report.add_argument("--format", choices=("text", "jsonl"), default="text")
 
     p_quat = sub.add_parser("quatrains", help="split poems into quatrains")
@@ -272,7 +254,7 @@ def _cmd_report(args) -> int:
     scores = _read_scores(_read_text(args.input).removeprefix("\ufeff"))
     if not scores:
         raise EmptyInput("no scores found in input")
-    hist = histogram(scores, bin_width=args.bins)
+    hist = histogram(scores)
     try:
         mean = math.fsum(scores) / len(scores)
     except OverflowError:  # finite scores can overflow their sum, but never their exact mean

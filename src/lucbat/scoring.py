@@ -34,7 +34,6 @@ dict; and :func:`annotate_stanza` marks words at the same indices.
 from __future__ import annotations
 
 import functools
-import math
 from json.encoder import encode_basestring
 from operator import is_not
 from typing import NamedTuple
@@ -68,8 +67,6 @@ __all__ = [
 
 # histogram() bins scores over [0, HISTOGRAM_HI]; a flawless stanza scores 100
 HISTOGRAM_HI = 100.0
-# histogram() refuses more bins than this; a tiny width would allocate billions of them
-MAX_BINS = 1000
 
 
 class OddLineCount(LucBatError):
@@ -231,19 +228,14 @@ class Histogram(NamedTuple):
     above: int
 
 
-def histogram(scores: list[float], bin_width: float = 10.0) -> Histogram:
-    """Bin scores over the fixed range [0, 100] into right-exclusive bins; the last includes 100.
+def histogram(scores: list[float]) -> Histogram:
+    """Bin scores into the ten deciles of [0, 100], right-exclusive; the last includes 100.
 
-    Scores outside [0, 100] are tallied separately in ``below``/``above``.  A
-    ``bin_width`` that is not finite and positive, or that gives more than
-    ``MAX_BINS`` bins, raises ``ValueError``.
+    Scores outside [0, 100] are tallied separately in ``below``/``above``.
     """
     if not scores:
         raise EmptyInput("no scores to bin")
-    if not 0 < bin_width < math.inf or HISTOGRAM_HI / bin_width > MAX_BINS:
-        raise ValueError(f"bin_width must be finite, positive and give at most {MAX_BINS} bins")
-    n_bins = math.ceil(HISTOGRAM_HI / bin_width)
-    counts = [0] * n_bins
+    counts = [0] * 10
     below = above = 0
     for score in scores:
         if score < 0:
@@ -251,14 +243,9 @@ def histogram(scores: list[float], bin_width: float = 10.0) -> Histogram:
         elif score > HISTOGRAM_HI:
             above += 1
         else:
-            index = min(int(score / bin_width), n_bins - 1)
-            counts[index] += 1
-    bins = []
-    for k in range(n_bins):
-        bin_lo = k * bin_width
-        bin_hi = min((k + 1) * bin_width, HISTOGRAM_HI)
-        bins.append((bin_lo, bin_hi, counts[k]))
-    return Histogram(bins=tuple(bins), below=below, above=above)
+            counts[min(int(score / 10.0), 9)] += 1
+    bins = tuple((10.0 * k, 10.0 * (k + 1), count) for k, count in enumerate(counts))
+    return Histogram(bins=bins, below=below, above=above)
 
 
 def report_record(poem_id: str, stanza_index: int, report: ScoreReport) -> str:

@@ -342,17 +342,6 @@ class TestReportCommand:
         assert plain[0] == 0 and plain[1].err == ""
         assert report(b"\xef\xbb\xbf" + data) == plain
 
-    def test_custom_bin_width(self, tmp_path, capsys):
-        path = write(tmp_path, "scores.txt", "99\n")
-        assert main(["report", path, "--bins", "30"]) == 0
-        out = capsys.readouterr().out
-        assert "[  90.0,  100.0]" in out
-
-    def test_help_states_the_bin_cap_of_histogram(self, capsys):
-        # the help writes the cap out, so that building the parser leaves scoring unloaded
-        assert main(["report", "--help"]) == 0
-        assert f"at most {scoring.MAX_BINS} bins over [0, 100]" in capsys.readouterr().out
-
     def test_empty_scores_exit_one(self, tmp_path, capsys):
         path = write(tmp_path, "scores.txt", "\n")
         assert main(["report", path]) == 1
@@ -666,24 +655,27 @@ class TestArgumentErrors:
         assert main(["score", str(tmp_path / "absent.txt")]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_jobs_flag_is_gone(self, tmp_path, capsys):
-        path = write(tmp_path, "poems.txt", KIEU + "\n")
-        assert main(["score", path, "--jobs", "2"]) == 1
-        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
-
-    def test_weights_flag_is_gone(self, tmp_path, capsys):
-        path = write(tmp_path, "poems.txt", KIEU + "\n")
-        assert main(["score", path, "--weights", "1,1"]) == 1
-        assert "unrecognized arguments: --weights" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["score", "{poems}", "--jobs", "2"], "--jobs"),
+            (["score", "{poems}", "--weights", "1,1"], "--weights"),
+            (["report", "{scores}", "--bins", "10"], "--bins"),
+        ],
+        ids=["jobs", "weights", "bins"],
+    )
+    def test_deleted_flag_is_gone(self, tmp_path, capsys, argv, flag):
+        paths = {
+            "poems": write(tmp_path, "poems.txt", KIEU + "\n"),
+            "scores": write(tmp_path, "scores.txt", "95\n"),
+        }
+        assert main([arg.format(**paths) for arg in argv]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, message",
         [
             (["filter", "{poems}", "--min-score", "nan", "--out", "{out}"], "finite"),
-            (["report", "{scores}", "--bins", "nan"], "finite"),
-            (["report", "{scores}", "--bins", "inf"], "finite"),
-            (["report", "{scores}", "--bins", "1e-9"], "at most 1000 bins"),
-            (["report", "{scores}", "--bins", "0"], "positive"),
             (["losscheck", "--seed", "-1"], "--seed must be >= 0"),
             (["losscheck", "--dmodel", "17"], "--dmodel must be <= 16"),
             (["losscheck", "--dmodel", "100000"], "--dmodel must be <= 16"),
@@ -693,8 +685,7 @@ class TestArgumentErrors:
             (["losscheck", "--len", "33"], "--len must be <= 32"),
             (["losscheck", "--stanzas", "5"], "--stanzas must be <= 4"),
         ],
-        ids=["min-score-nan", "bins-nan", "bins-inf", "bins-tiny", "bins-zero",
-             "losscheck-seed-negative",
+        ids=["min-score-nan", "losscheck-seed-negative",
              "losscheck-dmodel-over-cap", "losscheck-dmodel-huge", "losscheck-dhidden-over-cap",
              "losscheck-vocab-over-cap", "losscheck-vocab-huge", "losscheck-len-over-cap",
              "losscheck-stanzas-over-cap"],
@@ -702,7 +693,6 @@ class TestArgumentErrors:
     def test_bad_numeric_flag_exits_one(self, tmp_path, capsys, argv, message):
         paths = {
             "poems": write(tmp_path, "poems.txt", KIEU + "\n"),
-            "scores": write(tmp_path, "scores.txt", "95\n"),
             "out": str(tmp_path / "kept.txt"),
         }
         assert main([arg.format(**paths) for arg in argv]) == 1
@@ -984,9 +974,8 @@ def _reject_constant(name):
 
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
-@given(poems=_FILE_TEXT, corpus=_FILE_TEXT, min_score=_NUMBER, bins=_NUMBER,
-       losscheck_args=_LOSSCHECK_ARGS)
-def test_no_input_makes_a_command_exit_two(poems, corpus, min_score, bins, losscheck_args):
+@given(poems=_FILE_TEXT, corpus=_FILE_TEXT, min_score=_NUMBER, losscheck_args=_LOSSCHECK_ARGS)
+def test_no_input_makes_a_command_exit_two(poems, corpus, min_score, losscheck_args):
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
         (work / "poems.txt").write_text(poems, encoding="utf-8")
@@ -1020,5 +1009,4 @@ def test_no_input_makes_a_command_exit_two(poems, corpus, min_score, bins, lossc
                        "--format", "jsonl"))
         run("report", poem_file)
         json_lines(run("report", work / "scores.jsonl", "--format", "jsonl"))
-        json_lines(run("report", work / "scores.jsonl", "--format", "jsonl", f"--bins={bins}"))
         run("losscheck", *losscheck_args)

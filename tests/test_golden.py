@@ -77,7 +77,6 @@ CASES = {
                          "--format", "jsonl"],
     "report-text": ["report", "scores.jsonl"],
     "report-jsonl": ["report", "scores.jsonl", "--format", "jsonl"],
-    "report-bins-7.5": ["report", "scores.jsonl", "--bins", "7.5"],
     "losscheck": ["losscheck"],
     "losscheck-bench-seed-1": ["losscheck", "--seed", "1", "--dmodel", "8", "--dhidden", "8",
                                "--vocab", "7", "--len", "12", "--stanzas", "1"],

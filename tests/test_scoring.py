@@ -30,7 +30,6 @@ from lucbat import (
     split_quatrains,
     template,
 )
-from lucbat.scoring import MAX_BINS
 from lucbat.syllable import _PUNCTUATION, mark_rime
 from helpers import (
     QUATRAIN_RHYME_MEMBERS,
@@ -214,17 +213,26 @@ class TestHistogram:
         assert as_map[(10.0, 20.0)] == 1
         assert as_map[(80.0, 90.0)] == 1
         assert as_map[(90.0, 100.0)] == 2
+        # each decile edge 10k and the floats either side of it, within [0, 100], land in
+        # the bin with lo <= score < hi, the last bin closed
+        edges = [10.0 * k for k in range(11)]
+        scores = [s for edge in edges for s in (math.nextafter(edge, -math.inf), edge,
+                                                math.nextafter(edge, math.inf))
+                  if 0.0 <= s <= 100.0] + [5e-324, -0.0]
+        assert len(scores) == 33
+        for score in scores:
+            hist = histogram([score])
+            assert (hist.below, hist.above) == (0, 0), score
+            assert [(lo, hi) for lo, hi, _ in hist.bins] == list(zip(edges, edges[1:]))
+            expected = [int(lo <= score < hi or hi == 100.0 and score == 100.0)
+                        for lo, hi in zip(edges, edges[1:])]
+            assert [count for _, _, count in hist.bins] == expected, score
 
     def test_out_of_range(self):
         hist = histogram([-3.0, 50.0, 101.0])
         assert hist.below == 1
         assert hist.above == 1
         assert total_in_range(hist) == 1
-
-    def test_uneven_final_bin(self):
-        hist = histogram([99.0], bin_width=30.0)
-        assert hist.bins[-1] == (90.0, 100.0, 1)
-        assert len(hist.bins) == 4
 
     def test_seeded_sample_matches_naive_recount(self):
         rng = random.Random(20240615)
@@ -240,13 +248,6 @@ class TestHistogram:
         assert hist.below == sum(1 for s in scores if s < 0)
         assert hist.above == sum(1 for s in scores if s > 100)
         assert total_in_range(hist) + hist.below + hist.above == 500
-
-    def test_bad_width(self):
-        # inf used to raise IndexError, 1e-300 OverflowError, and 0.0999 gave 1001 bins
-        for width in (0, -1.0, math.inf, -math.inf, math.nan, 1e-300, 0.0999):
-            with pytest.raises(ValueError):
-                histogram([1.0], bin_width=width)
-        assert len(histogram([1.0], bin_width=0.1).bins) == MAX_BINS == 1000
 
 
 class TestReporting:
