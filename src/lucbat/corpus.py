@@ -15,7 +15,8 @@ from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .rules import RuleTable
-from .scoring import EmptyInput, OddLineCount, score_stanza, segment_stanza, split_quatrains
+# lucbat.scoring is imported where it is used, so that creativity, which scores nothing,
+# starts without it
 from .syllable import LucBatError, _lines, decode_utf8, normalize_verse, normalize_verses
 
 __all__ = [
@@ -83,6 +84,8 @@ def _expand(paths: Iterable[str]) -> list[str]:
         if os.path.isdir(path):
             names = sorted(name for name in os.listdir(path) if name.endswith(".txt"))
             if not names:
+                from .scoring import EmptyInput
+
                 raise EmptyInput(f"{path}: directory has no *.txt files")
             expanded.extend(os.path.join(path, name) for name in names)
         else:
@@ -129,6 +132,8 @@ def split_into_quatrains(corpus: Corpus) -> tuple[Corpus, list[tuple[str, str]]]
     Poems whose line count is not a multiple of 4 are excluded and returned
     as (id, reason) pairs.
     """
+    from .scoring import OddLineCount, split_quatrains
+
     quatrains: list[Poem] = []
     excluded: list[tuple[str, str]] = []
     for poem in corpus.poems:
@@ -172,6 +177,8 @@ def filter_by_score(
     Quatrains that fail segmentation are dropped with the error message as
     the reason.
     """
+    from .scoring import score_stanza, segment_stanza
+
     kept: list[Poem] = []
     scores: list[float] = []
     dropped: list[tuple[str, str]] = []
@@ -239,10 +246,16 @@ class VerseIndex:
     def copied_counts(self, poems: Sequence[list[str]]) -> list[int]:
         """For each poem, given as its :meth:`Poem.lines`, how many of its lines are in the index.
 
-        The lines are joined into one text, so none may be blank or hold a
-        line break.  A line that normalizes to ``""`` is never in the index.
+        The lines are joined into one text, so none may be blank, and one that
+        holds a line break raises ``ValueError``.  A line that normalizes to
+        ``""`` is never in the index.
         """
-        verses = normalize_verses("\n".join(chain.from_iterable(poems)))
+        text = "\n".join(chain.from_iterable(poems))
+        # a clean join of n lines holds n - 1 line breaks; a break inside a line would shift
+        # every later poem's lines
+        if "\r" in text or text.count("\n") > max(sum(map(len, poems)) - 1, 0):
+            raise ValueError("a line holds a line break")
+        verses = normalize_verses(text)
         hits = map(self._verses.__contains__, verses)
         return [sum(islice(hits, len(lines))) for lines in poems]
 

@@ -135,9 +135,8 @@ class RuleTable:
 
     def __init__(self, groups: Iterable[Iterable[str]], version: str = "custom"):
         self.version = version
-        listed = [list(group) for group in groups]
         self._group_of: dict[str, int] = {}
-        for gi, group in enumerate(listed):
+        for gi, group in enumerate(map(list, groups)):
             if not group:
                 raise RuleTableError("empty near-rhyme group")
             for rime in group:
@@ -151,9 +150,6 @@ class RuleTable:
                 if rime in self._group_of:
                     raise RuleTableError(f"rime {rime!r} listed twice")
                 self._group_of[rime] = gi
-        self.groups: tuple[frozenset[str], ...] = tuple(
-            frozenset(group) for group in listed
-        )
 
     def group_of(self, rime: str) -> Optional[int]:
         return self._group_of.get(rime)
@@ -164,9 +160,6 @@ class RuleTable:
             return True
         ga = self._group_of.get(rime_a)
         return ga is not None and ga == self._group_of.get(rime_b)
-
-    def __repr__(self) -> str:
-        return f"RuleTable(version={self.version!r}, groups={len(self.groups)})"
 
 
 def rhymes_with(a: Syllable, b: Syllable, table: RuleTable) -> bool:

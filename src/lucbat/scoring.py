@@ -231,17 +231,20 @@ class Histogram(NamedTuple):
 def histogram(scores: list[float]) -> Histogram:
     """Bin scores into the ten deciles of [0, 100], right-exclusive; the last includes 100.
 
-    Scores outside [0, 100] are tallied separately in ``below``/``above``.
+    Scores outside [0, 100] are tallied separately in ``below``/``above``; a NaN
+    score raises :class:`LucBatError` naming its index.
     """
     if not scores:
         raise EmptyInput("no scores to bin")
     counts = [0] * 10
     below = above = 0
-    for score in scores:
+    for i, score in enumerate(scores):
         if score < 0:
             below += 1
         elif score > HISTOGRAM_HI:
             above += 1
+        elif score != score:  # NaN, which is in no bin and neither below nor above
+            raise LucBatError(f"scores[{i}] is NaN")
         else:
             counts[min(int(score / 10.0), 9)] += 1
     bins = tuple((10.0 * k, 10.0 * (k + 1), count) for k, count in enumerate(counts))

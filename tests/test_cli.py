@@ -23,6 +23,9 @@ from helpers import NO_NUMPY, perturb_quatrain
 from conftest import KIEU
 
 
+_GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -638,6 +641,36 @@ def test_rules_file_saved_with_a_bom_scores_as_the_builtin_table(tmp_path, capsy
     assert capsys.readouterr() == expected
 
 
+# Every public member of a public class in src/lucbat that no file under src/, demos/ or
+# perfbench/ reads outside the class's own body, and why it stays
+NEVER_READ = {
+    "rules.RuleTable.version",  # the `# version:` label of a table; ROADMAP item 3 reports it
+    # exception payloads, which ROADMAP item 13 writes into error records
+    "scoring.UnparseableToken.line",
+    "scoring.UnparseableToken.reason",
+    "scoring.WrongSyllableCount.expected",
+    "scoring.WrongSyllableCount.got",
+    "scoring.WrongSyllableCount.line",
+    "syllable.NotASyllable.reason",
+}
+
+
+def _declared_members(cls):
+    """The names a class body declares: fields, class attributes, defs and ``self.x``."""
+    for node in cls.body:
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+        elif isinstance(node, ast.Assign):
+            yield from (target.id for target in node.targets if isinstance(target, ast.Name))
+        elif isinstance(node, ast.FunctionDef):
+            yield node.name
+            yield from (
+                sub.attr for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                and isinstance(sub.value, ast.Name) and sub.value.id == "self"
+            )
+
+
 class TestArgumentErrors:
     def test_unknown_flag(self, tmp_path, capsys):
         assert main(["score", "x.txt", "--bogus"]) == 1
@@ -773,6 +806,40 @@ class TestArgumentErrors:
                     used.update(alias.name for alias in node.names)
         assert [name for name in lucbat.__all__ if name not in used] == []
 
+    def test_every_public_member_has_a_reader_outside_the_tests(self):
+        # a field, attribute, property or method of a public class must be read as `x.name`
+        # by the package, a demo or the benchmark, outside the class's own body; an attribute
+        # of an imported module, such as `sys.version`, is not such a read.  Reads the
+        # sources, imports nothing.
+        root = Path(__file__).resolve().parent.parent
+        trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+                 for folder in ("src", "demos", "perfbench")
+                 for path in sorted((root / folder).rglob("*.py"))}
+        owners = {}  # "module.Class.member" -> the class body that declares it
+        for path in sorted((root / "src" / "lucbat").glob("*.py")):
+            for cls in trees[path].body:
+                if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                    owners.update((f"{path.stem}.{cls.name}.{name}", cls)
+                                  for name in _declared_members(cls) if not name.startswith("_"))
+        classes = {qualname.split(".")[1] for qualname in owners}
+        readers = {}  # member name -> the class bodies that read it, None for any other code
+        for tree in trees.values():
+            modules = {alias.asname or alias.name.partition(".")[0]
+                       for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                       for alias in node.names} - classes
+            stack = [(tree, None)]
+            while stack:
+                node, cls = stack.pop()
+                if isinstance(node, ast.ClassDef):
+                    cls = node
+                elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                      and not (isinstance(node.value, ast.Name) and node.value.id in modules)):
+                    readers.setdefault(node.attr, set()).add(cls)
+                stack.extend((child, cls) for child in ast.iter_child_nodes(node))
+        unread = {qualname for qualname, cls in owners.items()
+                  if not readers.get(qualname.rpartition(".")[2], set()) - {cls}}
+        assert unread == NEVER_READ
+
     def test_package_exports_are_declared_by_their_modules(self):
         undeclared = [
             name for name in lucbat.__all__ if name != "__version__"
@@ -823,7 +890,10 @@ class TestStartUp:
                          "lucbat.semloss", "numpy", "pkgutil"], "lucbat 0.1.0"),
         (["losscheck", "--seed", "0"], ["lucbat.corpus", "lucbat.scoring",
                                         "lucbat.creativity", "dataclasses"], ": PASS"),
-    ], ids=["version", "losscheck"])
+        (["creativity", "--generated", str(_GOLDEN / "poems.txt"),
+          "--corpus", str(_GOLDEN / "corpus.txt")],
+         ["lucbat.scoring", "lucbat.semloss", "numpy"], "C = 0.6313218390804598"),
+    ], ids=["version", "losscheck", "creativity"])
     def test_a_command_loads_only_the_modules_it_runs(self, argv, unloaded, last_line):
         src = Path(lucbat.__file__).resolve().parent.parent
         probe = "\n".join([

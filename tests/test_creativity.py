@@ -226,6 +226,23 @@ def test_count_copied_skips_blank_and_punctuation_only_lines(index):
     assert index.copied_counts([Poem("x", text).lines()]) == [2]
 
 
+@pytest.mark.parametrize("poems", [
+    [["a b\nx"], ["y"]],
+    [["a b"], ["y\r"]],
+    [["a b\r\n"]],
+    [["a b"], [], ["\n"]],
+], ids=["newline", "carriage-return", "crlf", "empty-poem-then-newline"])
+def test_count_copied_rejects_a_line_with_a_line_break(poems):
+    # the break would shift every later poem's lines: ["a b\nx"], ["y"] counted [1, 0]
+    with pytest.raises(ValueError, match="line break"):
+        VerseIndex(["a b"]).copied_counts(poems)
+
+
+def test_count_copied_takes_poems_with_no_lines():
+    assert VerseIndex(["a b"]).copied_counts([]) == []
+    assert VerseIndex(["a b"]).copied_counts([[], ["a b"], []]) == [0, 1, 0]
+
+
 def test_a_verse_with_a_line_break_stays_one_verse():
     index = VerseIndex(["a\nb"])
     assert index._verses == frozenset({"a b"})

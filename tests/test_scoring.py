@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from lucbat import (
     EmptyInput,
     InvalidPairCount,
+    LucBatError,
     NotASyllable,
     OddLineCount,
     Stanza,
@@ -229,10 +230,14 @@ class TestHistogram:
             assert [count for _, _, count in hist.bins] == expected, score
 
     def test_out_of_range(self):
-        hist = histogram([-3.0, 50.0, 101.0])
-        assert hist.below == 1
-        assert hist.above == 1
+        hist = histogram([-3.0, 50.0, 101.0, -math.inf, math.inf, math.inf])
+        assert hist.below == 2
+        assert hist.above == 3
         assert total_in_range(hist) == 1
+
+    def test_nan_score_is_named_by_its_index(self):
+        with pytest.raises(LucBatError, match=r"^scores\[2\] is NaN$"):
+            histogram([50.0, -math.inf, math.nan, 101.0])
 
     def test_seeded_sample_matches_naive_recount(self):
         rng = random.Random(20240615)
