@@ -132,9 +132,7 @@ def _emit(record: dict) -> None:
 
 def _cmd_score(args) -> int:
     from .corpus import corpus_from_text, ingest
-    from .scoring import (
-        annotate_stanza, report_record, score_stanza, segment_stanza, split_quatrains,
-    )
+    from .scoring import annotate_stanza, report_record, score_blocks
 
     table = _load_table(args.rules)
     if args.input == "-":
@@ -143,20 +141,15 @@ def _cmd_score(args) -> int:
         corpus = ingest([args.input])
 
     failures = 0
-    for poem in corpus.poems:
-        try:
-            reports = [
-                score_stanza(segment_stanza(quatrain), table)
-                for quatrain in split_quatrains(poem.text)
-            ]
-        except LucBatError as error:
+    for poem, outcome in score_blocks(corpus.poems, table, "quatrain"):
+        if isinstance(outcome, LucBatError):
             failures += 1
             if args.format == "jsonl":
-                _emit({"poem_id": poem.id, "error": str(error)})
+                _emit({"poem_id": poem.id, "error": str(outcome)})
             else:
-                print(f"# {poem.id}: ERROR {error}")
+                print(f"# {poem.id}: ERROR {outcome}")
             continue
-        for index, report in enumerate(reports, start=1):
+        for index, report in enumerate(outcome, start=1):
             if args.format == "jsonl":
                 print(report_record(poem.id, index, report))
             else:
@@ -348,6 +341,11 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    # every byte lucbat writes is UTF-8, whatever the locale; a stream with no reconfigure
+    # (a StringIO a caller redirected to) is left as it is
+    for stream, errors in ((sys.stdout, "strict"), (sys.stderr, "backslashreplace")):
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(encoding="utf-8", errors=errors)
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

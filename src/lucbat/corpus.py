@@ -172,22 +172,21 @@ class FilterStats(NamedTuple):
 def filter_by_score(
     corpus: Corpus, table: RuleTable, min_score: float
 ) -> tuple[Corpus, FilterStats]:
-    """Keep quatrains scoring at least ``min_score``.
+    """Keep the poems scoring at least ``min_score``, each scored as one stanza of n pairs.
 
-    Quatrains that fail segmentation are dropped with the error message as
-    the reason.
+    Poems that fail segmentation are dropped with the error message as the
+    reason.
     """
-    from .scoring import score_stanza, segment_stanza
+    from .scoring import score_blocks
 
     kept: list[Poem] = []
     scores: list[float] = []
     dropped: list[tuple[str, str]] = []
-    for poem in corpus.poems:
-        try:
-            report = score_stanza(segment_stanza(poem.text), table)
-        except LucBatError as exc:
-            dropped.append((poem.id, str(exc)))
+    for poem, outcome in score_blocks(corpus.poems, table, "poem"):
+        if isinstance(outcome, LucBatError):
+            dropped.append((poem.id, str(outcome)))
             continue
+        (report,) = outcome
         if report.score >= min_score:
             kept.append(poem)
             scores.append(report.score)

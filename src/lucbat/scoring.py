@@ -36,7 +36,7 @@ from __future__ import annotations
 import functools
 from json.encoder import encode_basestring
 from operator import is_not
-from typing import NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Union
 
 from .rules import Position, RuleTable, template
 from .syllable import (
@@ -48,6 +48,9 @@ from .syllable import (
     normalize_verses,
     parse_syllable,
 )
+
+if TYPE_CHECKING:
+    from .corpus import Poem
 
 __all__ = [
     "Stanza",
@@ -220,6 +223,30 @@ def split_quatrains(raw_poem: str) -> list[str]:
             f"poem has {len(lines)} lines; quatrain split needs a multiple of 4"
         )
     return ["\n".join(lines[i : i + 4]) for i in range(0, len(lines), 4)]
+
+
+def score_blocks(
+    poems: Iterable[Poem], table: RuleTable, unit: str
+) -> Iterator[tuple[Poem, Union[list[ScoreReport], LucBatError]]]:
+    """Score each poem, yielding it with its reports in stanza order or the error that stopped it.
+
+    ``unit="quatrain"`` (``lucbat score``) scores the poem's consecutive
+    quatrains, all or none; ``unit="poem"`` (``lucbat filter``) scores the
+    whole block as one stanza of n pairs, so the six-line Kiều opening scores
+    100.0 as a poem and is an error as quatrains.  The calls go through this
+    module's globals, where a tracer can wrap them, and the outcome is yielded
+    outside the ``try``, so an exception thrown in at a ``yield`` is never
+    taken for the next poem's failure.
+    """
+    if unit not in ("quatrain", "poem"):
+        raise ValueError(f"unit must be 'quatrain' or 'poem', got {unit!r}")
+    for poem in poems:
+        try:
+            stanzas = split_quatrains(poem.text) if unit == "quatrain" else (poem.text,)
+            outcome = [score_stanza(segment_stanza(stanza), table) for stanza in stanzas]
+        except LucBatError as error:
+            outcome = error
+        yield poem, outcome
 
 
 class Histogram(NamedTuple):

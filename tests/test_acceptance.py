@@ -1,5 +1,8 @@
 """Acceptance suite: one test per release criterion, one line printed each.
 
+C8 is one test per command and real-text rewrite, so that each rewrite that
+changes an answer today is a strict xfail of its own.
+
 Run with ``pytest -v tests/test_acceptance.py`` (add ``-s`` to see the
 per-criterion lines inline).
 """
@@ -7,8 +10,10 @@ per-criterion lines inline).
 import itertools
 import json
 import math
+import re
 import sys
 import time
+import unicodedata
 
 import numpy as np
 import pytest
@@ -39,6 +44,7 @@ from helpers import (
     brute_force_score,
     perturb_quatrain,
 )
+from test_golden import CASES, GOLDEN
 from test_syllable import SYLLABLES
 
 
@@ -248,3 +254,120 @@ def test_c7_invariant_suites(table):
     assert all(normalize_verse(v) == v for v in index._verses)
     _report("module invariant suites green (parser, rhyme laws, monotonicity, "
             "attention convexity, LSTM bounds)")
+
+
+
+def _each_line(rewrite):
+    """``rewrite`` applied to every non-blank line of a text."""
+    return lambda text: "\n".join(rewrite(line) if line.strip() else line
+                                  for line in text.split("\n"))
+
+
+_TONE_MARKS = "\u0300\u0301\u0303\u0309\u0323"
+_VOWELS = "aăâeêioôơuưy"
+
+
+def _toneless(letter):
+    """A letter's NFC form without its tone mark, and the mark ("" for none)."""
+    marks = unicodedata.normalize("NFD", letter)
+    tone = "".join(mark for mark in marks if mark in _TONE_MARKS)
+    return unicodedata.normalize("NFC", "".join(m for m in marks if m not in _TONE_MARKS)), tone
+
+
+def _other_tone_placement(word):
+    """The tone mark moved to a neighbouring vowel: hòa <-> hoà, as old and new spelling place it.
+
+    poems.txt holds no open oa/oe/uy syllable, so here the move gives hand-typed spellings
+    such as ngừơi and cụôc, which the parser reads as người and cuộc.
+    """
+    letters = list(word)
+    parts = [_toneless(letter) for letter in letters]
+    vowel = [bare.lower() in _VOWELS for bare, _ in parts]
+    for i, (bare, tone) in enumerate(parts):
+        if tone and vowel[i]:
+            j = i - 1 if i and vowel[i - 1] else i + 1
+            if j < len(letters) and vowel[j]:
+                letters[i] = bare
+                letters[j] = unicodedata.normalize("NFC", letters[j] + tone)
+            break
+    return "".join(letters)
+
+
+def _marks_in_the_other_order(text):
+    """Each letter with two marks above, such as ề, typed tone mark first: è + U+0302."""
+    out = []
+    for char in text:
+        parts = unicodedata.normalize("NFD", char)
+        if len(parts) == 3 and unicodedata.combining(parts[1]) == unicodedata.combining(parts[2]):
+            char = parts[0] + parts[2] + parts[1]
+        out.append(char)
+    return "".join(out)
+
+
+# real-text spellings of the golden poems, each applied to the whole of poems.txt
+C8_REWRITES = {
+    "NFD": lambda text: unicodedata.normalize("NFD", text),
+    "upper case": str.upper,
+    "CRLF": lambda text: text.replace("\n", "\r\n"),
+    "NBSP": lambda text: text.replace(" ", "\u00a0"),
+    "tabs": lambda text: text.replace(" ", "\t"),
+    "ASCII quotes": _each_line(lambda line: f'"{line}"'),
+    "en dash": _each_line(lambda line: line.replace(" ", " \u2013 ", 1)),
+    "three dots": _each_line(lambda line: line + "..."),
+    "ellipsis": _each_line(lambda line: line + "…"),
+    "semicolon and colon": _each_line(lambda line: line.replace(" ", "; ", 1) + ":"),
+    "bang and question": _each_line(lambda line: line.replace(" ", "! ", 1) + "?"),
+    "hyphenated compound": _each_line(lambda line: line.replace(" ", "-", 1)),
+    "U+2028 inside a verse": _each_line(lambda line: line.replace(" ", "\u2028", 1)),
+    "other tone-mark placement": lambda text: re.sub(
+        r"\S+", lambda word: _other_tone_placement(word.group()), text),
+    "marks in the other order": _marks_in_the_other_order,
+    "curly quotes": _each_line(lambda line: f"“{line}”"),
+    "guillemets": _each_line(lambda line: f"«{line}»"),
+    "fullwidth comma": _each_line(lambda line: line.replace(" ", "\uff0c ", 1)),
+    "em dash": _each_line(lambda line: line.replace(" ", " \u2014 ", 1)),
+    "BOM": lambda text: "\ufeff" + text,
+    "ZWSP": _each_line(lambda line: line.replace(" ", "\u200b ", 1)),
+    "ZWJ": _each_line(lambda line: line.replace(" ", "\u200d ", 1)),
+    "soft hyphen": _each_line(lambda line: line[:2] + "\u00ad" + line[2:]),
+    "eth for d-bar": lambda text: text.replace("đ", "\u00f0").replace("Đ", "\u00d0"),
+}
+# the rewrites that change an answer today, each until ROADMAP item 2 lands
+C8_FAIL_BOTH = {"curly quotes", "guillemets", "fullwidth comma", "em dash", "BOM", "ZWSP", "ZWJ",
+                "soft hyphen", "eth for d-bar"}
+C8_FAIL_CREATIVITY = {"other tone-mark placement", "marks in the other order"}
+C8_CASES = {"score": "score-jsonl", "creativity": "creativity-jsonl"}
+
+
+def _c8_params():
+    for command, name in itertools.product(C8_CASES, C8_REWRITES):
+        fails = name in C8_FAIL_BOTH or (command == "creativity" and name in C8_FAIL_CREATIVITY)
+        marks = [pytest.mark.xfail(strict=True, reason="ROADMAP item 2")] if fails else []
+        yield pytest.param(command, name, marks=marks, id=f"{command}-{name}")
+
+
+def _score_answers(stdout):
+    """Score records byte for byte; error records by poem id, since they quote tokens as written."""
+    return [line if "score" in json.loads(line) else json.loads(line)["poem_id"]
+            for line in stdout.splitlines()]
+
+
+@pytest.mark.parametrize("command, name", _c8_params())
+def test_c8_real_text_rewrites_keep_the_answers(command, name, tmp_path, monkeypatch, capsys):
+    # same file name, so the poem ids match the golden run's; the rewrite goes to --generated
+    case = C8_CASES[command]
+    poems = (GOLDEN / "poems.txt").read_bytes().decode("utf-8")
+    rewritten = C8_REWRITES[name](poems)
+    assert rewritten != poems
+    (tmp_path / "poems.txt").write_bytes(rewritten.encode("utf-8"))
+    (tmp_path / "corpus.txt").write_bytes((GOLDEN / "corpus.txt").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    status = main(CASES[case])
+    stdout = capsys.readouterr().out
+    expected = (GOLDEN / case / "stdout").read_bytes().decode("utf-8")
+    assert f"{status}\n".encode() == (GOLDEN / case / "status").read_bytes()
+    if command == "score":
+        assert _score_answers(stdout) == _score_answers(expected)
+    else:
+        assert stdout == expected
+    _report(f"C8 {command} answers unchanged by {name}")

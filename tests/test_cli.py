@@ -19,8 +19,9 @@ from lucbat import PoemNovelty, build_verse_index, creativity_score, ingest, sco
 from lucbat.cli import LOSSCHECK_BOUNDS, _novelty_record, build_parser, main
 from lucbat.corpus import _BATCH
 from lucbat.syllable import _PUNCTUATION, _lines
-from helpers import NO_NUMPY, perturb_quatrain
+from helpers import NO_NUMPY, QUATRAIN_RHYME_MEMBERS, QUATRAIN_TONE_POSITIONS, perturb_quatrain
 from conftest import KIEU
+from test_golden import CASES, INPUTS
 
 
 _GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -1080,3 +1081,124 @@ def test_no_input_makes_a_command_exit_two(poems, corpus, min_score, losscheck_a
         run("report", poem_file)
         json_lines(run("report", work / "scores.jsonl", "--format", "jsonl"))
         run("losscheck", *losscheck_args)
+
+
+
+# the four-line blocks of the golden poems: flawless Kieu quatrains, planted violations, NFD,
+# upper case, punctuation, a loanword, a digit and a double tone mark
+_GOLDEN_QUATRAINS = tuple(poem.text for poem in ingest([_GOLDEN / "poems.txt"]).poems
+                          if len(poem.lines()) == 4)
+
+
+def _segments(text):
+    try:
+        lucbat.segment_stanza(text)
+    except lucbat.LucBatError:
+        return False
+    return True
+
+
+_SCORABLE_QUATRAINS = tuple(filter(_segments, _GOLDEN_QUATRAINS))
+
+
+@st.composite
+def _four_line_block(draw):
+    """A golden quatrain as it is, or a scorable one with planted violations and one fault."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(_GOLDEN_QUATRAINS))
+    text = perturb_quatrain(
+        draw(st.sampled_from(_SCORABLE_QUATRAINS)),
+        tone_flips=draw(st.lists(st.sampled_from(QUATRAIN_TONE_POSITIONS), max_size=4)),
+        rhyme_breaks=draw(st.lists(st.sampled_from(QUATRAIN_RHYME_MEMBERS), max_size=3)),
+    )
+    lines = text.split("\n")
+    k = draw(st.integers(0, 3))
+    words = lines[k].split()
+    fault = draw(st.sampled_from(["none", "token", "extra word", "missing word", "punctuation"]))
+    if fault == "token":
+        words[draw(st.integers(0, len(words) - 1))] = draw(
+            st.sampled_from(["wifi", "t1nh", "\u201cta\u201d", "\u00f0au", "\u00e1\u0300"]))
+    elif fault == "extra word":
+        words.append("xanh")
+    elif fault == "missing word":
+        words.pop()
+    elif fault == "punctuation":
+        words = [draw(st.sampled_from(["\u2026  ;", "-- !", "?", "(...)"]))]
+    lines[k] = " ".join(words)
+    return "\n".join(lines)
+
+
+def _comparable(outcome):
+    """A ``score_blocks`` outcome: its reports, or its error as type and text."""
+    return outcome if isinstance(outcome, list) else (type(outcome), str(outcome))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(blocks=st.lists(_four_line_block(), min_size=1, max_size=6), data=st.data())
+def test_filter_keeps_exactly_the_blocks_whose_score_record_reaches_the_threshold(blocks, data):
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        path = work / "poems.txt"
+        path.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+        poems = ingest([path]).poems
+        # a four-line block is one quatrain, so score's unit and filter's score it alike
+        table = lucbat.default_rule_table()
+        by_quatrain, by_poem = (
+            [_comparable(outcome) for _, outcome in scoring.score_blocks(poems, table, unit)]
+            for unit in ("quatrain", "poem"))
+        assert by_quatrain == by_poem
+
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(["score", str(path), "--format", "jsonl"])
+        records = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert [record["poem_id"] for record in records] == [poem.id for poem in poems]
+        # a threshold equal to a block's score tells >= from >
+        scores = sorted({record["score"] for record in records if "score" in record})
+        thresholds = st.floats(-100, 100)
+        threshold = data.draw(st.sampled_from(scores) | thresholds if scores else thresholds)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["filter", str(path), f"--min-score={threshold!r}",
+                         "--out", str(work / "kept.txt"), "--stats", str(work / "stats.json")]) == 0
+        stats = json.loads((work / "stats.json").read_text(encoding="utf-8"))
+        kept_texts = [poem.text for poem in ingest([work / "kept.txt"]).poems]
+
+    kept = [record for record in records if record.get("score", -math.inf) >= threshold]
+    text_of = {poem.id: poem.text for poem in poems}
+    assert kept_texts == [text_of[record["poem_id"]] for record in kept]
+    assert stats["kept_count"] == len(kept)
+    assert stats["mean_score_kept"] == (
+        math.fsum(record["score"] for record in kept) / len(kept) if kept else None)
+    dropped = {entry["poem_id"]: entry["reason"] for entry in stats["dropped"]}
+    assert list(dropped) == [record["poem_id"] for record in records if record not in kept]
+    assert stats["dropped_count"] == len(dropped)
+    for record in records:
+        if "error" in record:
+            assert dropped[record["poem_id"]] == record["error"]
+
+
+# the golden cases whose stdout holds characters that ASCII and cp1252 cannot encode
+_NON_ASCII_CASES = ("score-jsonl", "score-text", "score-stdin", "score-rules-jsonl",
+                    "filter-stdout")
+
+
+@pytest.mark.parametrize("case", _NON_ASCII_CASES)
+def test_output_is_utf8_whatever_the_locale_encoding(case, tmp_path):
+    src = Path(lucbat.__file__).resolve().parent.parent
+    expected = {name: (_GOLDEN / case / name).read_bytes()
+                for name in ("status", "stdout", "stderr")}
+    assert not expected["stdout"].isascii()
+    children = {}
+    for encoding in ("ascii", "cp1252", "utf-8"):
+        workdir = tmp_path / encoding
+        workdir.mkdir()
+        for name, source in INPUTS.items():
+            (workdir / name).write_bytes((_GOLDEN / source).read_bytes())
+        children[encoding] = subprocess.Popen(
+            [sys.executable, "-m", "lucbat", *CASES[case]], cwd=workdir,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONIOENCODING": encoding})
+    for encoding, child in children.items():
+        stdout, stderr = child.communicate((_GOLDEN / "poems.txt").read_bytes(), timeout=60)
+        assert {"status": f"{child.returncode}\n".encode(), "stdout": stdout,
+                "stderr": stderr} == expected, encoding

@@ -31,6 +31,8 @@ from lucbat import (
     split_quatrains,
     template,
 )
+from lucbat.corpus import Poem
+from lucbat.scoring import score_blocks
 from lucbat.syllable import _PUNCTUATION, mark_rime
 from helpers import (
     QUATRAIN_RHYME_MEMBERS,
@@ -195,6 +197,32 @@ class TestSplitQuatrains:
         parts = split_quatrains(kieu + "\n\n" + kieu)
         assert len(parts) == 2
         assert parts[0].count("\n") == 3
+
+
+class TestScoreBlocks:
+    def test_each_unit_scores_the_six_line_opening_its_own_way(self, kieu, table):
+        # filter's unit keeps the opening as one n=3 stanza; score's fails it, all or none
+        six = kieu + "\nLạ gì bỉ sắc tư phong\nTrời xanh quen thói má hồng đánh ghen"
+        poems = [Poem("a", kieu + "\n" + kieu), Poem("b", six)]
+        by_poem = list(score_blocks(poems, table, "poem"))
+        by_quatrain = list(score_blocks(poems, table, "quatrain"))
+        assert [poem.id for poem, _ in by_poem] == ["a", "b"]
+        assert [poem.id for poem, _ in by_quatrain] == ["a", "b"]
+        assert [[r.n_pairs for r in reports] for _, reports in by_poem] == [[4], [3]]
+        assert by_poem[1][1][0].score == 100.0
+        assert [r.n_pairs for r in by_quatrain[0][1]] == [2, 2]
+        error = by_quatrain[1][1]
+        assert isinstance(error, OddLineCount) and "poem has 6 lines" in str(error)
+
+    def test_an_error_the_consumer_throws_in_is_not_a_poem_failure(self, kieu, table):
+        blocks = score_blocks([Poem("a", kieu), Poem("b", "chỉ một dòng")], table, "quatrain")
+        next(blocks)
+        with pytest.raises(LucBatError, match="from the consumer"):
+            blocks.throw(LucBatError("from the consumer"))
+
+    def test_unknown_unit_rejected(self, kieu, table):
+        with pytest.raises(ValueError, match="unit must be"):
+            next(score_blocks([Poem("a", kieu)], table, "stanza"))
 
 
 class TestHistogram:
