@@ -20,7 +20,8 @@ import importlib
 
 # in the order of __all__; no module exports a name another one does
 _TEXT_MODULES = ("syllable", "rules", "scoring", "corpus", "creativity")
-# semloss's __all__, listed here so that reading the package's __all__ leaves numpy out
+# semloss's __all__: semloss imports this tuple as its own, and it lives here so that the
+# package's __all__ and a lookup of a name no module exports never import numpy
 _SEMLOSS_NAMES = (
     "AttentionParams", "BadCheckSetting", "DegenerateSequence",
     "GradientCheckReport", "IdOutOfRange", "LossBreakdown", "LstmParams",

@@ -3,7 +3,7 @@
 Subcommands:
 
     score       template-score poems (one record per quatrain)
-    filter      keep quatrains scoring at least a threshold
+    filter      keep poems scoring at least a threshold, each poem one stanza
     creativity  verse-overlap creativity of generated poems vs a corpus
     report      histogram a stream of scores into the ten deciles of [0, 100]
     quatrains   split poems into quatrains, optionally seeded-shuffle
@@ -82,8 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--rules", help="near-rhyme table file (default: built-in)")
     p_score.add_argument("--format", choices=("text", "jsonl"), default="text")
 
-    p_filter = sub.add_parser("filter", help="drop quatrains below a score threshold")
-    p_filter.add_argument("input", help="quatrain file")
+    p_filter = sub.add_parser("filter", help="drop poems below a score threshold, "
+                                             "each scored as one stanza of n pairs")
+    p_filter.add_argument("input", help="poem file, blank-line separated; "
+                                        "each poem is one stanza")
     p_filter.add_argument("--min-score", type=_finite, required=True)
     p_filter.add_argument("--out", required=True, help="output corpus file")
     p_filter.add_argument("--stats", help="write stats JSON here (default: stdout)")
@@ -319,8 +321,8 @@ def _cmd_losscheck(args) -> int:
     )
     verdict = "PASS" if report.passed else "FAIL"
     print(
-        f"gradient check seed={report.seed} d_model={report.d_model} "
-        f"d_hidden={report.d_hidden} parameters={report.n_parameters}"
+        f"gradient check seed={args.seed} d_model={args.dmodel} "
+        f"d_hidden={args.dhidden} parameters={report.n_parameters}"
     )
     print(f"ce={report.ce:.6f} mse={report.mse:.6f} total={report.ce + report.mse:.6f}")
     print(

@@ -28,9 +28,7 @@ class EmptyGeneratedSet(LucBatError):
 
 
 class EmptyPoem(LucBatError):
-    def __init__(self, poem_id: str):
-        super().__init__(f"poem {poem_id!r} has no verses")
-        self.poem_id = poem_id
+    """A generated poem has no verses."""
 
 
 class PoemNovelty(NamedTuple):
@@ -62,7 +60,7 @@ def creativity_score(generated: Corpus, index: VerseIndex) -> CreativityReport:
         verses = [poem.lines() for poem in batch]
         for poem, lines in zip(batch, verses):
             if not lines:
-                raise EmptyPoem(poem.id)
+                raise EmptyPoem(f"poem {poem.id!r} has no verses")
         per_poem.extend(
             PoemNovelty(poem_id=poem.id, copied_verses=copied, total_verses=len(lines))
             for poem, copied, lines in zip(batch, index.copied_counts(verses), verses)

@@ -99,9 +99,8 @@ def build_rhyme_chains(n_pairs: int) -> list[RhymeChain]:
 
 
 class Template(NamedTuple):
-    """The six-eight template of a stanza of ``n_pairs`` pairs, in checking order."""
+    """The six-eight template of a stanza of n pairs, in checking order."""
 
-    n_pairs: int
     rhyme_pairs: tuple[tuple[Position, Position], ...]  # (member, anchor), chain by chain
     tone_slots: tuple[tuple[Position, ToneClass], ...]  # (position, expected), line by line
     rhyme_positions: int  # 3n - 1, the rhyme penalty's denominator
@@ -122,7 +121,6 @@ def template(n_pairs: int) -> Template:
         for word, expected in (SIX_LINE_TONES if line % 2 else EIGHT_LINE_TONES).items()
     )
     return Template(
-        n_pairs=n_pairs,
         rhyme_pairs=tuple((member, chain.anchor) for chain in chains for member in chain.members),
         tone_slots=tone_slots,
         rhyme_positions=sum(len(chain.positions) for chain in chains),

@@ -111,10 +111,9 @@ class ScoreReport(NamedTuple):
     """Score of one stanza.
 
     ``rhyme_ok`` and ``actual_tones`` line up with the ``rhyme_pairs`` and
-    ``tone_slots`` of the :func:`~lucbat.rules.template` of ``n_pairs``.
+    ``tone_slots`` of the :func:`~lucbat.rules.template` of ``stanza.n_pairs``.
     """
 
-    n_pairs: int
     wrong_rhyme: int
     wrong_tone: int
     score: float
@@ -205,7 +204,6 @@ def score_stanza(stanza: Stanza, table: RuleTable) -> ScoreReport:
     wrong_tone = sum(map(is_not, actual_tones, expected))
     score = 100.0 * (1.0 - wrong_rhyme / rhyme_positions - wrong_tone / tone_positions)
     return ScoreReport(
-        n_pairs=stanza.n_pairs,
         wrong_rhyme=wrong_rhyme,
         wrong_tone=wrong_tone,
         score=score,
@@ -289,7 +287,7 @@ def report_record(poem_id: str, stanza_index: int, report: ScoreReport) -> str:
     would: at most 2n of the 3n-1 rhyme positions can be wrong and T is at
     most 7n, so a score from :func:`score_stanza` lies in [-100, 100].
     """
-    _, _, _, _, _, _, rhyme, tone, tail = _shape(report.n_pairs)
+    _, _, _, _, _, _, rhyme, tone, tail = _shape(report.stanza.n_pairs)
     level = ToneClass.LEVEL
     return (
         f'{{"R": {int.__repr__(report.wrong_rhyme)}, "T": {int.__repr__(report.wrong_tone)}, '
@@ -310,7 +308,7 @@ def annotate_stanza(report: ScoreReport) -> str:
     Words failing a rhyme check get ``[R]``, a tone check ``[T]``; a final
     summary line carries the counts and the score.
     """
-    members, _, slots, expected, _, _, _, _, _ = _shape(report.n_pairs)
+    members, _, slots, expected, _, _, _, _, _ = _shape(report.stanza.n_pairs)
     words = [[syllable.normalized for syllable in line] for line in report.stanza.lines]
     for (line, word), ok in zip(members, report.rhyme_ok):
         if not ok:
@@ -320,7 +318,7 @@ def annotate_stanza(report: ScoreReport) -> str:
             words[line][word] += "[T]"
     out = [" ".join(line) for line in words]
     out.append(
-        f"n={report.n_pairs} R={report.wrong_rhyme} T={report.wrong_tone} "
+        f"n={report.stanza.n_pairs} R={report.wrong_rhyme} T={report.wrong_tone} "
         f"score={report.score:.3f}"
     )
     return "\n".join(out)

@@ -53,23 +53,7 @@ except ImportError as exc:
 
 from .syllable import LucBatError
 
-__all__ = [
-    "AttentionParams",
-    "LstmParams",
-    "LossBreakdown",
-    "GradientCheckReport",
-    "ShapeMismatch",
-    "IdOutOfRange",
-    "DegenerateSequence",
-    "MissingPair",
-    "BadCheckSetting",
-    "attention_weights",
-    "contextual_vector",
-    "ce_loss",
-    "custom_loss",
-    "random_instance",
-    "gradient_check",
-]
+from . import _SEMLOSS_NAMES as __all__
 
 
 class ShapeMismatch(LucBatError):
@@ -425,9 +409,6 @@ def random_instance(
 
 
 class GradientCheckReport(NamedTuple):
-    seed: int
-    d_model: int
-    d_hidden: int
     n_parameters: int
     max_relative_error: float
     ce: float
@@ -462,24 +443,18 @@ def _central_differences(blocks: Sequence[np.ndarray], loss_at) -> np.ndarray:
     return np.concatenate(fd)
 
 
-def gradient_check(
-    seed: int = 0,
-    d_model: int = 4,
-    d_hidden: int = 3,
-    vocab: int = 7,
-    max_len: int = 6,
-    n_stanzas: int = 2,
-) -> GradientCheckReport:
+def gradient_check(seed: int = 0, **settings) -> GradientCheckReport:
     """Compare analytic gradients against central finite differences.
 
     The differences use a step of 1e-5.  The per-component relative error is
     |a - f| / max(|a|, |f|, 1e-4); the floor turns the comparison into an
     absolute check at 1e-8 where both gradients vanish.  The check passes when
-    the largest relative error is at most 1e-4.  The settings go to
-    :func:`random_instance`, whose checks raise :class:`BadCheckSetting` before
-    any work.
+    the largest relative error is at most 1e-4.  ``seed`` and ``settings``
+    (``d_model``, ``d_hidden``, ``vocab``, ``max_len``, ``n_stanzas``) go to
+    :func:`random_instance`, whose defaults fill the rest and whose checks raise
+    :class:`BadCheckSetting` before any work.
     """
-    inst = random_instance(seed, d_model, d_hidden, vocab, max_len, n_stanzas)
+    inst = random_instance(seed, **settings)
     breakdown = custom_loss(inst["stanza_pairs"], inst["logits"], inst["next_token_ids"],
                             inst["attn"], inst["lstm"])
 
@@ -495,9 +470,6 @@ def gradient_check(
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-4)
     max_rel = float(np.max(np.abs(analytic - fd) / denom))
     return GradientCheckReport(
-        seed=seed,
-        d_model=d_model,
-        d_hidden=d_hidden,
         n_parameters=fd.size,
         max_relative_error=max_rel,
         ce=breakdown.ce,

@@ -218,7 +218,7 @@ def test_first_empty_poem_is_raised_from_a_later_batch(index):
     generated = Corpus(tuple(Poem(f"p:{i}", text) for i, text in enumerate(texts)))
     with pytest.raises(EmptyPoem) as raised:
         creativity_score(generated, index)
-    assert raised.value.poem_id == f"p:{_BATCH + 3}"
+    assert str(raised.value) == f"poem 'p:{_BATCH + 3}' has no verses"
 
 
 def test_count_copied_skips_blank_and_punctuation_only_lines(index):

@@ -176,7 +176,6 @@ NEVER_ENTERED = {
     "__init__.__dir__",
     "cli._Parser.error",  # usage errors: tests/test_cli.py::TestArgumentErrors
     "corpus.VerseIndex.__init__",  # the per-verse index that creativity tests and C4 check against
-    "creativity.EmptyPoem.__init__",  # a hand-made poem with no verses; ingest never yields one
     "rules.RuleTable.group_of",  # perfbench/derive.py
     "rules.rhymes_with",  # perfbench/layers.py; ROADMAP item 12b
     "scoring.Stanza.syllable_at",  # perfbench/layers.py; ROADMAP item 12b

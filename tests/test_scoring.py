@@ -130,7 +130,7 @@ class TestScoreStanza:
 
     def test_diagnostics_completeness(self, kieu, table):
         report = score_stanza(segment_stanza(kieu), table)
-        n = report.n_pairs
+        n = report.stanza.n_pairs
         compiled = template(n)
         assert len(report.rhyme_ok) == len(compiled.rhyme_pairs) == (3 * n - 1) - n
         assert len(report.actual_tones) == len(compiled.tone_slots) == 7 * n
@@ -208,9 +208,9 @@ class TestScoreBlocks:
         by_quatrain = list(score_blocks(poems, table, "quatrain"))
         assert [poem.id for poem, _ in by_poem] == ["a", "b"]
         assert [poem.id for poem, _ in by_quatrain] == ["a", "b"]
-        assert [[r.n_pairs for r in reports] for _, reports in by_poem] == [[4], [3]]
+        assert [[r.stanza.n_pairs for r in reports] for _, reports in by_poem] == [[4], [3]]
         assert by_poem[1][1][0].score == 100.0
-        assert [r.n_pairs for r in by_quatrain[0][1]] == [2, 2]
+        assert [r.stanza.n_pairs for r in by_quatrain[0][1]] == [2, 2]
         error = by_quatrain[1][1]
         assert isinstance(error, OddLineCount) and "poem has 6 lines" in str(error)
 
@@ -322,11 +322,11 @@ class TestReporting:
 
 def record_dict(poem_id, stanza_index, report):
     """The scoring record as the nested dict that json.dumps used to serialize."""
-    compiled = template(report.n_pairs)
+    compiled = template(report.stanza.n_pairs)
     return {
         "poem_id": poem_id,
         "stanza_index": stanza_index,
-        "n": report.n_pairs,
+        "n": report.stanza.n_pairs,
         "R": report.wrong_rhyme,
         "T": report.wrong_tone,
         "score": report.score,
@@ -561,7 +561,7 @@ class TestSegmentAndScoreEquivalence:
         assert (report.wrong_rhyme, report.wrong_tone) == (wrong_rhyme, wrong_tone)
         assert report.score.hex() == score.hex()
         assert -100.0 <= report.score <= 100.0
-        assert report.n_pairs == stanza.n_pairs and report.stanza is stanza
+        assert report.stanza is stanza
 
     @pytest.mark.parametrize("cut", [(1, 5), (2, 7), (3, 1), (4, 3)])
     def test_hand_built_stanza_with_a_short_line_fails_as_before(self, kieu, table, cut):
