@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .rules import RuleTable, default_rule_table, load_rule_table
-from .syllable import LucBatError, _lines, decode_utf8
+from .syllable import LucBatError, _lines, read_text
 
 if TYPE_CHECKING:
     from .creativity import PoemNovelty
@@ -49,6 +49,8 @@ LOSSCHECK_BOUNDS = {
     "len": ("max_len", 1, 32),
     "stanzas": ("stanzas", 1, 4),
 }
+# the argparse dests of every input a command reads with syllable.read_text
+INPUT_DESTS = ("input", "rules", "generated", "corpus")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,21 +81,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_score = sub.add_parser("score", help="template-score poems")
     p_score.add_argument("input", help="poem file, blank-line separated ('-' for stdin)")
-    p_score.add_argument("--rules", help="near-rhyme table file (default: built-in)")
+    p_score.add_argument("--rules", help="near-rhyme table file ('-' for stdin; "
+                                         "default: built-in)")
     p_score.add_argument("--format", choices=("text", "jsonl"), default="text")
 
     p_filter = sub.add_parser("filter", help="drop poems below a score threshold, "
                                              "each scored as one stanza of n pairs")
     p_filter.add_argument("input", help="poem file, blank-line separated; "
-                                        "each poem is one stanza")
+                                        "each poem is one stanza ('-' for stdin)")
     p_filter.add_argument("--min-score", type=_finite, required=True)
     p_filter.add_argument("--out", required=True, help="output corpus file")
     p_filter.add_argument("--stats", help="write stats JSON here (default: stdout)")
-    p_filter.add_argument("--rules", help="near-rhyme table file")
+    p_filter.add_argument("--rules", help="near-rhyme table file ('-' for stdin)")
 
     p_creat = sub.add_parser("creativity", help="verse-overlap creativity score")
-    p_creat.add_argument("--generated", required=True, help="generated poem file")
-    p_creat.add_argument("--corpus", required=True, help="training corpus file")
+    p_creat.add_argument("--generated", required=True, help="generated poem file ('-' for stdin)")
+    p_creat.add_argument("--corpus", required=True, help="training corpus file ('-' for stdin)")
     p_creat.add_argument("--format", choices=("text", "jsonl"), default="text")
 
     p_report = sub.add_parser("report", help="histogram scores into the deciles of [0, 100]")
@@ -102,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report.add_argument("--format", choices=("text", "jsonl"), default="text")
 
     p_quat = sub.add_parser("quatrains", help="split poems into quatrains")
-    p_quat.add_argument("input", help="poem file")
+    p_quat.add_argument("input", help="poem file ('-' for stdin)")
     p_quat.add_argument("--out", required=True, help="output quatrain file")
     p_quat.add_argument("--seed", type=int, help="shuffle the quatrains with this seed")
 
@@ -121,26 +124,16 @@ def _load_table(path: Optional[str]) -> RuleTable:
     return load_rule_table(path) if path else default_rule_table()
 
 
-def _read_text(path: str) -> str:
-    if path == "-":
-        return decode_utf8(sys.stdin.buffer.read(), "stdin")
-    with open(path, "rb") as handle:
-        return decode_utf8(handle.read(), path)
-
-
 def _emit(record: dict) -> None:
     print(json.dumps(record, ensure_ascii=False, sort_keys=True, allow_nan=False))
 
 
 def _cmd_score(args) -> int:
-    from .corpus import corpus_from_text, ingest
+    from .corpus import ingest
     from .scoring import annotate_stanza, report_record, score_blocks
 
     table = _load_table(args.rules)
-    if args.input == "-":
-        corpus = corpus_from_text(_read_text("-"), source="stdin")
-    else:
-        corpus = ingest([args.input])
+    corpus = ingest(args.input)
 
     failures = 0
     for poem, outcome in score_blocks(corpus.poems, table, "quatrain"):
@@ -165,7 +158,7 @@ def _cmd_filter(args) -> int:
     from .corpus import filter_by_score, ingest, write_corpus
 
     table = _load_table(args.rules)
-    corpus = ingest([args.input])
+    corpus = ingest(args.input)
     kept, stats = filter_by_score(corpus, table, args.min_score)
     write_corpus(kept, args.out)
     dropped = [{"poem_id": pid, "reason": reason} for pid, reason in stats.dropped]
@@ -197,8 +190,8 @@ def _cmd_creativity(args) -> int:
     from .corpus import build_verse_index, ingest
     from .creativity import creativity_score
 
-    generated = ingest([args.generated])
-    index = build_verse_index(ingest([args.corpus]))
+    generated = ingest(args.generated)
+    index = build_verse_index(ingest(args.corpus))
     report = creativity_score(generated, index)
     # the per-poem lines in one write: print makes two per line, each a system call when
     # standard output is unbuffered
@@ -245,8 +238,7 @@ def _read_scores(text: str) -> list[float]:
 def _cmd_report(args) -> int:
     from .scoring import HISTOGRAM_HI, EmptyInput, histogram
 
-    # less one leading BOM, as load_rule_table reads a table; poem text keeps its BOM
-    scores = _read_scores(_read_text(args.input).removeprefix("\ufeff"))
+    scores = _read_scores(read_text(args.input))
     if not scores:
         raise EmptyInput("no scores found in input")
     hist = histogram(scores)
@@ -282,7 +274,7 @@ def _cmd_report(args) -> int:
 def _cmd_quatrains(args) -> int:
     from .corpus import ingest, split_and_shuffle, split_into_quatrains, write_corpus
 
-    corpus = ingest([args.input])
+    corpus = ingest(args.input)
     if args.seed is not None:
         quatrains, excluded = split_and_shuffle(corpus, args.seed)
     else:
@@ -350,6 +342,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             stream.reconfigure(encoding="utf-8", errors=errors)
     try:
         args = build_parser().parse_args(argv)
+        if sum(getattr(args, dest, None) == "-" for dest in INPUT_DESTS) > 1:
+            build_parser().error("'-' may name one input only: a run reads stdin once")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

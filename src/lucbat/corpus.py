@@ -10,14 +10,13 @@ from __future__ import annotations
 import math
 import os
 import unicodedata
-from collections import defaultdict
 from itertools import chain, islice
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .rules import RuleTable
 # lucbat.scoring is imported where it is used, so that creativity, which scores nothing,
 # starts without it
-from .syllable import LucBatError, _lines, decode_utf8, normalize_verse, normalize_verses
+from .syllable import LucBatError, _lines, normalize_verse, normalize_verses, read_text
 
 __all__ = [
     "Poem",
@@ -54,8 +53,8 @@ class Corpus:
         return len(self.poems)
 
 
-def _poems(text: str, source: str, start: int = 0) -> list[Poem]:
-    """Blank-line separated blocks as poems "<source>:<start + k>", lines stripped and NFC."""
+def _poems(text: str, source: str) -> list[Poem]:
+    """Blank-line separated blocks as poems "<source>:<k>", lines stripped and NFC."""
     blocks = []
     current: list[str] = []
     # NFC a line at a time: one pass over the whole text was over twice as slow
@@ -68,7 +67,7 @@ def _poems(text: str, source: str, start: int = 0) -> list[Poem]:
             current = []
     if current:
         blocks.append("\n".join(current))
-    return [Poem(f"{source}:{k}", block) for k, block in enumerate(blocks, start)]
+    return [Poem(f"{source}:{k}", block) for k, block in enumerate(blocks)]
 
 
 def corpus_from_text(text: str, source: str = "<memory>") -> Corpus:
@@ -76,43 +75,31 @@ def corpus_from_text(text: str, source: str = "<memory>") -> Corpus:
     return Corpus(tuple(_poems(text, source)))
 
 
-def _expand(paths: Iterable[str]) -> list[str]:
-    """Directories expand to their *.txt files, sorted for determinism."""
-    expanded = []
-    for path in paths:
-        path = str(path)
-        if os.path.isdir(path):
-            names = sorted(name for name in os.listdir(path) if name.endswith(".txt"))
-            if not names:
-                from .scoring import EmptyInput
+def ingest(path: str) -> Corpus:
+    """Read the poems of one input: a file, a directory, or ``-`` for stdin.
 
-                raise EmptyInput(f"{path}: directory has no *.txt files")
-            expanded.extend(os.path.join(path, name) for name in names)
-        else:
-            expanded.append(path)
-    return expanded
-
-
-def ingest(paths: Iterable[str]) -> Corpus:
-    """Read UTF-8 poem files; ids are "<path>:<ordinal>".
-
-    A directory stands for its ``*.txt`` files in sorted order; one with none
-    raises :class:`EmptyInput`.  The ordinal keeps counting if the same path
-    is listed twice, so ids stay unique.  A path that is not valid UTF-8
-    spells its bad bytes as ``\\xNN`` in the id, so every id can be written
-    as UTF-8.  I/O errors propagate as OSError; bad bytes in a file raise
-    :class:`InvalidEncoding`.
+    Each file is read by :func:`~lucbat.syllable.read_text`.  Ids are
+    "<file>:<ordinal>", or "stdin:<ordinal>".  A directory stands for its
+    ``*.txt`` files in sorted order; one with none raises :class:`EmptyInput`.
+    A file name that is not valid UTF-8 spells its bad bytes as ``\\xNN`` in
+    the id, so every id can be written as UTF-8.  I/O errors propagate as
+    OSError; bad bytes in the input raise :class:`InvalidEncoding`.
     """
+    path = str(path)
+    if path == "-":
+        return corpus_from_text(read_text(path), "stdin")
+    files = [path]
+    if os.path.isdir(path):
+        names = sorted(name for name in os.listdir(path) if name.endswith(".txt"))
+        if not names:
+            from .scoring import EmptyInput
+
+            raise EmptyInput(f"{path}: directory has no *.txt files")
+        files = [os.path.join(path, name) for name in names]
     poems: list[Poem] = []
-    next_ordinal: defaultdict[str, int] = defaultdict(int)
-    for path in _expand(paths):
-        with open(path, "rb") as handle:
-            text = decode_utf8(handle.read(), path)
+    for file in files:
         # Python decodes a non-UTF-8 file name with lone surrogates, which no UTF-8 output takes
-        name = os.fsencode(path).decode("utf-8", "backslashreplace")
-        found = _poems(text, name, next_ordinal[name])
-        poems.extend(found)
-        next_ordinal[name] += len(found)
+        poems.extend(_poems(read_text(file), os.fsencode(file).decode("utf-8", "backslashreplace")))
     return Corpus(poems=tuple(poems))
 
 

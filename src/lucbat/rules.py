@@ -25,7 +25,7 @@ import functools
 from typing import Iterable, NamedTuple, Optional
 
 from .syllable import (
-    LucBatError, NotASyllable, Syllable, ToneClass, decode_utf8, parse_syllable, _lines, _nfc,
+    LucBatError, NotASyllable, Syllable, ToneClass, parse_syllable, read_text, _lines, _nfc,
 )
 
 __all__ = [
@@ -190,10 +190,8 @@ def parse_rule_table(text: str, version: str = "custom") -> RuleTable:
 
 
 def load_rule_table(path: str) -> RuleTable:
-    """Load a rule-table file, less one leading BOM; bad UTF-8 raises ``InvalidEncoding``."""
-    with open(path, "rb") as handle:
-        text = decode_utf8(handle.read(), str(path))
-    return parse_rule_table(text.removeprefix("\ufeff"), version=str(path))
+    """Load a rule-table file, or stdin if ``path`` is ``-``, as ``syllable.read_text`` reads it."""
+    return parse_rule_table(read_text(path), version=str(path))
 
 
 @functools.cache

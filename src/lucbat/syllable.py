@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import functools
 import re
+import sys
 import unicodedata
 from typing import NamedTuple
 
@@ -46,15 +47,28 @@ class LucBatError(Exception):
 
 
 class InvalidEncoding(LucBatError):
-    """File is not valid UTF-8."""
+    """Input is not valid UTF-8."""
 
 
-def decode_utf8(data: bytes, source: str) -> str:
-    """Decode strict UTF-8; bad bytes raise :class:`InvalidEncoding` naming ``source``."""
+def read_text(path: str) -> str:
+    """The text of the file at ``path``, or of stdin, named ``stdin``, if ``path`` is ``-``.
+
+    The input is strict UTF-8, less one leading BOM.  Bad bytes raise
+    :class:`InvalidEncoding`, which names the source and counts the byte
+    position from the start of the input, BOM included.  I/O errors propagate
+    as OSError.
+    """
+    if path == "-":
+        source, data = "stdin", sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as handle:
+            source, data = path, handle.read()
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InvalidEncoding(f"{source}: {exc}") from exc
+    # a BOM is the encoding's signature, not text; utf-8-sig would count positions after it
+    return text.removeprefix("\ufeff")
 
 
 class NotASyllable(LucBatError):

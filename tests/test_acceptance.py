@@ -333,7 +333,7 @@ C8_REWRITES = {
     "eth for d-bar": lambda text: text.replace("đ", "\u00f0").replace("Đ", "\u00d0"),
 }
 # the rewrites that change an answer today, each until ROADMAP item 2 lands
-C8_FAIL_BOTH = {"curly quotes", "guillemets", "fullwidth comma", "em dash", "BOM", "ZWSP", "ZWJ",
+C8_FAIL_BOTH = {"curly quotes", "guillemets", "fullwidth comma", "em dash", "ZWSP", "ZWJ",
                 "soft hyphen", "eth for d-bar"}
 C8_FAIL_CREATIVITY = {"other tone-mark placement", "marks in the other order"}
 C8_CASES = {"score": "score-jsonl", "creativity": "creativity-jsonl"}

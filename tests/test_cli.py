@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import importlib
@@ -17,12 +18,12 @@ from hypothesis import given, settings, strategies as st
 
 import lucbat
 from lucbat import PoemNovelty, build_verse_index, creativity_score, ingest, scoring
-from lucbat.cli import LOSSCHECK_BOUNDS, _novelty_record, build_parser, main
+from lucbat.cli import INPUT_DESTS, LOSSCHECK_BOUNDS, _novelty_record, build_parser, main
 from lucbat.corpus import _BATCH
 from lucbat.syllable import _PUNCTUATION, _lines
 from helpers import NO_NUMPY, QUATRAIN_RHYME_MEMBERS, QUATRAIN_TONE_POSITIONS, perturb_quatrain
 from conftest import KIEU
-from test_golden import CASES, INPUTS
+from test_golden import CASES, INPUTS, expected_outputs, run_case
 
 
 _GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
@@ -243,7 +244,7 @@ class TestCreativityCommand:
             [sys.executable, "-m", "lucbat", "creativity", "--generated", str(gen_dir),
              "--corpus", corpus, "--format", "jsonl"], capture_output=True, env=env)
         assert result.returncode == 0, result.stderr
-        report = creativity_score(ingest([str(gen_dir)]), build_verse_index(ingest([corpus])))
+        report = creativity_score(ingest(str(gen_dir)), build_verse_index(ingest(corpus)))
         expected = [
             json.dumps({"poem_id": n.poem_id, "copied_verses": n.copied_verses,
                         "total_verses": n.total_verses, "copied_ratio": n.copied_ratio},
@@ -266,10 +267,10 @@ class TestCreativityCommand:
         normalize_verses = lucbat.corpus.normalize_verses
         monkeypatch.setattr(lucbat.corpus, "normalize_verses",
                             lambda text: calls.append(text) or normalize_verses(text))
-        index = build_verse_index(ingest([corpus]))
+        index = build_verse_index(ingest(corpus))
         assert 0 < len(calls) <= math.ceil(n / _BATCH)
         calls.clear()
-        creativity_score(ingest([generated]), index)
+        creativity_score(ingest(generated), index)
         assert 0 < len(calls) <= math.ceil(n / _BATCH)
 
         writes = []
@@ -326,26 +327,40 @@ class TestReportCommand:
         summary = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert summary["n"] == 2 and summary["mean"] == 90.0
 
-    @pytest.mark.parametrize("scores", ["floats", "score-jsonl"])
+    @pytest.mark.parametrize("inputs", ["floats", "score-jsonl", "poems"])
     @pytest.mark.parametrize("source", ["file", "stdin"])
-    def test_a_leading_bom_is_dropped(self, tmp_path, capsys, monkeypatch, scores, source):
-        # as from a --rules table; poem text keeps its BOM
-        data = (b"95\n100\n82\n" if scores == "floats"
-                else (Path(__file__).parent / "data/golden/score-jsonl/stdout").read_bytes())
+    def test_a_leading_bom_is_dropped(self, tmp_path, inputs, source):
+        # from every input: the scores report reads, and the poems and corpus the other
+        # commands read; each run is (argv with "{}" for the input, the input's name)
+        floats = b"95\n100\n82\n"
+        runs = {
+            "floats": [(["report", "{}"], "scores.jsonl")],
+            "score-jsonl": [(["report", "{}"], "scores.jsonl")],
+            "poems": [(["score", "{}", "--format", "jsonl"], "poems.txt"),
+                      (["filter", "{}", "--min-score", "60", "--out", "kept.txt"], "poems.txt"),
+                      (["quatrains", "{}", "--seed", "3", "--out", "q.txt"], "poems.txt"),
+                      (["creativity", "--generated", "{}", "--corpus", "corpus.txt"], "poems.txt"),
+                      (["creativity", "--generated", "poems.txt", "--corpus", "{}"], "corpus.txt")],
+        }[inputs]
 
-        def report(data):
+        def run(argv, name, data, workdir):
+            workdir.mkdir()
             if source == "stdin":
-                stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-                monkeypatch.setattr("sys.stdin", stdin)
-                status = main(["report", "-"])
-            else:
-                (tmp_path / "scores").write_bytes(data)
-                status = main(["report", str(tmp_path / "scores")])
-            return status, capsys.readouterr()
+                return run_case([arg.replace("{}", "-") for arg in argv], workdir, stdin=data)
+            return run_case([arg.replace("{}", name) for arg in argv], workdir, files={name: data})
 
-        plain = report(data)
-        assert plain[0] == 0 and plain[1].err == ""
-        assert report(b"\xef\xbb\xbf" + data) == plain
+        for k, (argv, name) in enumerate(runs):
+            data = floats if inputs == "floats" else (_GOLDEN / INPUTS[name]).read_bytes()
+            plain = run(argv, name, data, tmp_path / f"{k}-plain")
+            assert b"error: " not in plain["stderr"]
+            if argv[0] == "report":
+                assert (plain["status"], plain["stderr"]) == (b"0\n", b"")
+            assert run(argv, name, b"\xef\xbb\xbf" + data, tmp_path / f"{k}-bom") == plain
+            # positions count from the start of the input, BOM included
+            bad = run(argv, name, b"\xef\xbb\xbfab\xff", tmp_path / f"{k}-bad")
+            assert bad["status"] == b"1\n"
+            assert (f"{'stdin' if source == 'stdin' else name}: 'utf-8' codec can't decode "
+                    "byte 0xff in position 5").encode() in bad["stderr"]
 
     def test_empty_scores_exit_one(self, tmp_path, capsys):
         path = write(tmp_path, "scores.txt", "\n")
@@ -553,6 +568,52 @@ def test_invalid_utf8_on_stdin_exits_one():
         assert b"stdin: 'utf-8' codec can't decode byte 0xff" in result.stderr
 
 
+@pytest.mark.parametrize("case, name", [
+    ("score-rules-jsonl", "rules.txt"),
+    ("filter-stats", "poems.txt"),
+    ("quatrains-seed-3", "poems.txt"),
+    ("creativity-jsonl", "poems.txt"),
+    ("creativity-text", "corpus.txt"),
+])
+def test_every_input_reads_stdin_as_dash(tmp_path, case, name):
+    # the golden case with the input on stdin: the same outputs, with poem ids "stdin:<k>"
+    argv = ["-" if arg == name else arg for arg in CASES[case]]
+    assert argv.count("-") == 1
+    expected = expected_outputs(case)
+    if name == "poems.txt":
+        expected = {key: value.replace(b"poems.txt:", b"stdin:") for key, value in expected.items()}
+    assert run_case(argv, tmp_path, stdin=(_GOLDEN / INPUTS[name]).read_bytes()) == expected
+
+
+def test_only_syllable_read_text_opens_an_input():
+    # sys.stdin, and open() in any mode but "w", appear in one function, so every input is
+    # read by one set of rules
+    def opens_for_reading(call):
+        func = call.func
+        if not (isinstance(func, ast.Name) and func.id == "open"
+                or isinstance(func, ast.Attribute) and func.attr == "open"):
+            return isinstance(func, ast.Attribute) and func.attr in ("read_text", "read_bytes")
+        mode = call.args[1] if len(call.args) > 1 else next(
+            (kw.value for kw in call.keywords if kw.arg in ("mode", "flags")), None)
+        return not (isinstance(mode, ast.Constant) and mode.value == "w"
+                    or isinstance(mode, ast.Attribute) and mode.attr == "O_WRONLY")
+
+    found = set()
+    for path in sorted(Path(lucbat.__file__).parent.glob("*.py")):
+        stack = [(ast.parse(path.read_text(encoding="utf-8")), path.stem)]
+        while stack:
+            node, where = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                where = f"{where}.{node.name}"
+            if (isinstance(node, ast.Attribute) and node.attr == "stdin"
+                    or isinstance(node, ast.Name) and node.id == "stdin"):
+                found.add(("stdin", where))
+            elif isinstance(node, ast.Call) and opens_for_reading(node):
+                found.add(("open", where))
+            stack.extend((child, where) for child in ast.iter_child_nodes(node))
+    assert found == {("stdin", "syllable.read_text"), ("open", "syllable.read_text")}
+
+
 def test_file_name_that_is_not_utf8_gives_utf8_poem_ids(tmp_path):
     flips = [(line, word) for line in (1, 2, 3, 4)
              for word in ((2, 4, 6) if line % 2 else (2, 4, 6, 8))]
@@ -705,6 +766,32 @@ class TestArgumentErrors:
 
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["score", "-", "--rules", "-"],
+        ["filter", "-", "--min-score", "0", "--out", "{out}", "--rules", "-"],
+        ["creativity", "--generated", "-", "--corpus", "-"],
+    ], ids=["score", "filter", "creativity"])
+    def test_stdin_named_for_two_inputs_is_a_usage_error(self, tmp_path, capsys, argv):
+        # stdin is read once, so the second input would read no poems: C = 1.0 from an
+        # empty corpus
+        out = str(tmp_path / "kept.txt")
+        assert main([arg.format(out=out) for arg in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: '-' may name one input only: a run reads stdin once" in captured.err
+        assert not (tmp_path / "kept.txt").exists()
+
+    def test_each_input_says_dash_is_stdin(self):
+        commands = next(action.choices for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        says = {command: {action.dest for action in parser._actions
+                          if "('-' for stdin" in (action.help or "")}
+                for command, parser in commands.items()}
+        assert says == {"score": {"input", "rules"}, "filter": {"input", "rules"},
+                        "creativity": {"generated", "corpus"}, "report": {"input"},
+                        "quatrains": {"input"}, "losscheck": set()}
+        assert set().union(*says.values()) == set(INPUT_DESTS)
 
     def test_missing_input_file(self, tmp_path, capsys):
         assert main(["score", str(tmp_path / "absent.txt")]) == 1
@@ -1117,7 +1204,7 @@ def test_no_input_makes_a_command_exit_two(poems, corpus, min_score, losscheck_a
 
 # the four-line blocks of the golden poems: flawless Kieu quatrains, planted violations, NFD,
 # upper case, punctuation, a loanword, a digit and a double tone mark
-_GOLDEN_QUATRAINS = tuple(poem.text for poem in ingest([_GOLDEN / "poems.txt"]).poems
+_GOLDEN_QUATRAINS = tuple(poem.text for poem in ingest(_GOLDEN / "poems.txt").poems
                           if len(poem.lines()) == 4)
 
 
@@ -1171,7 +1258,7 @@ def test_filter_keeps_exactly_the_blocks_whose_score_record_reaches_the_threshol
         work = Path(work)
         path = work / "poems.txt"
         path.write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
-        poems = ingest([path]).poems
+        poems = ingest(path).poems
         # a four-line block is one quatrain, so score's unit and filter's score it alike
         table = lucbat.default_rule_table()
         by_quatrain, by_poem = (
@@ -1192,7 +1279,7 @@ def test_filter_keeps_exactly_the_blocks_whose_score_record_reaches_the_threshol
             assert main(["filter", str(path), f"--min-score={threshold!r}",
                          "--out", str(work / "kept.txt"), "--stats", str(work / "stats.json")]) == 0
         stats = json.loads((work / "stats.json").read_text(encoding="utf-8"))
-        kept_texts = [poem.text for poem in ingest([work / "kept.txt"]).poems]
+        kept_texts = [poem.text for poem in ingest(work / "kept.txt").poems]
 
     kept = [record for record in records if record.get("score", -math.inf) >= threshold]
     text_of = {poem.id: poem.text for poem in poems}

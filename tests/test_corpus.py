@@ -40,47 +40,40 @@ def test_filter_stats_default_to_no_dropped_entries():
 class TestIngest:
     def test_two_blocks(self, tmp_path):
         path = write(tmp_path, "poems.txt", "câu một\ncâu hai\n\ncâu ba\n")
-        corpus = ingest([path])
+        corpus = ingest(path)
         assert len(corpus) == 2
         assert corpus.poems[0].text == "câu một\ncâu hai"
         assert corpus.poems[1].id == f"{path}:1"
 
     def test_empty_file(self, tmp_path):
-        corpus = ingest([write(tmp_path, "empty.txt", "")])
+        corpus = ingest(write(tmp_path, "empty.txt", ""))
         assert len(corpus) == 0
 
     def test_multiple_blank_lines_collapse(self, tmp_path):
         path = write(tmp_path, "poems.txt", "a ơi\n\n\n\nb ơi\n")
-        assert len(ingest([path])) == 2
-
-    def test_same_file_twice_keeps_ids_unique(self, tmp_path):
-        path = write(tmp_path, "poems.txt", "một\n\nhai\n")
-        corpus = ingest([path, path])
-        ids = [p.id for p in corpus.poems]
-        assert len(ids) == 4
-        assert len(set(ids)) == 4
+        assert len(ingest(path)) == 2
 
     def test_text_stored_nfc(self, tmp_path):
         decomposed = unicodedata.normalize("NFD", "mệnh trời")
         path = write(tmp_path, "poems.txt", decomposed + "\n")
-        corpus = ingest([path])
+        corpus = ingest(path)
         assert corpus.poems[0].text == "mệnh trời"
 
     def test_missing_file(self):
         with pytest.raises(OSError):
-            ingest(["/nonexistent/poems.txt"])
+            ingest("/nonexistent/poems.txt")
 
     def test_invalid_encoding(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_bytes(b"\xff\xfe\x00bad")
         with pytest.raises(InvalidEncoding):
-            ingest([str(path)])
+            ingest(str(path))
 
     def test_directory_expands_to_sorted_txt_files(self, tmp_path):
         write(tmp_path, "b.txt", "thơ hai\n")
         write(tmp_path, "a.txt", "thơ một\n")
         (tmp_path / "notes.md").write_text("bỏ qua", encoding="utf-8")
-        corpus = ingest([str(tmp_path)])
+        corpus = ingest(str(tmp_path))
         assert [p.text for p in corpus.poems] == ["thơ một", "thơ hai"]
 
 
@@ -95,7 +88,7 @@ class TestLineRule:
         # a U+0085 is what a cp1252 "…" becomes when the text is read as Latin-1
         first = KIEU.replace("ghét nhau\n", f"ghét nhau{separator}\n")
         path = write(tmp_path, "poems.txt", f"{first}\n\n{KIEU}\n")
-        corpus = ingest([path])
+        corpus = ingest(path)
         assert [poem.id for poem in corpus.poems] == [f"{path}:0", f"{path}:1"]
         assert [poem.text for poem in corpus.poems] == [KIEU, KIEU]
         assert [len(poem.lines()) for poem in corpus.poems] == [4, 4]
@@ -119,9 +112,9 @@ class TestLineRule:
         path = write(tmp_path, "poems.txt", f"{held}\n{KIEU}\n\n{held}\n")
         out = tmp_path / "q.txt"
         assert main(["quatrains", path, "--out", str(out)]) == 0
-        quatrains, _ = split_into_quatrains(ingest([path]))
+        quatrains, _ = split_into_quatrains(ingest(path))
         assert [poem.text for poem in quatrains.poems] == [held, KIEU, held]
-        assert [poem.text for poem in ingest([str(out)]).poems] == [held, KIEU, held]
+        assert [poem.text for poem in ingest(str(out)).poems] == [held, KIEU, held]
 
 
 _VERSES = ["trăm năm trong cõi người ta", "mệnh trời", "Chữ TÀI, chữ mệnh"]
@@ -156,12 +149,9 @@ def test_text_and_file_readers_give_the_same_poems_and_ordinals(tmp_path_factory
     assert [poem.id for poem in from_text] == [f"s:{k}" for k in range(len(texts))]
     lines = [unicodedata.normalize("NFC", line.strip()) for line in re.split("\r\n|\r|\n", text)]
     assert texts == ["\n".join(run) for verses, run in groupby(lines, bool) if verses]
-    from_file = ingest([str(path)]).poems
+    from_file = ingest(str(path)).poems
     assert [(poem.id, poem.text) for poem in from_file] == [
         (f"{path}:{k}", poem_text) for k, poem_text in enumerate(texts)]
-    twice = ingest([str(path), str(path)]).poems
-    assert [(poem.id, poem.text) for poem in twice] == [
-        (f"{path}:{k}", poem_text) for k, poem_text in enumerate(texts * 2)]
 
 
 class TestSplitAndShuffle:
@@ -275,7 +265,7 @@ class TestWriteCorpus:
         corpus = corpus_from_text("một hai\nba bốn\n\nnăm sáu\n")
         path = tmp_path / "out.txt"
         write_corpus(corpus, str(path))
-        again = ingest([str(path)])
+        again = ingest(str(path))
         assert [p.text for p in again.poems] == [p.text for p in corpus.poems]
 
 

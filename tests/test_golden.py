@@ -104,11 +104,19 @@ INPUTS = {
 }
 
 
-def run_case(argv, workdir):
-    """``{name: bytes}`` of the status, stdout, stderr and files a run in ``workdir`` gives."""
+def run_case(argv, workdir, stdin=None, files=None):
+    """``{name: bytes}`` of the status, stdout, stderr and files a run in ``workdir`` gives.
+
+    The run reads the ``INPUTS``, with ``files`` (``{name: bytes}``) in place of some of
+    them, and ``stdin`` (bytes), ``poems.txt`` by default, as standard input.
+    """
     for name, source in INPUTS.items():
         shutil.copy(GOLDEN / source, workdir / name)
-    stdin = io.TextIOWrapper(io.BytesIO((GOLDEN / "poems.txt").read_bytes()), encoding="utf-8")
+    for name, data in (files or {}).items():
+        (workdir / name).write_bytes(data)
+    if stdin is None:
+        stdin = (GOLDEN / "poems.txt").read_bytes()
+    stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
     stdout, stderr = io.StringIO(), io.StringIO()
     cwd, saved_stdin = os.getcwd(), sys.stdin
     os.chdir(workdir)
