@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .rules import RuleTable, default_rule_table, load_rule_table
-from .syllable import LucBatError, _lines, read_text
+from .syllable import EmptyInput, LucBatError, _lines, read_text
 
 if TYPE_CHECKING:
     from .creativity import PoemNovelty
@@ -51,6 +51,8 @@ LOSSCHECK_BOUNDS = {
 }
 # the argparse dests of every input a command reads with syllable.read_text
 INPUT_DESTS = ("input", "rules", "generated", "corpus")
+# the argparse dests of every file a command writes; '-' names stdin, never an output
+OUTPUT_DESTS = ("out", "stats")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -236,7 +238,7 @@ def _read_scores(text: str) -> list[float]:
 
 
 def _cmd_report(args) -> int:
-    from .scoring import HISTOGRAM_HI, EmptyInput, histogram
+    from .scoring import HISTOGRAM_HI, histogram
 
     scores = _read_scores(read_text(args.input))
     if not scores:
@@ -344,6 +346,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = build_parser().parse_args(argv)
         if sum(getattr(args, dest, None) == "-" for dest in INPUT_DESTS) > 1:
             build_parser().error("'-' may name one input only: a run reads stdin once")
+        for dest in OUTPUT_DESTS:
+            if getattr(args, dest, None) == "-":
+                build_parser().error(f"--{dest} needs a file name: '-' names stdin")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 from .rules import RuleTable
 # lucbat.scoring is imported where it is used, so that creativity, which scores nothing,
 # starts without it
-from .syllable import LucBatError, _lines, normalize_verse, normalize_verses, read_text
+from .syllable import EmptyInput, LucBatError, _lines, normalize_verse, normalize_verses, read_text
 
 __all__ = [
     "Poem",
@@ -92,8 +92,6 @@ def ingest(path: str) -> Corpus:
     if os.path.isdir(path):
         names = sorted(name for name in os.listdir(path) if name.endswith(".txt"))
         if not names:
-            from .scoring import EmptyInput
-
             raise EmptyInput(f"{path}: directory has no *.txt files")
         files = [os.path.join(path, name) for name in names]
     poems: list[Poem] = []
@@ -126,8 +124,8 @@ def split_into_quatrains(corpus: Corpus) -> tuple[Corpus, list[tuple[str, str]]]
     for poem in corpus.poems:
         try:
             texts = split_quatrains(poem.text)
-        except OddLineCount:
-            excluded.append((poem.id, f"{len(poem.lines())} lines, not a multiple of 4"))
+        except OddLineCount as exc:
+            excluded.append((poem.id, str(exc)))
             continue
         quatrains.extend(Poem(id=f"{poem.id}/q{k}", text=text) for k, text in enumerate(texts))
     return Corpus(poems=tuple(quatrains)), excluded

@@ -12,23 +12,13 @@ import math
 from typing import NamedTuple
 
 from .corpus import Corpus, VerseIndex, _batches
-from .syllable import LucBatError
+from .syllable import EmptyInput
 
 __all__ = [
     "PoemNovelty",
     "CreativityReport",
-    "EmptyGeneratedSet",
-    "EmptyPoem",
     "creativity_score",
 ]
-
-
-class EmptyGeneratedSet(LucBatError):
-    """No generated poems to evaluate."""
-
-
-class EmptyPoem(LucBatError):
-    """A generated poem has no verses."""
 
 
 class PoemNovelty(NamedTuple):
@@ -54,13 +44,13 @@ def creativity_score(generated: Corpus, index: VerseIndex) -> CreativityReport:
     one :meth:`VerseIndex.copied_counts` call per batch of their lines.
     """
     if not generated.poems:
-        raise EmptyGeneratedSet("generated corpus is empty")
+        raise EmptyInput("generated corpus is empty")
     per_poem = []
     for batch in _batches(generated.poems):
         verses = [poem.lines() for poem in batch]
         for poem, lines in zip(batch, verses):
             if not lines:
-                raise EmptyPoem(f"poem {poem.id!r} has no verses")
+                raise EmptyInput(f"poem {poem.id!r} has no verses")
         per_poem.extend(
             PoemNovelty(poem_id=poem.id, copied_verses=copied, total_verses=len(lines))
             for poem, copied, lines in zip(batch, index.copied_counts(verses), verses)

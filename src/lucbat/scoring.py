@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Union
 
 from .rules import Position, RuleTable, template
 from .syllable import (
+    EmptyInput,
     LucBatError,
     NotASyllable,
     Syllable,
@@ -59,7 +60,6 @@ __all__ = [
     "OddLineCount",
     "WrongSyllableCount",
     "UnparseableToken",
-    "EmptyInput",
     "segment_stanza",
     "score_stanza",
     "split_quatrains",
@@ -90,10 +90,6 @@ class UnparseableToken(LucBatError):
         self.line = line
         self.token = token
         self.reason = reason
-
-
-class EmptyInput(LucBatError):
-    """No data to aggregate."""
 
 
 class Stanza(NamedTuple):
@@ -217,9 +213,7 @@ def split_quatrains(raw_poem: str) -> list[str]:
     """Split a poem into consecutive 4-line stanzas (lines stripped, blanks ignored)."""
     lines = [line.strip() for line in _lines(raw_poem) if line.strip()]
     if not lines or len(lines) % 4 != 0:
-        raise OddLineCount(
-            f"poem has {len(lines)} lines; quatrain split needs a multiple of 4"
-        )
+        raise OddLineCount(f"quatrain split needs a multiple of 4 lines, got {len(lines)}")
     return ["\n".join(lines[i : i + 4]) for i in range(0, len(lines), 4)]
 
 

@@ -57,19 +57,13 @@ from . import _SEMLOSS_NAMES as __all__
 
 
 class ShapeMismatch(LucBatError):
-    """Array shapes disagree with the parameter dimensions."""
+    """An argument of the wrong shape: array shapes that disagree with the parameter
+    dimensions, a sequence of fewer tokens than it needs, or a stanza without exactly
+    two verse pairs."""
 
 
 class IdOutOfRange(LucBatError):
     """Token id outside 1..V."""
-
-
-class DegenerateSequence(LucBatError):
-    """Too few tokens to form a prediction target."""
-
-
-class MissingPair(LucBatError):
-    """A stanza must contribute exactly two verse-pair embedding sequences."""
 
 
 class BadCheckSetting(LucBatError):
@@ -258,7 +252,7 @@ def ce_loss(logits, next_token_ids: Sequence[int]) -> float:
     logits = _as_matrix(logits, "logits")
     m, vocab = logits.shape
     if m < 2:
-        raise DegenerateSequence(f"need at least 2 tokens, got {m}")
+        raise ShapeMismatch(f"need at least 2 tokens, got {m}")
     ids = list(next_token_ids)
     if len(ids) != m - 1:
         raise ShapeMismatch(f"expected {m - 1} target ids, got {len(ids)}")
@@ -329,9 +323,7 @@ def _stanza_passes(stanza_pairs: Sequence[Sequence[np.ndarray]], blocks: Sequenc
     """
     for index, pairs in enumerate(stanza_pairs):
         if len(pairs) != 2:
-            raise MissingPair(
-                f"stanza {index}: expected exactly 2 verse pairs, got {len(pairs)}"
-            )
+            raise ShapeMismatch(f"stanza {index}: expected exactly 2 verse pairs, got {len(pairs)}")
         (e_prev, prev), (e_next, nxt) = (_forward_pair(x, blocks, "pair") for x in pairs)
         yield prev, nxt, e_prev - e_next
 

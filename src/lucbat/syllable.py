@@ -34,8 +34,8 @@ __all__ = [
     "ToneClass",
     "Syllable",
     "NotASyllable",
-    "MultipleToneMarks",
     "InvalidEncoding",
+    "EmptyInput",
     "parse_syllable",
     "normalize_verse",
     "normalize_verses",
@@ -48,6 +48,10 @@ class LucBatError(Exception):
 
 class InvalidEncoding(LucBatError):
     """Input is not valid UTF-8."""
+
+
+class EmptyInput(LucBatError):
+    """An input with nothing to work on: no files, no poems, no verses or no scores."""
 
 
 def read_text(path: str) -> str:
@@ -78,13 +82,6 @@ class NotASyllable(LucBatError):
         super().__init__(f"{token!r}: {reason}")
         self.token = token
         self.reason = reason
-
-
-class MultipleToneMarks(NotASyllable):
-    """Token carries more than one tone diacritic."""
-
-    def __init__(self, token: str):
-        super().__init__(token, "more than one tone mark")
 
 
 class Tone(enum.Enum):
@@ -232,8 +229,7 @@ def parse_syllable(token: str) -> Syllable:
 
     Raises :class:`NotASyllable` for digits, missing vowels, letters outside
     the Vietnamese alphabet, an impossible onset/coda, or two tone
-    diacritics; the last is its subclass :class:`MultipleToneMarks`, so
-    callers catch :class:`NotASyllable` alone.
+    diacritics.
 
     Results are memoized per token (at most ``PARSE_CACHE_SIZE`` of them) and
     shared between callers, which is safe because :class:`Syllable` is
@@ -246,7 +242,7 @@ def parse_syllable(token: str) -> Syllable:
     decomposed = unicodedata.normalize("NFD", token.lower())
     marks = _TONE_MARK.findall(decomposed)
     if len(marks) > 1:
-        raise MultipleToneMarks(token)
+        raise NotASyllable(token, "more than one tone mark")
     if marks:
         tone = _TONE_COMBINING[marks[0]]
         decomposed = decomposed.replace(marks[0], "")

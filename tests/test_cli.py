@@ -718,6 +718,26 @@ NEVER_READ = {
     "syllable.NotASyllable.reason",
 }
 
+# Every exception class in src/lucbat, LucBatError and its subclasses, and why it stays: a
+# kind of failure has one class, so a caller catches it by one name
+ERROR_CLASSES = {
+    # caught by name in src/
+    "syllable.LucBatError": "the base of every error; cli.main and scoring.score_blocks catch it",
+    "syllable.NotASyllable": "a token that is no syllable; segment_stanza and RuleTable catch it",
+    "scoring.OddLineCount": "lines that form no stanza; split_into_quatrains catches it",
+    "rules.RuleTableError": "a malformed near-rhyme table; parse_rule_table catches it",
+    # payloads that ROADMAP item 13 writes into error records
+    "scoring.WrongSyllableCount": "carries line, expected and got",
+    "scoring.UnparseableToken": "carries line, token and reason",
+    # the only class of their kind
+    "syllable.InvalidEncoding": "input that is not UTF-8",
+    "syllable.EmptyInput": "an input with nothing to work on",
+    "rules.InvalidPairCount": "a pair count that is not a positive int",
+    "semloss.ShapeMismatch": "a loss-head argument of the wrong shape",
+    "semloss.IdOutOfRange": "a token id outside 1..V",
+    "semloss.BadCheckSetting": "a gradient-check setting out of range",
+}
+
 # Every public member outside NEVER_READ whose name another public class also declares, so
 # that a read of `x.name` does not show whose member it is, and a file that reads it as this
 # class's member
@@ -781,6 +801,21 @@ class TestArgumentErrors:
         assert captured.out == ""
         assert "error: '-' may name one input only: a run reads stdin once" in captured.err
         assert not (tmp_path / "kept.txt").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["quatrains", "poems.txt", "--out", "-"],
+        ["filter", "poems.txt", "--min-score", "0", "--out", "-"],
+        ["filter", "poems.txt", "--min-score", "0", "--out", "kept.txt", "--stats", "-"],
+    ], ids=["quatrains-out", "filter-out", "filter-stats"])
+    def test_dash_as_an_output_is_a_usage_error(self, tmp_path, monkeypatch, capsys, argv):
+        # '-' names stdin; an output named '-' would be written to a file called '-'
+        monkeypatch.chdir(tmp_path)
+        write(tmp_path, "poems.txt", KIEU + "\n")
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {argv[-2]} needs a file name: '-' names stdin" in captured.err
+        assert os.listdir(tmp_path) == ["poems.txt"]
 
     def test_each_input_says_dash_is_stdin(self):
         commands = next(action.choices for action in build_parser()._actions
@@ -959,6 +994,22 @@ class TestArgumentErrors:
         assert SHARED_NAME_READERS.keys() <= shared
         assert [qualname for qualname, path in SHARED_NAME_READERS.items()
                 if path not in files_reading(qualname)] == []
+
+    def test_each_kind_of_failure_has_one_error_class(self):
+        # the LucBatError classes are the package's error API; a new one must name a kind of
+        # failure no other class names.  Reads the sources, imports nothing.
+        bases = {}  # "module.Class" -> the names of its bases
+        for path in sorted(Path(lucbat.__file__).parent.glob("*.py")):
+            for node in ast.parse(path.read_text(encoding="utf-8")).body:
+                if isinstance(node, ast.ClassDef):
+                    bases[f"{path.stem}.{node.name}"] = {
+                        ast.unparse(base).rpartition(".")[2] for base in node.bases}
+        errors = {"LucBatError"}
+        for _ in bases:  # a pass per class follows the longest possible chain of bases
+            errors |= {qualname.rpartition(".")[2] for qualname, names in bases.items()
+                       if names & errors}
+        assert {qualname for qualname in bases
+                if qualname.rpartition(".")[2] in errors} == ERROR_CLASSES.keys()
 
     def test_package_exports_are_declared_by_their_modules(self):
         undeclared = [

@@ -202,7 +202,7 @@ class TestSplitAndShuffle:
         quatrains, excluded = split_and_shuffle(corpus, seed=0)
         assert len(quatrains) == 1
         assert len(excluded) == 1
-        assert "not a multiple of 4" in excluded[0][1]
+        assert excluded[0][1] == "quatrain split needs a multiple of 4 lines, got 1"
 
 
 class TestFilterByScore:

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from lucbat import (
     Corpus,
     CreativityReport,
-    EmptyGeneratedSet,
-    EmptyPoem,
+    EmptyInput,
     Poem,
     PoemNovelty,
     VerseIndex,
@@ -107,13 +106,13 @@ def test_repeat_counts_per_occurrence(index):
 
 
 def test_empty_generated_set(index):
-    with pytest.raises(EmptyGeneratedSet):
+    with pytest.raises(EmptyInput, match="generated corpus is empty"):
         creativity_score(corpus_from_text(""), index)
 
 
 def test_empty_poem_detected(index):
     broken = Corpus(poems=(Poem(id="x", text="   "),))
-    with pytest.raises(EmptyPoem):
+    with pytest.raises(EmptyInput, match="has no verses"):
         creativity_score(broken, index)
 
 
@@ -140,7 +139,7 @@ def _reference_creativity(generated, index):
     for poem in generated.poems:
         verses = poem.lines()
         if not verses:
-            raise EmptyPoem(poem.id)
+            raise EmptyInput(f"poem {poem.id!r} has no verses")
         copied = sum(1 for verse in verses if verse in index)
         per_poem.append(PoemNovelty(poem.id, copied, len(verses)))
     score = math.fsum(1.0 - novelty.copied_ratio for novelty in per_poem) / len(per_poem)
@@ -160,8 +159,8 @@ def test_creativity_score_equals_per_verse_reference(training, generated):
     index = build_verse_index(training)
     try:
         expected = _reference_creativity(generated, index)
-    except EmptyPoem:
-        with pytest.raises(EmptyPoem):
+    except EmptyInput:
+        with pytest.raises(EmptyInput, match="has no verses"):
             creativity_score(generated, index)
     else:
         assert creativity_score(generated, index) == expected
@@ -216,7 +215,7 @@ def test_first_empty_poem_is_raised_from_a_later_batch(index):
     for k in (_BATCH + 3, _BATCH + 7, 2 * _BATCH):
         texts[k] = " \n\t\n"
     generated = Corpus(tuple(Poem(f"p:{i}", text) for i, text in enumerate(texts)))
-    with pytest.raises(EmptyPoem) as raised:
+    with pytest.raises(EmptyInput, match="has no verses") as raised:
         creativity_score(generated, index)
     assert str(raised.value) == f"poem 'p:{_BATCH + 3}' has no verses"
 

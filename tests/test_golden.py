@@ -32,7 +32,11 @@ come from the code as it was before the loss head's backward pass lost its
 batch axis.  The ``score-rules-jsonl`` case comes from the code as it was before
 ``ingest`` and ``corpus_from_text`` shared one block reader, and the
 ``filter-stdout`` case, which prints the stats, from the code as it was before
-``filter --stats`` went back to ``json.dumps``.  Regenerate them only for a
+``filter --stats`` went back to ``json.dumps``.  The ``score-jsonl``, ``score-text``,
+``score-stdin``, ``score-rules-jsonl``, ``quatrains`` and ``quatrains-seed-3`` cases
+come from the code as it was after the quatrain split's error took the form of
+``segment_stanza``'s, ``quatrain split needs a multiple of 4 lines, got N``, and
+``quatrains`` began to report it as it is.  Regenerate them only for a
 deliberate output change, and say so in CHANGES.md.  With case names, the script
 writes only those cases; with none, it rewrites every case:
 

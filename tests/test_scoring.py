@@ -190,7 +190,7 @@ class TestScoreStanza:
 class TestSplitQuatrains:
     def test_six_lines_rejected(self, kieu):
         text = "\n".join(kieu.splitlines() + kieu.splitlines()[:2])
-        with pytest.raises(OddLineCount, match="poem has 6 lines"):
+        with pytest.raises(OddLineCount, match="needs a multiple of 4 lines, got 6"):
             split_quatrains(text)
 
     def test_split_quatrains(self, kieu):
@@ -212,7 +212,7 @@ class TestScoreBlocks:
         assert by_poem[1][1][0].score == 100.0
         assert [r.stanza.n_pairs for r in by_quatrain[0][1]] == [2, 2]
         error = by_quatrain[1][1]
-        assert isinstance(error, OddLineCount) and "poem has 6 lines" in str(error)
+        assert isinstance(error, OddLineCount) and "4 lines, got 6" in str(error)
 
     def test_an_error_the_consumer_throws_in_is_not_a_poem_failure(self, kieu, table):
         blocks = score_blocks([Poem("a", kieu), Poem("b", "chỉ một dòng")], table, "quatrain")

@@ -8,10 +8,8 @@ import pytest
 from lucbat import (
     AttentionParams,
     BadCheckSetting,
-    DegenerateSequence,
     IdOutOfRange,
     LstmParams,
-    MissingPair,
     ShapeMismatch,
     attention_weights,
     ce_loss,
@@ -330,7 +328,7 @@ class TestCeLoss:
             assert ce_loss(logits, ids) == pytest.approx(naive, abs=1e-10)
 
     def test_degenerate_sequence(self):
-        with pytest.raises(DegenerateSequence):
+        with pytest.raises(ShapeMismatch, match="need at least 2 tokens"):
             ce_loss(np.zeros((1, 4)), [])
 
     def test_id_out_of_range(self):
@@ -394,7 +392,7 @@ class TestCustomLoss:
     def test_missing_pair(self):
         inst = random_instance(0)
         bad = [inst["stanza_pairs"][0][:1]]
-        with pytest.raises(MissingPair):
+        with pytest.raises(ShapeMismatch, match="expected exactly 2 verse pairs"):
             custom_loss(bad, inst["logits"], inst["next_token_ids"],
                         inst["attn"], inst["lstm"])
 
