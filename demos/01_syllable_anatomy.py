@@ -14,13 +14,14 @@ print("word        onset  rime     tone    class")
 print("-" * 46)
 for word in WORDS:
     s = parse_syllable(word)
-    print(f"{word:<10}  {s.onset or '-':<5}  {s.rime:<7}  {s.tone.value:<6}  {s.tone_class.value}")
+    print(f"{word:<10}  {s.onset or '-':<5}  {s.rime:<7}  {s.tone.value:<6}  "
+          f"{s.tone.tone_class.value}")
 
 print()
 print("Tone marks are lifted off the rime, so rhyme and tone stay independent:")
 for word in ["ta", "tà", "tá", "tả", "tã", "tạ"]:
     s = parse_syllable(word)
-    print(f"  {word}: rime={s.rime!r} tone={s.tone.value} ({s.tone_class.value})")
+    print(f"  {word}: rime={s.rime!r} tone={s.tone.value} ({s.tone.tone_class.value})")
 
 print()
 print("Misplaced or decomposed tone marks normalize to one canonical spelling:")

@@ -49,7 +49,7 @@ for poem in quatrains.poems:
           f"score={report.score:.2f}")
 
 kept, stats = filter_by_score(quatrains, table, min_score=95.0)
-print(f"\nfilter >= 95: kept {stats.kept_count}, dropped {stats.dropped_count}, "
+print(f"\nfilter >= 95: kept {stats.kept_count}, dropped {len(stats.dropped)}, "
       f"mean kept score {stats.mean_score_kept}")
 
 print("\nscore histogram (width 10):")

@@ -43,7 +43,7 @@ inst = random_instance(seed=1, d_model=d_model, d_hidden=d_hidden)
 out = custom_loss(inst["stanza_pairs"], inst["logits"], inst["next_token_ids"],
                   inst["attn"], inst["lstm"])
 print(f"\ncombined loss: ce={out.ce:.4f} + pair-distance={out.mse:.4f} "
-      f"= {out.total:.4f}")
+      f"= {out.ce + out.mse:.4f}")
 print(f"gradient vector has {out.gradients.size} entries "
       f"(3 attention matrices + 3 LSTM stacks U, W, b)")
 

@@ -164,7 +164,7 @@ def _cmd_filter(args) -> int:
     kept, stats = filter_by_score(corpus, table, args.min_score)
     write_corpus(kept, args.out)
     dropped = [{"poem_id": pid, "reason": reason} for pid, reason in stats.dropped]
-    text = json.dumps({**stats._asdict(), "dropped": dropped},
+    text = json.dumps({**stats._asdict(), "dropped_count": len(dropped), "dropped": dropped},
                       ensure_ascii=False, sort_keys=True, indent=2, allow_nan=False)
     if args.stats:
         with open(args.stats, "w", encoding="utf-8") as handle:
@@ -216,6 +216,8 @@ def _read_scores(text: str) -> list[float]:
         if not line:
             continue
         try:
+            if not line.isascii() or "_" in line:  # float() also takes "1_0", "٥٠" and "１２"
+                raise ValueError(line)
             value = float(line)
         except ValueError:
             try:

@@ -79,8 +79,9 @@ def ingest(path: str) -> Corpus:
     """Read the poems of one input: a file, a directory, or ``-`` for stdin.
 
     Each file is read by :func:`~lucbat.syllable.read_text`.  Ids are
-    "<file>:<ordinal>", or "stdin:<ordinal>".  A directory stands for its
-    ``*.txt`` files in sorted order; one with none raises :class:`EmptyInput`.
+    "<file>:<ordinal>", or "stdin:<ordinal>".  A directory stands for the
+    ``*.txt`` regular files in it, in sorted order; one with none raises
+    :class:`EmptyInput`.
     A file name that is not valid UTF-8 spells its bad bytes as ``\\xNN`` in
     the id, so every id can be written as UTF-8.  I/O errors propagate as
     OSError; bad bytes in the input raise :class:`InvalidEncoding`.
@@ -91,9 +92,10 @@ def ingest(path: str) -> Corpus:
     files = [path]
     if os.path.isdir(path):
         names = sorted(name for name in os.listdir(path) if name.endswith(".txt"))
-        if not names:
+        files = [file for file in (os.path.join(path, name) for name in names)
+                 if os.path.isfile(file)]
+        if not files:
             raise EmptyInput(f"{path}: directory has no *.txt files")
-        files = [os.path.join(path, name) for name in names]
     poems: list[Poem] = []
     for file in files:
         # Python decodes a non-UTF-8 file name with lone surrogates, which no UTF-8 output takes
@@ -149,9 +151,8 @@ def split_and_shuffle(
 
 class FilterStats(NamedTuple):
     kept_count: int
-    dropped_count: int
     mean_score_kept: Optional[float]
-    dropped: tuple[tuple[str, str], ...] = ()  # (id, reason)
+    dropped: tuple[tuple[str, str], ...]  # (id, reason)
 
 
 def filter_by_score(
@@ -178,12 +179,7 @@ def filter_by_score(
         else:
             dropped.append((poem.id, f"score {report.score:.3f} < {min_score}"))
     mean_kept = math.fsum(scores) / len(scores) if scores else None
-    stats = FilterStats(
-        kept_count=len(kept),
-        dropped_count=len(dropped),
-        mean_score_kept=mean_kept,
-        dropped=tuple(dropped),
-    )
+    stats = FilterStats(kept_count=len(kept), mean_score_kept=mean_kept, dropped=tuple(dropped))
     return Corpus(poems=tuple(kept)), stats
 
 

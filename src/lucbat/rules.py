@@ -104,7 +104,6 @@ class Template(NamedTuple):
     rhyme_pairs: tuple[tuple[Position, Position], ...]  # (member, anchor), chain by chain
     tone_slots: tuple[tuple[Position, ToneClass], ...]  # (position, expected), line by line
     rhyme_positions: int  # 3n - 1, the rhyme penalty's denominator
-    tone_positions: int  # 7n, the tone penalty's denominator
 
 
 # Bounded: the Python API scores stanzas of any length, and each template is O(n).
@@ -115,16 +114,14 @@ def template(n_pairs: int) -> Template:
     Raises :class:`InvalidPairCount` unless ``n_pairs`` is a positive int.
     """
     chains = build_rhyme_chains(n_pairs)
-    tone_slots = tuple(
-        ((line, word), expected)
-        for line in range(1, 2 * n_pairs + 1)
-        for word, expected in (SIX_LINE_TONES if line % 2 else EIGHT_LINE_TONES).items()
-    )
     return Template(
         rhyme_pairs=tuple((member, chain.anchor) for chain in chains for member in chain.members),
-        tone_slots=tone_slots,
+        tone_slots=tuple(
+            ((line, word), expected)
+            for line in range(1, 2 * n_pairs + 1)
+            for word, expected in (SIX_LINE_TONES if line % 2 else EIGHT_LINE_TONES).items()
+        ),
         rhyme_positions=sum(len(chain.positions) for chain in chains),
-        tone_positions=len(tone_slots),
     )
 
 

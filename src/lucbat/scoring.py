@@ -96,7 +96,10 @@ class Stanza(NamedTuple):
     """Validated lines of parsed syllables, alternating six and eight."""
 
     lines: tuple[tuple[Syllable, ...], ...]
-    n_pairs: int
+
+    @property
+    def n_pairs(self) -> int:
+        return len(self.lines) // 2
 
     def syllable_at(self, position: Position) -> Syllable:
         line, word = position
@@ -137,7 +140,7 @@ def segment_stanza(raw_poem: str) -> Stanza:
             parsed_lines.append(tuple(map(parse_syllable, tokens)))
         except NotASyllable as exc:
             raise UnparseableToken(lineno, exc.token, str(exc)) from exc
-    return Stanza(lines=tuple(parsed_lines), n_pairs=len(lines) // 2)
+    return Stanza(tuple(parsed_lines))
 
 
 _JSON_BOOL = ("false", "true")
@@ -180,7 +183,7 @@ def _shape(n_pairs: int) -> tuple:
         for (line, word), expected in compiled.tone_slots
     )
     return (
-        members, anchors, slots, expected, compiled.rhyme_positions, compiled.tone_positions,
+        members, anchors, slots, expected, compiled.rhyme_positions, len(compiled.tone_slots),
         rhyme, tone, f']}}, "n": {n_pairs}, "poem_id": ',
     )
 
@@ -195,7 +198,7 @@ def score_stanza(stanza: Stanza, table: RuleTable) -> ScoreReport:
         [lines[line][word].rime for line, word in members],
         [lines[line][word].rime for line, word in anchors],
     ))
-    actual_tones = tuple([lines[line][word].tone_class for line, word in slots])
+    actual_tones = tuple([lines[line][word].tone.tone_class for line, word in slots])
     wrong_rhyme = rhyme_ok.count(False)
     wrong_tone = sum(map(is_not, actual_tones, expected))
     score = 100.0 * (1.0 - wrong_rhyme / rhyme_positions - wrong_tone / tone_positions)

@@ -267,11 +267,10 @@ def ce_loss(logits, next_token_ids: Sequence[int]) -> float:
 
 
 class LossBreakdown(NamedTuple):
-    """ce + mse = total; gradients are with respect to the packed parameters."""
+    """The loss is ce + mse; gradients are with respect to the packed parameters."""
 
     ce: float
     mse: float
-    total: float
     gradients: np.ndarray
 
 
@@ -355,7 +354,7 @@ def custom_loss(
         mse += float(diff @ diff)
         gradients += _backward_pair(prev, 2.0 * diff, lstm.U, lstm.W)
         gradients += _backward_pair(nxt, -2.0 * diff, lstm.U, lstm.W)
-    return LossBreakdown(ce=ce, mse=mse, total=ce + mse, gradients=gradients)
+    return LossBreakdown(ce=ce, mse=mse, gradients=gradients)
 
 
 def random_instance(
@@ -405,8 +404,11 @@ class GradientCheckReport(NamedTuple):
     max_relative_error: float
     ce: float
     mse: float
-    passed: bool
     tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return self.max_relative_error <= self.tolerance
 
 
 def _central_differences(blocks: Sequence[np.ndarray], loss_at) -> np.ndarray:
@@ -466,6 +468,5 @@ def gradient_check(seed: int = 0, **settings) -> GradientCheckReport:
         max_relative_error=max_rel,
         ce=breakdown.ce,
         mse=breakdown.mse,
-        passed=max_rel <= _TOLERANCE,
         tolerance=_TOLERANCE,
     )

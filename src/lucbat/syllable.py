@@ -84,24 +84,26 @@ class NotASyllable(LucBatError):
         self.reason = reason
 
 
-class Tone(enum.Enum):
-    NGANG = "ngang"
-    HUYEN = "huyen"
-    SAC = "sac"
-    HOI = "hoi"
-    NGA = "nga"
-    NANG = "nang"
-
-    @property
-    def tone_class(self) -> "ToneClass":
-        if self in (Tone.NGANG, Tone.HUYEN):
-            return ToneClass.LEVEL
-        return ToneClass.OBLIQUE
-
-
 class ToneClass(enum.Enum):
     LEVEL = "level"
     OBLIQUE = "oblique"
+
+
+class Tone(enum.Enum):
+    tone_class: ToneClass  # set per member by __new__: a plain attribute reads as fast as a field
+
+    NGANG = "ngang", ToneClass.LEVEL
+    HUYEN = "huyen", ToneClass.LEVEL
+    SAC = "sac", ToneClass.OBLIQUE
+    HOI = "hoi", ToneClass.OBLIQUE
+    NGA = "nga", ToneClass.OBLIQUE
+    NANG = "nang", ToneClass.OBLIQUE
+
+    def __new__(cls, value: str, tone_class: ToneClass) -> Tone:
+        member = object.__new__(cls)
+        member._value_ = value
+        member.tone_class = tone_class
+        return member
 
 
 # Combining diacritics that carry tone.  Quality marks (circumflex U+0302,
@@ -157,18 +159,17 @@ class Syllable(NamedTuple):
     ``normalized`` is the canonical spelling: NFC-composed, lowercased, with
     the tone mark on the main vowel of the rime.  ``rime`` is stored with the
     tone stripped; rhyme comparison and tone checking are independent.
-    ``tone_class`` is a field that :func:`parse_syllable` fills from ``tone``,
-    so scoring reads a plain attribute per templated position rather than two
-    enum properties.  It must equal ``tone.tone_class``, which nothing
-    checks: build syllables with :func:`parse_syllable`, not by calling
-    ``Syllable`` directly.
     """
 
     normalized: str
     onset: str
     rime: str
     tone: Tone
-    tone_class: ToneClass
+
+    @property
+    def tone_class(self) -> ToneClass:
+        """The metrical class of ``tone``."""
+        return self.tone.tone_class
 
 
 def _nfc(text: str) -> str:
@@ -266,9 +267,7 @@ def parse_syllable(token: str) -> Syllable:
     if coda and coda not in _CODAS:
         raise NotASyllable(token, f"invalid coda {coda!r}")
     normalized = onset + mark_rime(rime, tone)
-    return Syllable(
-        normalized=normalized, onset=onset, rime=rime, tone=tone, tone_class=tone.tone_class,
-    )
+    return Syllable(normalized=normalized, onset=onset, rime=rime, tone=tone)
 
 
 def _lines(text: str) -> list[str]:

@@ -297,6 +297,22 @@ class TestReportCommand:
         assert "n=3" in out
         assert "[  90.0,  100.0]      2" in out
 
+    def test_ascii_plain_scores_read_as_floats(self, tmp_path, capsys):
+        path = write(tmp_path, "scores.txt", "12\n 1e2 \n-0.5\n")
+        assert main(["report", path, "--format", "jsonl"]) == 0
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert (summary["n"], summary["mean"]) == (3, 37.166666666666664)
+
+    @pytest.mark.parametrize("line", ["1_0", "\u0665\u0660", "\uff11\uff12"],
+                             ids=["underscore", "arabic-indic", "fullwidth"])
+    def test_plain_score_is_ascii_without_underscores(self, tmp_path, capsys, line):
+        # float() takes these spellings; no score writer writes them
+        path = write(tmp_path, "scores.txt", f"95\n{line}\n")
+        assert main(["report", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"line 2: unreadable score line: {line!r}" in captured.err
+
     def test_jsonl_scores_from_score_command(self, tmp_path, capsys):
         poems = write(tmp_path, "poems.txt", KIEU + "\n")
         assert main(["score", poems, "--format", "jsonl"]) == 0
@@ -649,6 +665,7 @@ def test_file_name_that_is_not_utf8_gives_utf8_poem_ids(tmp_path):
 )
 def test_directory_without_txt_files_exits_one(tmp_path, capsys, argv):
     (tmp_path / "notes.md").write_text("not a poem", encoding="utf-8")
+    (tmp_path / "sub.txt").mkdir()  # a directory is no *.txt file, whatever its name
     assert main([arg.format(d=tmp_path) for arg in argv]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -753,8 +770,8 @@ SHARED_NAME_READERS = {
     "semloss.LossBreakdown.mse": "src/lucbat/semloss.py",  # breakdown.mse in gradient_check
     "semloss.LstmParams.random": "src/lucbat/semloss.py",  # random_instance
     "syllable.NotASyllable.token": "src/lucbat/scoring.py",  # exc.token in segment_stanza
-    "syllable.Syllable.tone_class": "src/lucbat/scoring.py",  # score_stanza
-    "syllable.Tone.tone_class": "src/lucbat/syllable.py",  # tone.tone_class in parse_syllable
+    "syllable.Syllable.tone_class": "perfbench/derive.py",  # syl.tone_class in vocab_rows
+    "syllable.Tone.tone_class": "src/lucbat/scoring.py",  # syllable.tone.tone_class in score_stanza
 }
 
 
@@ -1138,19 +1155,24 @@ class TestStartUp:
 # Field order of each public record.  A named tuple unpacks and compares in this order,
 # so a reordered field would change callers' results without an error.
 _RECORD_FIELDS = {
-    "Syllable": ("normalized", "onset", "rime", "tone", "tone_class"),
+    "Syllable": ("normalized", "onset", "rime", "tone"),
     "RhymeChain": ("positions",),
-    "Template": ("rhyme_pairs", "tone_slots", "rhyme_positions", "tone_positions"),
-    "Stanza": ("lines", "n_pairs"),
+    "Template": ("rhyme_pairs", "tone_slots", "rhyme_positions"),
+    "Stanza": ("lines",),
     "ScoreReport": ("wrong_rhyme", "wrong_tone", "score", "rhyme_ok", "actual_tones", "stanza"),
     "Histogram": ("bins", "below", "above"),
     "Poem": ("id", "text"),
-    "FilterStats": ("kept_count", "dropped_count", "mean_score_kept", "dropped"),
+    "FilterStats": ("kept_count", "mean_score_kept", "dropped"),
     "PoemNovelty": ("poem_id", "copied_verses", "total_verses"),
     "CreativityReport": ("per_poem", "score"),
-    "LossBreakdown": ("ce", "mse", "total", "gradients"),
-    "GradientCheckReport": ("n_parameters", "max_relative_error", "ce", "mse", "passed",
-                            "tolerance"),
+    "LossBreakdown": ("ce", "mse", "gradients"),
+    "GradientCheckReport": ("n_parameters", "max_relative_error", "ce", "mse", "tolerance"),
+}
+# values each record derives from its fields, so that no two fields can disagree
+_RECORD_PROPERTIES = {
+    "Syllable": "tone_class",  # tone.tone_class
+    "Stanza": "n_pairs",  # len(lines) // 2
+    "GradientCheckReport": "passed",  # max_relative_error <= tolerance
 }
 
 
@@ -1165,6 +1187,13 @@ def test_records_are_immutable_named_tuples(name, fields):
     for field in fields:
         with pytest.raises(AttributeError):
             setattr(record, field, None)
+
+
+@pytest.mark.parametrize("name, member", _RECORD_PROPERTIES.items(), ids=_RECORD_PROPERTIES)
+def test_derived_values_are_properties_not_fields(name, member):
+    record_type = getattr(lucbat, name)
+    assert isinstance(getattr(record_type, member), property)
+    assert member not in record_type._fields
 
 
 _VOWELS = "aăâeêioôơuưy"

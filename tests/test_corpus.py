@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lucbat import (
     Corpus,
-    FilterStats,
+    EmptyInput,
     InvalidEncoding,
     Poem,
     build_verse_index,
@@ -31,10 +31,6 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
-
-
-def test_filter_stats_default_to_no_dropped_entries():
-    assert FilterStats(1, 0, None).dropped == ()
 
 
 class TestIngest:
@@ -75,6 +71,14 @@ class TestIngest:
         (tmp_path / "notes.md").write_text("bỏ qua", encoding="utf-8")
         corpus = ingest(str(tmp_path))
         assert [p.text for p in corpus.poems] == ["thơ một", "thơ hai"]
+
+    def test_directory_skips_a_subdirectory_named_like_a_text_file(self, tmp_path):
+        (tmp_path / "sub.txt").mkdir()
+        with pytest.raises(EmptyInput, match="directory has no \\*.txt files"):
+            ingest(str(tmp_path))
+        write(tmp_path, "a.txt", "thơ một\n")
+        corpus = ingest(str(tmp_path))
+        assert [p.id for p in corpus.poems] == [f"{tmp_path / 'a.txt'}:0"]
 
 
 # Separators that end a line for str.splitlines, but for lucbat are whitespace inside one:
@@ -210,7 +214,7 @@ class TestFilterByScore:
         corpus = corpus_from_text(KIEU + "\n\n" + perturb_quatrain(KIEU, rhyme_breaks=[(2, 6)]))
         kept, stats = filter_by_score(corpus, table, min_score=0.0)
         assert stats.kept_count == 2
-        assert stats.dropped_count == 0
+        assert stats.dropped == ()
 
     def test_threshold_above_maximum_keeps_nothing(self, table):
         corpus = corpus_from_text(KIEU)
@@ -224,7 +228,7 @@ class TestFilterByScore:
         corpus = corpus_from_text(KIEU + "\n\n" + eighty)
         kept, stats = filter_by_score(corpus, table, min_score=90.0)
         assert stats.kept_count == 1
-        assert stats.dropped_count == 1
+        assert len(stats.dropped) == 1
         assert stats.mean_score_kept == pytest.approx(100.0)
         assert kept.poems[0].text == KIEU
 
@@ -239,7 +243,7 @@ class TestFilterByScore:
         corpus = corpus_from_text("chỉ còn lại ba chữ\n")
         kept, stats = filter_by_score(corpus, table, min_score=0.0)
         assert stats.kept_count == 0
-        assert stats.dropped_count == 1
+        assert len(stats.dropped) == 1
         assert stats.dropped[0][0].endswith(":0")
 
     def test_filter_composition(self, table):

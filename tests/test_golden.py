@@ -191,6 +191,7 @@ NEVER_ENTERED = {
     "rules.RuleTable.group_of",  # perfbench/derive.py
     "rules.rhymes_with",  # perfbench/layers.py; ROADMAP item 12b
     "scoring.Stanza.syllable_at",  # perfbench/layers.py; ROADMAP item 12b
+    "syllable.Syllable.tone_class",  # perfbench/derive.py; the package reads tone.tone_class
 }
 
 

@@ -91,7 +91,7 @@ class TestToneTemplate:
     def test_checked_positions_per_pair(self):
         for n in range(1, 21):
             compiled = template(n)
-            assert len(compiled.tone_slots) == compiled.tone_positions == 7 * n
+            assert len(compiled.tone_slots) == 7 * n
             assert compiled.rhyme_positions == 3 * n - 1
             chains = build_rhyme_chains(n)
             assert compiled.rhyme_pairs == tuple(

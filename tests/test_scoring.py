@@ -32,7 +32,7 @@ from lucbat import (
     template,
 )
 from lucbat.corpus import Poem
-from lucbat.scoring import score_blocks
+from lucbat.scoring import _shape, score_blocks
 from lucbat.syllable import _PUNCTUATION, mark_rime
 from helpers import (
     QUATRAIN_RHYME_MEMBERS,
@@ -50,6 +50,11 @@ class TestSegmentation:
         stanza = segment_stanza(kieu)
         assert stanza.n_pairs == 2
         assert [len(line) for line in stanza.lines] == [6, 8, 6, 8]
+
+    def test_pair_count_is_derived_from_the_lines(self, kieu):
+        lines = segment_stanza(kieu).lines
+        assert [Stanza(lines[: 2 * n]).n_pairs for n in (0, 1, 2)] == [0, 1, 2]
+        assert Stanza(lines + lines[:2]).n_pairs == 3
 
     def test_punctuation_and_case_ignored(self, kieu):
         noisy = kieu.replace("ta", "TA!").replace("dâu", "dâu...")
@@ -426,7 +431,7 @@ def reference_segment_stanza(raw_poem):
             except NotASyllable as exc:
                 raise UnparseableToken(lineno, token, str(exc)) from exc
         parsed_lines.append(tuple(parsed))
-    return Stanza(lines=tuple(parsed_lines), n_pairs=len(lines) // 2)
+    return Stanza(tuple(parsed_lines))
 
 
 def reference_score_stanza(stanza, table):
@@ -446,7 +451,7 @@ def reference_score_stanza(stanza, table):
         for (_, expected), actual in zip(compiled.tone_slots, actual_tones)
     )
     score = 100.0 * (
-        1.0 - wrong_rhyme / compiled.rhyme_positions - wrong_tone / compiled.tone_positions
+        1.0 - wrong_rhyme / compiled.rhyme_positions - wrong_tone / len(compiled.tone_slots)
     )
     return wrong_rhyme, wrong_tone, score, rhyme_ok, actual_tones
 
@@ -541,7 +546,7 @@ def vocabulary_stanzas(draw):
         tuple(words[line, word] for word in range(1, (8 if line % 2 == 0 else 6) + 1))
         for line in range(1, 2 * n + 1)
     )
-    return Stanza(lines=lines, n_pairs=n)
+    return Stanza(lines)
 
 
 class TestSegmentAndScoreEquivalence:
@@ -568,17 +573,21 @@ class TestSegmentAndScoreEquivalence:
         line, keep = cut
         lines = list(segment_stanza(kieu).lines)
         lines[line - 1] = lines[line - 1][:keep]
-        stanza = Stanza(lines=tuple(lines), n_pairs=2)
+        stanza = Stanza(tuple(lines))
         assert _outcome(score_stanza, stanza, table) == _outcome(
             reference_score_stanza, stanza, table)
         assert _outcome(score_stanza, stanza, table)[0] is IndexError
 
     @pytest.mark.parametrize("n_pairs", [True, 1.0, 2.0, 0, -1])
     def test_bad_pair_count_fails_as_before(self, kieu, table, n_pairs):
+        # a Stanza's pair count is len(lines) // 2, so a stanza of no lines is the only one
+        # with a bad count; the compiled caches that score_stanza reads still take any n
         lines = segment_stanza(kieu).lines
         for n in (1, 2):  # fill the per-n caches first: True must not hit 1's entry
-            score_stanza(Stanza(lines=lines[: 2 * n], n_pairs=n), table)
-        stanza = Stanza(lines=lines, n_pairs=n_pairs)
+            score_stanza(Stanza(lines[: 2 * n]), table)
+        for compiled in (template, _shape):
+            assert _outcome(compiled, n_pairs)[0] is InvalidPairCount
+        stanza = Stanza(())
         assert _outcome(score_stanza, stanza, table) == _outcome(
             reference_score_stanza, stanza, table)
         assert _outcome(score_stanza, stanza, table)[0] is InvalidPairCount

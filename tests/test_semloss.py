@@ -359,7 +359,6 @@ class TestCustomLoss:
         ids = [int(rng.integers(1, 8)) for _ in range(5)]
         out = custom_loss([[pair, pair.copy()]], logits, ids, attn, lstm)
         assert out.mse == 0.0
-        assert out.total == out.ce
         assert out.ce == pytest.approx(ce_loss(logits, ids))
 
     def test_forced_unit_distance(self):
@@ -377,7 +376,6 @@ class TestCustomLoss:
         logits = np.zeros((2, 3))
         out = custom_loss([[pair_prev, pair_next]], logits, [2], attn, lstm)
         assert out.mse == 2.0
-        assert out.total == out.ce + 2.0
 
     def test_total_is_sum_of_terms(self):
         inst = random_instance(5)
@@ -387,7 +385,12 @@ class TestCustomLoss:
         )
         assert out.ce >= 0.0
         assert out.mse >= 0.0
-        assert out.total == out.ce + out.mse
+        # each term is what its own function gives: the block's ce and the pair distances
+        assert out.ce == ce_loss(inst["logits"], inst["next_token_ids"])
+        distances = [contextual_vector(prev, inst["attn"], inst["lstm"])
+                     - contextual_vector(nxt, inst["attn"], inst["lstm"])
+                     for prev, nxt in inst["stanza_pairs"]]
+        assert out.mse == pytest.approx(sum(float(d @ d) for d in distances), rel=1e-12)
 
     def test_missing_pair(self):
         inst = random_instance(0)
@@ -434,6 +437,13 @@ class TestGradientCheck:
         report = gradient_check(seed=seed)
         assert report.passed, f"max rel err {report.max_relative_error}"
         assert report.max_relative_error <= 1e-4
+
+    def test_passed_is_derived_from_the_error_and_the_tolerance(self):
+        report = gradient_check(seed=0)
+        assert report.passed
+        assert not report._replace(max_relative_error=2 * report.tolerance).passed
+        assert report._replace(max_relative_error=report.tolerance).passed
+        assert not report._replace(max_relative_error=math.nan).passed
 
     @pytest.mark.parametrize("seed, d, h", [(0, 4, 3), (3, 2, 5), (8, 8, 8)])
     def test_packed_layout_and_random_stream(self, seed, d, h):

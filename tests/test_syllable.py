@@ -93,8 +93,17 @@ def test_tone_class_partition():
 def test_tone_class_field_is_filled_from_the_tone():
     tokens = ["ta", "tà", "tá", "tả", "tã", "tạ"]
     assert {parse_syllable(token).tone for token in tokens} == set(Tone)
-    for token in tokens:
+    for token in tokens + SYLLABLES:
         assert parse_syllable(token).tone_class is parse_syllable(token).tone.tone_class
+
+
+def test_tone_is_found_by_its_value_and_defines_no_property():
+    # each member holds its class as a plain attribute; the value is the tone's name alone
+    assert [t.value for t in Tone] == ["ngang", "huyen", "sac", "hoi", "nga", "nang"]
+    for t in Tone:
+        assert Tone(t.value) is t
+        assert "tone_class" in vars(t)
+    assert not [name for name, member in vars(Tone).items() if isinstance(member, property)]
 
 
 @pytest.mark.parametrize("token", ["xyz123", "bcd", "123", "fở", "wa", "ngстранный"])
@@ -407,10 +416,7 @@ def _reference_parse_syllable(token):
     _, coda = _split_rime(rime)
     if coda and coda not in _CODAS:
         raise NotASyllable(token, f"invalid coda {coda!r}")
-    return Syllable(
-        normalized=onset + mark_rime(rime, tone), onset=onset, rime=rime, tone=tone,
-        tone_class=tone.tone_class,
-    )
+    return Syllable(normalized=onset + mark_rime(rime, tone), onset=onset, rime=rime, tone=tone)
 
 
 def _outcome(parse, token):
