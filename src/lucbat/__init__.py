@@ -23,9 +23,9 @@ _TEXT_MODULES = ("syllable", "rules", "scoring", "corpus", "creativity")
 # semloss's __all__: semloss imports this tuple as its own, and it lives here so that the
 # package's __all__ and a lookup of a name no module exports never import numpy
 _SEMLOSS_NAMES = (
-    "AttentionParams", "BadCheckSetting", "GradientCheckReport", "IdOutOfRange",
-    "LossBreakdown", "LstmParams", "ShapeMismatch", "attention_weights", "ce_loss",
-    "contextual_vector", "custom_loss", "gradient_check", "random_instance",
+    "AttentionParams", "GradientCheckReport", "IdOutOfRange", "LossBreakdown",
+    "LstmParams", "ShapeMismatch", "attention_weights", "ce_loss", "contextual_vector",
+    "custom_loss", "gradient_check", "random_instance",
 )
 
 

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .rules import RuleTable, default_rule_table, load_rule_table
-from .syllable import EmptyInput, LucBatError, _lines, read_text
+from .syllable import BadCheckSetting, EmptyInput, LucBatError, _lines, read_text
 
 if TYPE_CHECKING:
     from .creativity import PoemNovelty
@@ -299,7 +299,7 @@ def _cmd_losscheck(args) -> int:
         value = getattr(args, name)
         if value < least or (most is not None and value > most):
             bound = f">= {least}" if value < least else f"<= {most}"
-            raise LucBatError(f"--{flag} must be {bound}")
+            raise BadCheckSetting(f"--{flag} must be {bound}")
     try:
         from .semloss import gradient_check  # numpy loads only for this command
     except ImportError as exc:

@@ -11,12 +11,14 @@ import math
 import os
 import unicodedata
 from itertools import chain, islice
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .rules import RuleTable
 # lucbat.scoring is imported where it is used, so that creativity, which scores nothing,
 # starts without it
-from .syllable import EmptyInput, LucBatError, _lines, normalize_verse, normalize_verses, read_text
+from .syllable import (
+    EmptyInput, LucBatError, _lines, _verses, normalize_verse, normalize_verses, read_text,
+)
 
 __all__ = [
     "Poem",
@@ -38,7 +40,7 @@ class Poem(NamedTuple):
     text: str
 
     def lines(self) -> list[str]:
-        return [line.strip() for line in _lines(self.text) if line.strip()]
+        return _verses(self.text)
 
 
 class Corpus:
@@ -223,21 +225,16 @@ class VerseIndex:
     def __contains__(self, verse: str) -> bool:
         return normalize_verse(verse) in self._verses
 
-    def copied_counts(self, poems: Sequence[list[str]]) -> list[int]:
-        """For each poem, given as its :meth:`Poem.lines`, how many of its lines are in the index.
+    def copied_counts(self, poems: Iterable[Poem]) -> list[tuple[int, int]]:
+        """``(copied, total)`` for each poem: how many of its :meth:`Poem.lines` are in the index.
 
-        The lines are joined into one text, so none may be blank, and one that
-        holds a line break raises ``ValueError``.  A line that normalizes to
-        ``""`` is never in the index.
+        No line holds a line break, so the lines of every poem are joined into one text and
+        normalized at once.  A line that normalizes to ``""`` is never in the index.
         """
-        text = "\n".join(chain.from_iterable(poems))
-        # a clean join of n lines holds n - 1 line breaks; a break inside a line would shift
-        # every later poem's lines
-        if "\r" in text or text.count("\n") > max(sum(map(len, poems)) - 1, 0):
-            raise ValueError("a line holds a line break")
-        verses = normalize_verses(text)
-        hits = map(self._verses.__contains__, verses)
-        return [sum(islice(hits, len(lines))) for lines in poems]
+        verses = [poem.lines() for poem in poems]
+        normalized = normalize_verses("\n".join(chain.from_iterable(verses)))
+        hits = map(self._verses.__contains__, normalized)
+        return [(sum(islice(hits, len(lines))), len(lines)) for lines in verses]
 
 
 def build_verse_index(corpus: Corpus) -> VerseIndex:

@@ -41,20 +41,16 @@ def creativity_score(generated: Corpus, index: VerseIndex) -> CreativityReport:
 
     Repeated verses count once per occurrence: the ratio is over verse
     slots, not distinct verses.  Poems are counted a batch at a time, with
-    one :meth:`VerseIndex.copied_counts` call per batch of their lines.
+    one :meth:`VerseIndex.copied_counts` call per batch.
     """
     if not generated.poems:
         raise EmptyInput("generated corpus is empty")
     per_poem = []
     for batch in _batches(generated.poems):
-        verses = [poem.lines() for poem in batch]
-        for poem, lines in zip(batch, verses):
-            if not lines:
+        for poem, (copied, total) in zip(batch, index.copied_counts(batch)):
+            if not total:
                 raise EmptyInput(f"poem {poem.id!r} has no verses")
-        per_poem.extend(
-            PoemNovelty(poem_id=poem.id, copied_verses=copied, total_verses=len(lines))
-            for poem, copied, lines in zip(batch, index.copied_counts(verses), verses)
-        )
+            per_poem.append(PoemNovelty(poem_id=poem.id, copied_verses=copied, total_verses=total))
     # fsum: correctly rounded, so the score does not depend on the Python version
     score = math.fsum(1.0 - novelty.copied_ratio for novelty in per_poem) / len(per_poem)
     return CreativityReport(per_poem=tuple(per_poem), score=score)

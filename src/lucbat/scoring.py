@@ -45,7 +45,7 @@ from .syllable import (
     NotASyllable,
     Syllable,
     ToneClass,
-    _lines,
+    _verses,
     normalize_verses,
     parse_syllable,
 )
@@ -214,7 +214,7 @@ def score_stanza(stanza: Stanza, table: RuleTable) -> ScoreReport:
 
 def split_quatrains(raw_poem: str) -> list[str]:
     """Split a poem into consecutive 4-line stanzas (lines stripped, blanks ignored)."""
-    lines = [line.strip() for line in _lines(raw_poem) if line.strip()]
+    lines = _verses(raw_poem)
     if not lines or len(lines) % 4 != 0:
         raise OddLineCount(f"quatrain split needs a multiple of 4 lines, got {len(lines)}")
     return ["\n".join(lines[i : i + 4]) for i in range(0, len(lines), 4)]

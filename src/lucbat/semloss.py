@@ -51,7 +51,7 @@ try:
 except ImportError as exc:
     raise ImportError("semloss needs numpy: pip install 'lucbat[loss]'", name="numpy") from exc
 
-from .syllable import LucBatError
+from .syllable import BadCheckSetting, LucBatError
 
 from . import _SEMLOSS_NAMES as __all__
 
@@ -64,11 +64,6 @@ class ShapeMismatch(LucBatError):
 
 class IdOutOfRange(LucBatError):
     """Token id outside 1..V."""
-
-
-class BadCheckSetting(LucBatError):
-    """A gradient-check setting out of range: a seed that is not a non-negative int,
-    or a dimension or count that is not an int of at least 1."""
 
 
 # Parameters k per batched finite-difference pass (2k perturbed copies of one block).

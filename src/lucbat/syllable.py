@@ -36,6 +36,7 @@ __all__ = [
     "NotASyllable",
     "InvalidEncoding",
     "EmptyInput",
+    "BadCheckSetting",
     "parse_syllable",
     "normalize_verse",
     "normalize_verses",
@@ -52,6 +53,11 @@ class InvalidEncoding(LucBatError):
 
 class EmptyInput(LucBatError):
     """An input with nothing to work on: no files, no poems, no verses or no scores."""
+
+
+class BadCheckSetting(LucBatError):
+    """A gradient-check setting out of range: a seed that is not a non-negative int, a dimension
+    or count that is not an int of at least 1, or a ``losscheck`` flag past its cap."""
 
 
 def read_text(path: str) -> str:
@@ -277,6 +283,11 @@ def _lines(text: str) -> list[str]:
     """
     lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
     return lines if lines[-1] else lines[:-1]
+
+
+def _verses(text: str) -> list[str]:
+    """The stripped, non-blank lines of ``text``: a poem's verses."""
+    return [v for line in _lines(text) if (v := line.strip())]
 
 
 def normalize_verse(line: str) -> str:

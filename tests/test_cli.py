@@ -494,6 +494,33 @@ class TestLosscheckCommand:
     def test_bad_dimension_rejected(self, capsys):
         assert main(["losscheck", "--dmodel", "0"]) == 1
 
+    def test_each_flag_out_of_bounds_raises_bad_check_setting_without_semloss(self):
+        # one value past each end of every flag's bounds, in a fresh interpreter: the check
+        # runs before the loss head, and numpy with it, would load
+        violations = [(flag, value, f"--{flag} must be {bound}")
+                      for flag, (_, least, most) in LOSSCHECK_BOUNDS.items()
+                      for value, bound in ((least - 1, f">= {least}"),
+                                           (most and most + 1, f"<= {most}"))
+                      if value is not None]
+        src = Path(lucbat.__file__).resolve().parent.parent
+        probe = "\n".join([
+            f"import sys; sys.path.insert(0, {str(src)!r})",
+            "from lucbat.cli import _cmd_losscheck, build_parser",
+            "from lucbat.syllable import BadCheckSetting",
+            f"for flag, value, _ in {violations!r}:",
+            "    args = build_parser().parse_args(['losscheck', f'--{flag}', str(value)])",
+            "    try:",
+            "        _cmd_losscheck(args)",
+            "    except BadCheckSetting as exc:",
+            "        print(type(exc).__name__, exc)",
+            "print(sorted({'lucbat.semloss', 'numpy'} & set(sys.modules)))",
+        ])
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.splitlines() == [
+            *(f"BadCheckSetting {message}" for _, _, message in violations), "[]"]
+        assert len(violations) == 11
+
 
 def test_commands_in_one_process_print_what_each_prints_alone(tmp_path, monkeypatch):
     # main reuses one parser; a call must not see what an earlier call parsed or printed
@@ -752,14 +779,14 @@ ERROR_CLASSES = {
     "rules.InvalidPairCount": "a pair count that is not a positive int",
     "semloss.ShapeMismatch": "a loss-head argument of the wrong shape",
     "semloss.IdOutOfRange": "a token id outside 1..V",
-    "semloss.BadCheckSetting": "a gradient-check setting out of range",
+    "syllable.BadCheckSetting": "a gradient-check setting or a losscheck flag out of range",
 }
 
 # Every public member outside NEVER_READ whose name another public class also declares, so
 # that a read of `x.name` does not show whose member it is, and a file that reads it as this
 # class's member
 SHARED_NAME_READERS = {
-    "corpus.Poem.lines": "src/lucbat/creativity.py",  # poem.lines() in creativity_score
+    "corpus.Poem.lines": "src/lucbat/corpus.py",  # poem.lines() in VerseIndex.copied_counts
     "creativity.CreativityReport.score": "src/lucbat/cli.py",  # _cmd_creativity
     "scoring.ScoreReport.score": "src/lucbat/corpus.py",  # filter_by_score
     "scoring.Stanza.lines": "src/lucbat/scoring.py",  # score_stanza

@@ -205,9 +205,9 @@ def test_batch_edges_match_the_per_verse_reference():
     expected = {normalize_verse(line) for poem in training.poems for line in _lines(poem.text)}
     assert index._verses == expected - {""}
     assert {"trăm năm trong cõi người ta", "chữ tài chữ mệnh khéo là ghét nhau"} <= index._verses
-    lines = [poem.lines() for poem in generated.poems]
-    assert index.copied_counts(lines) == [
-        sum(normalize_verse(line) in expected - {""} for line in verses) for verses in lines]
+    assert index.copied_counts(generated.poems) == [
+        (sum(normalize_verse(line) in expected - {""} for line in verses), len(verses))
+        for verses in (poem.lines() for poem in generated.poems)]
 
 
 def test_first_empty_poem_is_raised_from_a_later_batch(index):
@@ -222,24 +222,24 @@ def test_first_empty_poem_is_raised_from_a_later_batch(index):
 
 def test_count_copied_skips_blank_and_punctuation_only_lines(index):
     text = "Trăm năm trong cõi người ta!\n\n   \n…\r\nTRĂM NĂM TRONG CÕI NGƯỜI TA\nmới"
-    assert index.copied_counts([Poem("x", text).lines()]) == [2]
+    assert index.copied_counts([Poem("x", text)]) == [(2, 4)]
 
 
-@pytest.mark.parametrize("poems", [
-    [["a b\nx"], ["y"]],
-    [["a b"], ["y\r"]],
-    [["a b\r\n"]],
-    [["a b"], [], ["\n"]],
-], ids=["newline", "carriage-return", "crlf", "empty-poem-then-newline"])
-def test_count_copied_rejects_a_line_with_a_line_break(poems):
-    # the break would shift every later poem's lines: ["a b\nx"], ["y"] counted [1, 0]
-    with pytest.raises(ValueError, match="line break"):
-        VerseIndex(["a b"]).copied_counts(poems)
+def test_count_copied_splits_poems_at_the_line_breaks_their_lines_do():
+    # \r\n and a bare \r end a line and U+2028 stays inside one, as in Poem.lines(), so the
+    # join of every poem's lines gives each poem its own verses
+    index = VerseIndex(["a b"])
+    poems = [Poem("crlf", "a b\r\nx\r\n"), Poem("cr", "y\ra b\r\ra b"),
+             Poem("ls", "a b\u2028x\na b\u2028"), Poem("mixed", "a b\r\n\u2028\ra b\u2028a b")]
+    reference = [(sum(verse in index for verse in poem.lines()), len(poem.lines()))
+                 for poem in poems]
+    assert index.copied_counts(poems) == reference == [(1, 2), (2, 3), (1, 2), (1, 2)]
 
 
 def test_count_copied_takes_poems_with_no_lines():
     assert VerseIndex(["a b"]).copied_counts([]) == []
-    assert VerseIndex(["a b"]).copied_counts([[], ["a b"], []]) == [0, 1, 0]
+    poems = [Poem("x", ""), Poem("y", "a b"), Poem("z", " \n\t\u2028")]
+    assert VerseIndex(["a b"]).copied_counts(poems) == [(0, 0), (1, 1), (0, 0)]
 
 
 def test_a_verse_with_a_line_break_stays_one_verse():

@@ -94,6 +94,9 @@ CASES = {
     "report-empty": ["report", "empty.txt"],
     "losscheck-dmodel-over-cap": ["losscheck", "--dmodel", "17"],
 }
+# every case but the losscheck runs that pass the caps and so load the loss head
+NO_NUMPY_CASES = [case for case in CASES
+                  if CASES[case][0] != "losscheck" or case == "losscheck-dmodel-over-cap"]
 
 
 # {name in the work directory: its source under GOLDEN}; ``report`` reads the
@@ -108,11 +111,13 @@ INPUTS = {
 }
 
 
-def run_case(argv, workdir, stdin=None, files=None):
+def run_case(argv, workdir, stdin=None, files=None, python=None):
     """``{name: bytes}`` of the status, stdout, stderr and files a run in ``workdir`` gives.
 
     The run reads the ``INPUTS``, with ``files`` (``{name: bytes}``) in place of some of
-    them, and ``stdin`` (bytes), ``poems.txt`` by default, as standard input.
+    them, and ``stdin`` (bytes), ``poems.txt`` by default, as standard input.  It calls
+    ``main`` in this process, or with ``python`` (a path) runs ``python -m lucbat`` with
+    ``PYTHONPATH`` naming this checkout's ``src``.
     """
     for name, source in INPUTS.items():
         shutil.copy(GOLDEN / source, workdir / name)
@@ -120,22 +125,25 @@ def run_case(argv, workdir, stdin=None, files=None):
         (workdir / name).write_bytes(data)
     if stdin is None:
         stdin = (GOLDEN / "poems.txt").read_bytes()
-    stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
-    stdout, stderr = io.StringIO(), io.StringIO()
-    cwd, saved_stdin = os.getcwd(), sys.stdin
-    os.chdir(workdir)
-    sys.stdin = stdin
-    try:
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-            status = main(argv)
-    finally:
-        sys.stdin = saved_stdin
-        os.chdir(cwd)
-    outputs = {
-        "status": f"{status}\n".encode(),
-        "stdout": stdout.getvalue().encode("utf-8"),
-        "stderr": stderr.getvalue().encode("utf-8"),
-    }
+    if python:
+        src = Path(lucbat.__file__).resolve().parent.parent
+        child = subprocess.run([python, "-m", "lucbat", *argv], cwd=workdir, input=stdin,
+                               capture_output=True, env={**os.environ, "PYTHONPATH": str(src)})
+        status, stdout, stderr = child.returncode, child.stdout, child.stderr
+    else:
+        stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        cwd, saved_stdin = os.getcwd(), sys.stdin
+        os.chdir(workdir)
+        sys.stdin = stdin
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                status = main(argv)
+        finally:
+            sys.stdin = saved_stdin
+            os.chdir(cwd)
+        stdout, stderr = out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
+    outputs = {"status": f"{status}\n".encode(), "stdout": stdout, "stderr": stderr}
     for path in sorted(workdir.iterdir()):
         if path.name not in INPUTS:
             outputs[path.name] = path.read_bytes()
@@ -202,13 +210,12 @@ def test_output_is_byte_identical_to_the_golden_files(case, tmp_path):
 
 def test_text_cases_without_numpy_are_byte_identical_to_the_golden_files(tmp_path):
     # only losscheck needs numpy, which comes with the optional `loss` extra
-    text_cases = [case for case in CASES if CASES[case][0] != "losscheck"]
     src = Path(lucbat.__file__).resolve().parent.parent
     probe = "\n".join([
         NO_NUMPY,
         f"sys.path[:0] = [{str(src)!r}, {str(Path(__file__).parent)!r}]",
         "import pathlib, test_golden",
-        f"for case in {text_cases!r}:",
+        f"for case in {NO_NUMPY_CASES!r}:",
         f"    workdir = pathlib.Path({str(tmp_path)!r}) / case",
         "    workdir.mkdir()",
         "    if test_golden.run_case(test_golden.CASES[case], workdir) "
@@ -218,7 +225,43 @@ def test_text_cases_without_numpy_are_byte_identical_to_the_golden_files(tmp_pat
     ])
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
-    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(text_cases)
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(NO_NUMPY_CASES)
+
+
+# The CPython versions that requires-python admits.  The interpreter running the tests checks
+# the golden files in process; each other one runs NO_NUMPY_CASES as children.
+PYTHONS = ("3.10", "3.11", "3.12", "3.13")
+PYENV_ROOT = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+
+
+def find_python(version):
+    """The path of an installed CPython ``version`` ("3.X") interpreter, or None.
+
+    pyenv's installs come first, then ``python3.X`` on ``PATH``; pyenv's shims are passed
+    over, because a shim may refuse a version that is not selected.
+    """
+    installs = sorted(PYENV_ROOT.glob(f"versions/{version}.*/bin/python"))
+    if installs:
+        return str(installs[-1])
+    for folder in os.environ.get("PATH", "").split(os.pathsep):
+        path = Path(folder, f"python{version}")
+        if folder and Path(folder) != PYENV_ROOT / "shims" and os.access(path, os.X_OK):
+            return str(path)
+    return None
+
+
+@pytest.mark.parametrize("version", [version for version in PYTHONS
+                                     if version != "%d.%d" % sys.version_info[:2]])
+def test_cases_without_numpy_are_byte_identical_under_every_other_python(version, tmp_path):
+    python = find_python(version)
+    if python is None:
+        pytest.skip(f"no CPython {version} under {PYENV_ROOT}/versions or on PATH")
+    differ = []
+    for case in NO_NUMPY_CASES:
+        (tmp_path / case).mkdir()
+        if run_case(CASES[case], tmp_path / case, python=python) != expected_outputs(case):
+            differ.append(case)
+    assert (len(NO_NUMPY_CASES), differ) == (18, [])
 
 
 def test_only_the_listed_functions_have_no_caller_in_a_golden_case_or_a_demo(tmp_path):
