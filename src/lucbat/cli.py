@@ -28,7 +28,8 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import __version__
 from .rules import RuleTable, default_rule_table, load_rule_table
-from .syllable import BadCheckSetting, EmptyInput, LucBatError, _lines, read_text
+from .syllable import (BadCheckSetting, BadScore, EmptyInput, LucBatError, MissingDependency,
+                       _lines, read_text)
 
 if TYPE_CHECKING:
     from .creativity import PoemNovelty
@@ -37,17 +38,17 @@ USAGE_ERROR = 1
 INTERNAL_ERROR = 2
 # what a shell reports for a process that SIGPIPE ended, as for `lucbat score … | head -1`
 BROKEN_PIPE = 128 + 13
-# losscheck flag: (argparse dest, least, most).  The check runs one batched forward pass
-# per chunk of semloss._FD_CHUNK parameters over stanzas * 2 pairs of up to len steps, and
-# P grows with dmodel * dhidden; at the caps (P=2880, 4 stanzas) the command takes
-# 1.5-1.9 s on 2 vCPUs.  vocab only sizes the synthetic logits.
+# losscheck flag: (gradient_check setting and argparse dest, least, most).  The check runs
+# one batched forward pass per chunk of semloss._FD_CHUNK parameters over stanzas * 2 pairs
+# of up to len steps, and P grows with dmodel * dhidden; at the caps (P=2880, 4 stanzas) the
+# command takes 1.5-1.9 s on 2 vCPUs.  vocab only sizes the synthetic logits.
 LOSSCHECK_BOUNDS = {
     "seed": ("seed", 0, None),
-    "dmodel": ("dmodel", 1, 16),
-    "dhidden": ("dhidden", 1, 16),
+    "dmodel": ("d_model", 1, 16),
+    "dhidden": ("d_hidden", 1, 16),
     "vocab": ("vocab", 1, 1000),
     "len": ("max_len", 1, 32),
-    "stanzas": ("stanzas", 1, 4),
+    "stanzas": ("n_stanzas", 1, 4),
 }
 # the argparse dests of every input a command reads with syllable.read_text
 INPUT_DESTS = ("input", "rules", "generated", "corpus")
@@ -113,12 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_loss = sub.add_parser("losscheck", help="gradient-check the loss head")
     p_loss.add_argument("--seed", type=int, default=0)
-    p_loss.add_argument("--dmodel", type=int, default=4)
-    p_loss.add_argument("--dhidden", type=int, default=3)
+    p_loss.add_argument("--dmodel", type=int, default=4, dest="d_model", metavar="DMODEL")
+    p_loss.add_argument("--dhidden", type=int, default=3, dest="d_hidden", metavar="DHIDDEN")
     p_loss.add_argument("--vocab", type=int, default=7)
     p_loss.add_argument("--len", type=int, default=6, dest="max_len",
                         help="max tokens per verse pair")
-    p_loss.add_argument("--stanzas", type=int, default=2)
+    p_loss.add_argument("--stanzas", type=int, default=2, dest="n_stanzas", metavar="STANZAS")
     return parser
 
 
@@ -225,16 +226,16 @@ def _read_scores(text: str) -> list[float]:
             except (ValueError, RecursionError):  # deep nesting exhausts the JSON decoder
                 record = None
             if not isinstance(record, dict):
-                raise LucBatError(f"line {number}: unreadable score line: {line[:60]!r}")
+                raise BadScore(f"line {number}: unreadable score line: {line[:60]!r}")
             if "score" not in record:  # e.g. a `score --format jsonl` error record
                 continue
             value = record["score"]
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise LucBatError(f"line {number}: score is not a number: {line[:60]!r}")
+                raise BadScore(f"line {number}: score is not a number: {line[:60]!r}")
             # a JSON integer can exceed the float range; float() would raise
             value = float(value) if abs(value) <= sys.float_info.max else math.inf
         if not math.isfinite(value):
-            raise LucBatError(f"line {number}: non-finite score: {line[:60]!r}")
+            raise BadScore(f"line {number}: non-finite score: {line[:60]!r}")
         scores.append(value)
     return scores
 
@@ -295,8 +296,9 @@ def _cmd_quatrains(args) -> int:
 
 
 def _cmd_losscheck(args) -> int:
+    settings = {name: getattr(args, name) for name, _, _ in LOSSCHECK_BOUNDS.values()}
     for flag, (name, least, most) in LOSSCHECK_BOUNDS.items():
-        value = getattr(args, name)
+        value = settings[name]
         if value < least or (most is not None and value > most):
             bound = f">= {least}" if value < least else f"<= {most}"
             raise BadCheckSetting(f"--{flag} must be {bound}")
@@ -305,20 +307,13 @@ def _cmd_losscheck(args) -> int:
     except ImportError as exc:
         if exc.name != "numpy":
             raise
-        raise LucBatError("losscheck needs numpy: pip install 'lucbat[loss]'") from exc
+        raise MissingDependency("losscheck needs numpy: pip install 'lucbat[loss]'") from exc
 
-    report = gradient_check(
-        seed=args.seed,
-        d_model=args.dmodel,
-        d_hidden=args.dhidden,
-        vocab=args.vocab,
-        max_len=args.max_len,
-        n_stanzas=args.stanzas,
-    )
+    report = gradient_check(**settings)
     verdict = "PASS" if report.passed else "FAIL"
     print(
-        f"gradient check seed={args.seed} d_model={args.dmodel} "
-        f"d_hidden={args.dhidden} parameters={report.n_parameters}"
+        f"gradient check seed={args.seed} d_model={args.d_model} "
+        f"d_hidden={args.d_hidden} parameters={report.n_parameters}"
     )
     print(f"ce={report.ce:.6f} mse={report.mse:.6f} total={report.ce + report.mse:.6f}")
     print(

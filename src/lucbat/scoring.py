@@ -40,6 +40,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Union
 
 from .rules import Position, RuleTable, template
 from .syllable import (
+    BadScore,
     EmptyInput,
     LucBatError,
     NotASyllable,
@@ -254,7 +255,7 @@ def histogram(scores: list[float]) -> Histogram:
     """Bin scores into the ten deciles of [0, 100], right-exclusive; the last includes 100.
 
     Scores outside [0, 100] are tallied separately in ``below``/``above``; a NaN
-    score raises :class:`LucBatError` naming its index.
+    score raises :class:`BadScore` naming its index.
     """
     if not scores:
         raise EmptyInput("no scores to bin")
@@ -266,7 +267,7 @@ def histogram(scores: list[float]) -> Histogram:
         elif score > HISTOGRAM_HI:
             above += 1
         elif score != score:  # NaN, which is in no bin and neither below nor above
-            raise LucBatError(f"scores[{i}] is NaN")
+            raise BadScore(f"scores[{i}] is NaN")
         else:
             counts[min(int(score / 10.0), 9)] += 1
     bins = tuple((10.0 * k, 10.0 * (k + 1), count) for k, count in enumerate(counts))

@@ -116,10 +116,6 @@ class AttentionParams:
             raise ShapeMismatch(f"W_q, W_k, W_v must be (d, d); got {q}, {k}, {v}")
         self.W_q, self.W_k, self.W_v = W_q, W_k, W_v
 
-    @property
-    def d_model(self) -> int:
-        return self.W_q.shape[0]
-
     @classmethod
     def random(cls, rng: np.random.Generator, d_model: int):
         """Entries drawn from N(0, 0.5^2)."""
@@ -142,10 +138,6 @@ class LstmParams:
         if len(u) != 2 or u[0] % 4 or w != (u[0], u[0] // 4) or bias != u[:1]:
             raise ShapeMismatch(f"U, W, b must be (4h, d), (4h, h), (4h,); got {u}, {w}, {bias}")
         self.U, self.W, self.b = U, W, b
-
-    @property
-    def d_in(self) -> int:
-        return self.U.shape[1]
 
     @classmethod
     def random(cls, rng: np.random.Generator, d_in: int, d_hidden: int):
@@ -337,9 +329,9 @@ def custom_loss(
     contextual vectors.  ``logits``/``next_token_ids`` supply the block's
     cross-entropy term, which is constant in the attention/LSTM parameters.
     """
-    if lstm.d_in != attn.d_model:
+    if lstm.U.shape[1] != attn.W_q.shape[0]:
         raise ShapeMismatch(
-            f"LSTM d_in {lstm.d_in} must equal attention d_model {attn.d_model}"
+            f"LSTM d_in {lstm.U.shape[1]} must equal attention d_model {attn.W_q.shape[0]}"
         )
     ce = ce_loss(logits, next_token_ids)
     mse = 0.0

@@ -37,6 +37,8 @@ __all__ = [
     "InvalidEncoding",
     "EmptyInput",
     "BadCheckSetting",
+    "BadScore",
+    "MissingDependency",
     "parse_syllable",
     "normalize_verse",
     "normalize_verses",
@@ -58,6 +60,14 @@ class EmptyInput(LucBatError):
 class BadCheckSetting(LucBatError):
     """A gradient-check setting out of range: a seed that is not a non-negative int, a dimension
     or count that is not an int of at least 1, or a ``losscheck`` flag past its cap."""
+
+
+class BadScore(LucBatError):
+    """A score that ``report`` cannot read or bin: not a number, non-finite, or NaN."""
+
+
+class MissingDependency(LucBatError):
+    """An optional dependency that a command needs and that is not installed."""
 
 
 def read_text(path: str) -> str:

@@ -18,9 +18,10 @@ from hypothesis import given, settings, strategies as st
 
 import lucbat
 from lucbat import PoemNovelty, build_verse_index, creativity_score, ingest, scoring
-from lucbat.cli import INPUT_DESTS, LOSSCHECK_BOUNDS, _novelty_record, build_parser, main
+from lucbat.cli import (INPUT_DESTS, LOSSCHECK_BOUNDS, _cmd_losscheck, _novelty_record,
+                        _read_scores, build_parser, main)
 from lucbat.corpus import _BATCH
-from lucbat.syllable import _PUNCTUATION, _lines
+from lucbat.syllable import BadScore, MissingDependency, _PUNCTUATION, _lines
 from helpers import NO_NUMPY, QUATRAIN_RHYME_MEMBERS, QUATRAIN_TONE_POSITIONS, perturb_quatrain
 from conftest import KIEU
 from test_golden import CASES, INPUTS, expected_outputs, run_case
@@ -445,6 +446,18 @@ class TestReportCommand:
         assert captured.out == ""
         assert f"line 2: {message}" in captured.err
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: _read_scores("95\n[95]\n"), "line 2: unreadable score line: '[95]'"),
+        (lambda: _read_scores('{"score": "95"}\n'),
+         """line 1: score is not a number: '{"score": "95"}'"""),
+        (lambda: _read_scores("inf\n"), "line 1: non-finite score: 'inf'"),
+        (lambda: scoring.histogram([50.0, math.nan]), "scores[1] is NaN"),
+    ], ids=["unreadable", "not-a-number", "non-finite", "histogram-nan"])
+    def test_each_bad_score_raises_bad_score(self, call, message):
+        with pytest.raises(BadScore) as info:
+            call()
+        assert str(info.value) == message
+
 
 class TestQuatrainsCommand:
     def test_seeded_runs_byte_identical(self, tmp_path, capsys):
@@ -579,6 +592,23 @@ def test_losscheck_without_numpy_exits_one():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert (result.returncode, result.stdout, result.stderr) == (
         1, "", "lucbat losscheck: error: losscheck needs numpy: pip install 'lucbat[loss]'\n")
+
+
+def test_losscheck_without_numpy_raises_missing_dependency():
+    src = Path(lucbat.__file__).resolve().parent.parent
+    probe = "\n".join([
+        NO_NUMPY,
+        f"sys.path.insert(0, {str(src)!r})",
+        "from lucbat.cli import _cmd_losscheck, build_parser",
+        "from lucbat.syllable import MissingDependency",
+        "try:",
+        "    _cmd_losscheck(build_parser().parse_args(['losscheck']))",
+        "except MissingDependency as exc:",
+        "    print(type(exc).__name__, exc)",
+    ])
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        0, "MissingDependency losscheck needs numpy: pip install 'lucbat[loss]'\n", "")
 
 
 def test_semloss_names_without_numpy_raise_import_error_with_the_install_hint():
@@ -780,6 +810,8 @@ ERROR_CLASSES = {
     "semloss.ShapeMismatch": "a loss-head argument of the wrong shape",
     "semloss.IdOutOfRange": "a token id outside 1..V",
     "syllable.BadCheckSetting": "a gradient-check setting or a losscheck flag out of range",
+    "syllable.BadScore": "a score that report cannot read or bin",
+    "syllable.MissingDependency": "an optional dependency that is not installed",
 }
 
 # Every public member outside NEVER_READ whose name another public class also declares, so
@@ -871,6 +903,27 @@ class TestArgumentErrors:
                         "creativity": {"generated", "corpus"}, "report": {"input"},
                         "quatrains": {"input"}, "losscheck": set()}
         assert set().union(*says.values()) == set(INPUT_DESTS)
+
+    def test_each_usage_names_every_option_with_its_metavar(self):
+        # a flag whose dest is not its own name keeps the metavar the flag gives, such as
+        # --dmodel DMODEL for the dest d_model; line wrapping is taken out, since it follows
+        # the terminal width
+        commands = next(action.choices for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        usages = {command: " ".join(parser.format_usage().split())
+                  for command, parser in commands.items()}
+        assert usages == {
+            "score": "usage: lucbat score [-h] [--rules RULES] [--format {text,jsonl}] input",
+            "filter": "usage: lucbat filter [-h] --min-score MIN_SCORE --out OUT "
+                      "[--stats STATS] [--rules RULES] input",
+            "creativity": "usage: lucbat creativity [-h] --generated GENERATED "
+                          "--corpus CORPUS [--format {text,jsonl}]",
+            "report": "usage: lucbat report [-h] [--format {text,jsonl}] input",
+            "quatrains": "usage: lucbat quatrains [-h] --out OUT [--seed SEED] input",
+            "losscheck": "usage: lucbat losscheck [-h] [--seed SEED] [--dmodel DMODEL] "
+                         "[--dhidden DHIDDEN] [--vocab VOCAB] [--len MAX_LEN] "
+                         "[--stanzas STANZAS]",
+        }
 
     def test_missing_input_file(self, tmp_path, capsys):
         assert main(["score", str(tmp_path / "absent.txt")]) == 1

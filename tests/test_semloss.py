@@ -256,7 +256,7 @@ class TestParameterBlocks:
         attn = AttentionParams(*(np.eye(3) for _ in range(3)))
         U, W, b = np.ones((8, 3)), np.ones((8, 2)), np.ones(8)
         lstm = LstmParams(U, W, b)
-        assert attn.d_model == 3 and (lstm.d_in, lstm.W.shape[1]) == (3, 2)
+        assert attn.W_q.shape[0] == 3 and (lstm.U.shape[1], lstm.W.shape[1]) == (3, 2)
         assert lstm.U is U and lstm.W is W and lstm.b is b
 
 
@@ -622,9 +622,8 @@ class TestBatchedLossHead:
         # every dimension at its losscheck cap; stanzas run one at a time, so one
         # stanza reaches the same peak.  32 parameters per chunk peak at about
         # 4.3 MB here, 40 at 5.3 MB.
-        dims = {name: LOSSCHECK_BOUNDS[flag][2]
-                for flag, name in [("dmodel", "d_model"), ("dhidden", "d_hidden"),
-                                   ("vocab", "vocab"), ("len", "max_len")]}
+        dims = {name: most for name, _, most in LOSSCHECK_BOUNDS.values()
+                if name not in ("seed", "n_stanzas")}
         gradient_check()  # one-time allocations outside the traced call
         tracemalloc.start()
         try:
