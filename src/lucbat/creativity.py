@@ -33,7 +33,12 @@ class PoemNovelty(NamedTuple):
 
 class CreativityReport(NamedTuple):
     per_poem: tuple[PoemNovelty, ...]
-    score: float  # mean over poems of (1 - copied_ratio), in [0, 1]
+
+    @property
+    def score(self) -> float:
+        """The mean over poems of (1 - copied_ratio), in [0, 1]."""
+        # fsum: correctly rounded, so the score does not depend on the Python version
+        return math.fsum(1.0 - poem.copied_ratio for poem in self.per_poem) / len(self.per_poem)
 
 
 def creativity_score(generated: Corpus, index: VerseIndex) -> CreativityReport:
@@ -51,6 +56,4 @@ def creativity_score(generated: Corpus, index: VerseIndex) -> CreativityReport:
             if not total:
                 raise EmptyInput(f"poem {poem.id!r} has no verses")
             per_poem.append(PoemNovelty(poem_id=poem.id, copied_verses=copied, total_verses=total))
-    # fsum: correctly rounded, so the score does not depend on the Python version
-    score = math.fsum(1.0 - novelty.copied_ratio for novelty in per_poem) / len(per_poem)
-    return CreativityReport(per_poem=tuple(per_poem), score=score)
+    return CreativityReport(per_poem=tuple(per_poem))

@@ -103,7 +103,6 @@ class Template(NamedTuple):
 
     rhyme_pairs: tuple[tuple[Position, Position], ...]  # (member, anchor), chain by chain
     tone_slots: tuple[tuple[Position, ToneClass], ...]  # (position, expected), line by line
-    rhyme_positions: int  # 3n - 1, the rhyme penalty's denominator
 
 
 # Bounded: the Python API scores stanzas of any length, and each template is O(n).
@@ -121,7 +120,6 @@ def template(n_pairs: int) -> Template:
             for line in range(1, 2 * n_pairs + 1)
             for word, expected in (SIX_LINE_TONES if line % 2 else EIGHT_LINE_TONES).items()
         ),
-        rhyme_positions=sum(len(chain.positions) for chain in chains),
     )
 
 

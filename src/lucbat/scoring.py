@@ -184,7 +184,7 @@ def _shape(n_pairs: int) -> tuple:
         for (line, word), expected in compiled.tone_slots
     )
     return (
-        members, anchors, slots, expected, compiled.rhyme_positions, len(compiled.tone_slots),
+        members, anchors, slots, expected, len({*members, *anchors}), len(compiled.tone_slots),
         rhyme, tone, f']}}, "n": {n_pairs}, "poem_id": ',
     )
 

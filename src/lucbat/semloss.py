@@ -391,7 +391,7 @@ class GradientCheckReport(NamedTuple):
     max_relative_error: float
     ce: float
     mse: float
-    tolerance: float
+    tolerance = _TOLERANCE
 
     @property
     def passed(self) -> bool:
@@ -455,5 +455,4 @@ def gradient_check(seed: int = 0, **settings) -> GradientCheckReport:
         max_relative_error=max_rel,
         ce=breakdown.ce,
         mse=breakdown.mse,
-        tolerance=_TOLERANCE,
     )

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from lucbat import (
     Corpus,
-    CreativityReport,
     EmptyInput,
     Poem,
     PoemNovelty,
@@ -134,7 +133,8 @@ _CORPUS = st.lists(_POEM_TEXT, min_size=1, max_size=5).map(
 
 
 def _reference_creativity(generated, index):
-    """Per-verse lookups through ``verse in index``, as ``creativity_score`` once made them."""
+    """(per_poem, score) from per-verse lookups through ``verse in index``, as
+    ``creativity_score`` once made them."""
     per_poem = []
     for poem in generated.poems:
         verses = poem.lines()
@@ -143,7 +143,7 @@ def _reference_creativity(generated, index):
         copied = sum(1 for verse in verses if verse in index)
         per_poem.append(PoemNovelty(poem.id, copied, len(verses)))
     score = math.fsum(1.0 - novelty.copied_ratio for novelty in per_poem) / len(per_poem)
-    return CreativityReport(tuple(per_poem), score)
+    return tuple(per_poem), score
 
 
 @settings(max_examples=200, derandomize=True, database=None)
@@ -163,7 +163,8 @@ def test_creativity_score_equals_per_verse_reference(training, generated):
         with pytest.raises(EmptyInput, match="has no verses"):
             creativity_score(generated, index)
     else:
-        assert creativity_score(generated, index) == expected
+        report = creativity_score(generated, index)
+        assert (report.per_poem, report.score) == expected
 
 
 # Two full batches and one poem more, cycling through a few drawn texts.  Each poem ends in
@@ -184,7 +185,8 @@ def test_index_built_across_batches_equals_one_built_a_verse_at_a_time(corpus):
 @given(training=_THREE_BATCHES, generated=_THREE_BATCHES)
 def test_creativity_score_across_batches_equals_per_verse_reference(training, generated):
     index = build_verse_index(training)
-    assert creativity_score(generated, index) == _reference_creativity(generated, index)
+    report = creativity_score(generated, index)
+    assert (report.per_poem, report.score) == _reference_creativity(generated, index)
 
 
 # Lines for the ends of every poem, so that each place where one batch's text ends and the

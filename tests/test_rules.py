@@ -92,7 +92,7 @@ class TestToneTemplate:
         for n in range(1, 21):
             compiled = template(n)
             assert len(compiled.tone_slots) == 7 * n
-            assert compiled.rhyme_positions == 3 * n - 1
+            assert len(set().union(*compiled.rhyme_pairs)) == 3 * n - 1  # distinct positions
             chains = build_rhyme_chains(n)
             assert compiled.rhyme_pairs == tuple(
                 (member, chain.anchor) for chain in chains for member in chain.members
@@ -157,6 +157,10 @@ class TestRuleTableLoading:
     def test_duplicate_within_group_rejected(self):
         with pytest.raises(RuleTableError):
             parse_rule_table("au au\n")
+
+    def test_empty_group_rejected(self):
+        with pytest.raises(RuleTableError, match="^empty near-rhyme group$"):
+            RuleTable([["an"], []])
 
     def test_invalid_rime_rejected(self):
         with pytest.raises(RuleTableError):

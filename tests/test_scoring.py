@@ -117,6 +117,11 @@ class TestScoreStanza:
         assert report.wrong_tone == 0
         assert report.score == 100.0
 
+    def test_denominators_are_the_papers(self):
+        # 3n - 1 distinct rhyme positions and 7n tone slots, counted from the template
+        for n in range(1, 21):
+            assert _shape(n)[4:6] == (3 * n - 1, 7 * n)
+
     def test_single_tone_violation(self, kieu, table):
         # (4,4) "thấy" -> level tone
         text = perturb_quatrain(kieu, tone_flips=[(4, 4)])
@@ -450,8 +455,9 @@ def reference_score_stanza(stanza, table):
         actual is not expected
         for (_, expected), actual in zip(compiled.tone_slots, actual_tones)
     )
+    # the paper's denominators: 3n - 1 rhyme positions and 7n tone positions
     score = 100.0 * (
-        1.0 - wrong_rhyme / compiled.rhyme_positions - wrong_tone / len(compiled.tone_slots)
+        1.0 - wrong_rhyme / (3 * stanza.n_pairs - 1) - wrong_tone / (7 * stanza.n_pairs)
     )
     return wrong_rhyme, wrong_tone, score, rhyme_ok, actual_tones
 

@@ -1,3 +1,5 @@
+import argparse
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -19,7 +21,7 @@ from lucbat import (
     random_instance,
 )
 from lucbat import semloss
-from lucbat.cli import LOSSCHECK_BOUNDS
+from lucbat.cli import LOSSCHECK_BOUNDS, build_parser
 from lucbat.semloss import _sigmoid
 
 # losscheck's benchmark dimensions: P = 736 parameters, two verse pairs
@@ -221,6 +223,8 @@ class TestLstmForward:
         attn = AttentionParams.random(np.random.default_rng(0), 4)
         with pytest.raises(ShapeMismatch):
             contextual_vector(np.zeros((0, 4)), attn, params)
+        with pytest.raises(ShapeMismatch, match=r"^X must be 2-D, got shape \(4,\)$"):
+            contextual_vector(np.zeros(4), attn, params)
 
 
 class TestParameterBlocks:
@@ -406,6 +410,14 @@ class TestCustomLoss:
             custom_loss(bad, inst["logits"], inst["next_token_ids"],
                         inst["attn"], inst["lstm"])
 
+    def test_lstm_width_must_equal_the_attention_width(self):
+        inst = random_instance(0)
+        lstm = LstmParams.random(np.random.default_rng(0), 3, 3)
+        with pytest.raises(ShapeMismatch,
+                           match="^LSTM d_in 3 must equal attention d_model 4$"):
+            custom_loss(inst["stanza_pairs"], inst["logits"], inst["next_token_ids"],
+                        inst["attn"], lstm)
+
     def test_empty_pair_rejected(self):
         inst = random_instance(0, d_model=4)
         bad = [[np.zeros((0, 4)), np.zeros((3, 4))]]
@@ -441,6 +453,9 @@ class TestGradientCheck:
     def test_passed_is_derived_from_the_error_and_the_tolerance(self):
         report = gradient_check(seed=0)
         assert report.passed
+        # the tolerance is the check's constant, not a field of each report
+        assert semloss.GradientCheckReport.tolerance == report.tolerance == 1e-4
+        assert "tolerance" not in report._fields
         assert not report._replace(max_relative_error=2 * report.tolerance).passed
         assert report._replace(max_relative_error=report.tolerance).passed
         assert not report._replace(max_relative_error=math.nan).passed
@@ -655,6 +670,39 @@ class TestBatchedLossHead:
                 with pytest.raises(BadCheckSetting,
                                    match=f"^{name} must be an int of at least {least}, got "):
                     check(**{"seed": 0, name: value})
+
+    @pytest.mark.parametrize("seed, dims", [
+        (0, {}), (1, BENCH_DIMS), (8, BENCH_DIMS), (14, BENCH_DIMS),
+    ], ids=["defaults-0", "bench-1", "bench-8", "bench-14"])
+    def test_the_chunk_size_changes_no_result(self, seed, dims, monkeypatch):
+        # one parameter per pass, a size that splits blocks unevenly, the default, and one
+        # pass per block: a later retune of _FD_CHUNK leaves losscheck's output as it is
+        reports = []
+        for chunk in (1, 5, 32, 10**6):
+            monkeypatch.setattr(semloss, "_FD_CHUNK", chunk)
+            reports.append(gradient_check(seed, **dims))
+        assert reports[1:] == reports[:-1]
+
+    @pytest.mark.parametrize("flag", LOSSCHECK_BOUNDS)
+    def test_least_values_agree_with_the_flag_bounds(self, flag):
+        # losscheck checks its flags before it loads numpy, and random_instance checks
+        # Python callers: both must reject the same least - 1 and accept the same least
+        name, least, _ = LOSSCHECK_BOUNDS[flag]
+        with pytest.raises(BadCheckSetting,
+                           match=f"^{name} must be an int of at least {least}, got {least - 1}$"):
+            random_instance(**{"seed": 0, name: least - 1})
+        random_instance(**{"seed": 0, name: least})
+
+    def test_flag_defaults_equal_the_api_defaults(self):
+        commands = next(action.choices for action in build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        # argparse states them once; random_instance's signature, and gradient_check's for
+        # the seed that random_instance requires, state them again past the numpy import
+        api = {name: parameter.default
+               for name, parameter in inspect.signature(random_instance).parameters.items()}
+        api["seed"] = inspect.signature(gradient_check).parameters["seed"].default
+        assert {name: commands["losscheck"].get_default(name)
+                for name, _, _ in LOSSCHECK_BOUNDS.values()} == api
 
     def test_numpy_integers_are_accepted(self):
         report = gradient_check(seed=np.int64(2), d_model=np.int32(3))
